@@ -841,7 +841,7 @@ def measure_kernel_backends(
     Shared by the exp14 driver and the benchmark asserts.
 
     Besides end-to-end wall time, the per-query QuickUBG phase timings are
-    accumulated separately: only phase 1 (polarity sweep + edge-mask scan)
+    accumulated separately: only phase 1 (polarity sweep + Lemma 1 edge mask)
     and EEV's adjacency grouping are vectorized, so the honest speedup
     floor is asserted on the kernel time, not on the whole pipeline.
 
@@ -948,11 +948,13 @@ def measure_quick_kernels(
     """Best-of-``rounds`` timings of the QuickUBG *kernels* themselves.
 
     Unlike :func:`measure_kernel_backends` this calls the polarity sweep and
-    the Lemma 1 edge-mask scan directly — no pipeline around them — so the
-    numbers isolate exactly the code the numpy backend replaces.  The exp14
-    benchmark asserts its speedup floor here, on a kernel-scale graph, where
-    per-call dispatch overhead no longer dominates; the stock datasets are
-    thousands of times smaller than the paper's and mostly measure overhead.
+    the Lemma 1 edge mask directly — no pipeline around them, but each the
+    way ``VUG.run`` calls it (the Python mask walks the sweep's frontier) —
+    so the numbers isolate exactly the code the numpy backend replaces.
+    The exp14 benchmark asserts its speedup floor here, on a kernel-scale
+    graph, where per-call dispatch overhead no longer dominates; the stock
+    datasets are thousands of times smaller than the paper's and mostly
+    measure overhead.
 
     Every query is cross-checked for bit-identity (tables element-wise, mask
     indices and vertex ids exactly) before any timing is trusted.  The
@@ -987,10 +989,10 @@ def measure_quick_kernels(
         elapsed = 0.0
         for query, window in zip(queries, windows):
             started = time.perf_counter()
-            arrival, departure = compute_polarity_id_arrays(
+            arrival, departure, frontier = compute_polarity_id_arrays(
                 view, query.source, query.target, window
             )
-            quick_mask_kernel(view, arrival, departure, window)
+            quick_mask_kernel(view, arrival, departure, window, frontier)
             elapsed += time.perf_counter() - started
         best_python = min(best_python, elapsed)
     result["python_s"] = best_python
@@ -1003,20 +1005,19 @@ def measure_quick_kernels(
     )
     result["layout_s"] = time.perf_counter() - started
     for query, window in zip(queries, windows):
-        reference_tables = compute_polarity_id_arrays(
+        arrival, departure, frontier = compute_polarity_id_arrays(
             view, query.source, query.target, window
         )
         tables = polarity_id_arrays_numpy(
             view, query.source, query.target, window
         )
-        if (
-            list(tables[0]) != reference_tables[0]
-            or list(tables[1]) != reference_tables[1]
-        ):
+        if list(tables[0]) != arrival or list(tables[1]) != departure:
             raise AssertionError(
                 f"numpy polarity tables diverged on {query!r}"
             )
-        reference_mask = quick_mask_kernel(view, *reference_tables, window)
+        reference_mask = quick_mask_kernel(
+            view, arrival, departure, window, frontier
+        )
         mask = quick_mask_numpy(view, *tables, window)
         if (
             mask.indices != reference_mask.indices

@@ -1,7 +1,7 @@
 """Vectorized (numpy) variants of the query hot-path kernels.
 
 The zero-materialization pipeline spends its per-query time in three places:
-the polarity sweeps (Algorithm 3), the Lemma 1 window scan (Algorithm 2) and
+the polarity sweeps (Algorithm 3), the Lemma 1 edge mask (Algorithm 2) and
 EEV's grouped adjacency expansion.  This module provides numpy versions of
 the first two; the third lives with the data it groups, as
 :meth:`repro.graph.views.SubgraphView._group_by_numpy`, and is selected by
@@ -30,11 +30,14 @@ therefore exactly representable in float64, so the float tables compare
 equal to the Python lists element-wise (``5 == 5.0``), and every downstream
 consumer only *compares* the values.
 
-``quick_mask_numpy`` evaluates Lemma 1 (``A(u) < τ < D(v)``) over the same
-``[lo, hi)`` window slice :func:`~repro.core.quick_ubg.quick_mask_kernel`
-iterates, producing the identical ascending index list — including the
-``lo == hi`` empty-window convention pinned by the degenerate-interval
-regression tests.
+``quick_mask_numpy`` evaluates Lemma 1 (``A(u) < τ < D(v)``) over every
+edge of the query window's ``[lo, hi)`` slice.  The Python
+:func:`~repro.core.quick_ubg.quick_mask_kernel` reads less: only the
+out-edges of vertices the forward sweep reached, after their arrival
+time, plus a sort of the survivors.  Lemma 1 confines every survivor to
+that window, so both produce the identical ascending index list —
+including the ``lo == hi`` empty-window convention pinned by the
+degenerate-interval regression tests.
 
 The sweep reads a *window-local timestamp-group layout* (each group's edges
 sorted by head for the forward pass and by tail for the backward pass, with

@@ -84,40 +84,52 @@ def compute_polarity_id_arrays(
     source: Vertex,
     target: Vertex,
     interval,
-) -> Tuple[List[float], List[float]]:
+) -> Tuple[List[float], List[float], Dict[int, int]]:
     """Algorithm 3 over the frozen CSR view, in interned-id space.
 
-    Returns ``(arrival_by_id, departure_by_id)`` — lists indexed by interned
-    vertex id with the same values :func:`compute_polarity_times` produces
-    (the sweeps converge to the unique earliest-arrival/latest-departure
-    fixed point, so the two implementations are interchangeable).  This is
-    the polarity kernel of the zero-materialization pipeline: dense lists
-    replace hash tables, and the per-vertex timestamp lists the dict-based
-    sweeps rebuild every query are bisected *in place* on the view's
-    CSR-aligned ``out_ts``/``in_ts`` columns instead.
+    Returns ``(arrival_by_id, departure_by_id, frontier)``.  The two tables
+    are lists indexed by interned vertex id with the same values
+    :func:`compute_polarity_times` produces (the sweeps converge to the
+    unique earliest-arrival/latest-departure fixed point, so the two
+    implementations are interchangeable).  This is the polarity kernel of
+    the zero-materialization pipeline: dense lists replace hash tables, and
+    the per-vertex timestamp lists the dict-based sweeps rebuild every
+    query are bisected *in place* on the view's CSR-aligned
+    ``out_ts``/``in_ts`` columns instead.
+
+    ``frontier`` maps every vertex the forward sweep expanded to the first
+    out-CSR position with ``τ > max(A(u), τb - 1)`` — where ``u``'s Lemma 1
+    candidates begin.  Vertices absent from it have none, so
+    :func:`~repro.core.quick_ubg.quick_mask_kernel` reads only these runs.
     """
     window = as_interval(interval)
     source_id = view.index_of.get(source)
     target_id = view.index_of.get(target)
-    arrival = _sweep_arrival_ids(view, source_id, target_id, window)
+    arrival, frontier = _sweep_arrival_ids(view, source_id, target_id, window)
     departure = _sweep_departure_ids(view, source_id, target_id, window)
-    return arrival, departure
+    return arrival, departure, frontier
 
 
 def _sweep_arrival_ids(
     view: GraphView, source_id, target_id, window: TimeInterval
-) -> List[float]:
-    """Id-space forward sweep (mirror of :func:`_sweep_earliest_arrival`)."""
+) -> Tuple[List[float], Dict[int, int]]:
+    """Id-space forward sweep (mirror of :func:`_sweep_earliest_arrival`).
+
+    Returns the arrival table and the ``processed_from`` frontier.
+    """
     num_vertices = view.num_vertices
     arrival: List[float] = [INFINITY] * num_vertices
+    # Lowest out-CSR position already relaxed per vertex (exclusive stop).
+    # A vertex is re-expanded whenever its arrival drops below τe, so once
+    # the sweep ends this is the first position with τ > max(A(u), τb - 1)
+    # for every expanded vertex: the start of its Lemma 1 candidates.
+    processed_from: Dict[int, int] = {}
     if source_id is None:
-        return arrival
+        return arrival, processed_from
     arrival[source_id] = window.begin - 1
     queue = deque([source_id])
     queued = bytearray(num_vertices)
     queued[source_id] = 1
-    # Lowest out-CSR position already relaxed per vertex (exclusive stop).
-    processed_from: Dict[int, int] = {}
     offsets, out_ts, out_dst = view.out_offsets, view.out_ts, view.out_dst
     window_end = window.end
     floor = window.begin - 1
@@ -146,7 +158,7 @@ def _sweep_arrival_ids(
             if timestamp != window_end and not queued[v]:
                 queue.append(v)
                 queued[v] = 1
-    return arrival
+    return arrival, processed_from
 
 
 def _sweep_departure_ids(

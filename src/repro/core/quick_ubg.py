@@ -3,16 +3,19 @@
 Given the polarity times of a query, an edge ``e(u, v, τ)`` lies on at least
 one temporal path from ``s`` to ``t`` within ``[τb, τe]`` iff
 ``A(u) < τ < D(v)`` (Lemma 1).  Keeping exactly those edges yields the *quick
-upper-bound graph* ``Gq`` in ``O(m)`` time — a superset of the final ``tspG``
-that already removes every edge violating the temporal constraint.
+upper-bound graph* ``Gq`` — a superset of the final ``tspG`` that already
+removes every edge violating the temporal constraint.
 
 Zero-materialization kernel: instead of inserting every surviving edge into a
 fresh :class:`~repro.graph.temporal_graph.TemporalGraph` (per-edge sorted
-insertion + cache invalidation), :func:`quick_upper_bound_graph` pre-slices
-the parent's timestamp-sorted edge columns to the query window with two
-bisects, applies the Lemma 1 test over the interned columns, and returns an
-edge-mask :class:`~repro.graph.views.SubgraphView` — no edge storage is
-copied.  Call ``.materialize()`` on the result when a real graph is needed.
+insertion + cache invalidation), :func:`quick_mask_kernel` walks the out-CSR
+of the vertices the forward polarity sweep reached, from each one's arrival
+time to ``τe``, tests ``τ < D(v)`` there, and returns an edge-mask
+:class:`~repro.graph.views.SubgraphView` — no edge storage is copied.  An
+edge whose tail was never reached has ``A(u) = ∞`` and is never read, so the
+cost is the out-edges of reached vertices after their arrival time plus a
+sort of the survivors, not the query window's edge count.  Call
+``.materialize()`` on the result when a real graph is needed.
 
 The pre-refactor materializing implementation is retained as
 :func:`quick_upper_bound_graph_materializing`; it is the reference baseline
@@ -21,9 +24,10 @@ of the exp11 benchmark and the randomized equivalence oracle.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Set, Union
+from bisect import bisect_right
+from typing import Dict, Optional, Sequence, Set, Union
 
-from ..graph.edge import Vertex, as_interval
+from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView, SubgraphView
 from .polarity import PolarityTimes, compute_polarity_times
@@ -80,7 +84,7 @@ def quick_upper_bound_graph(
         polarity = compute_polarity_times(graph, source, target, window)
     view = _as_view(graph)
     # Re-key the polarity tables from vertex labels to interned ids once
-    # (O(n)); the scan itself is pure array indexing.
+    # (O(n)); the mask kernel itself is pure array indexing.
     arrival = polarity.arrival
     departure = polarity.departure
     infinity = float("inf")
@@ -91,35 +95,70 @@ def quick_upper_bound_graph(
     return quick_mask_kernel(view, arrival_by_id, departure_by_id, window)
 
 
+def _derive_frontier(
+    view: GraphView, arrival_by_id: Sequence[float], window: TimeInterval
+) -> Dict[int, int]:
+    """The mask kernel's frontier, derived from an arrival table (O(n)).
+
+    Maps every vertex with ``A(u) < τe`` to the first out-CSR position with
+    ``τ > max(A(u), τb - 1)``.  :func:`~repro.core.polarity.
+    compute_polarity_id_arrays` returns the same map straight from its
+    forward sweep; this derivation serves callers that only hold the tables.
+    """
+    offsets, out_ts = view.out_offsets, view.out_ts
+    window_end = window.end
+    floor = window.begin - 1
+    frontier: Dict[int, int] = {}
+    for u, arrival in enumerate(arrival_by_id):
+        if arrival < window_end:
+            frontier[u] = bisect_right(
+                out_ts, arrival if arrival > floor else floor,
+                offsets[u], offsets[u + 1],
+            )
+    return frontier
+
+
 def quick_mask_kernel(
     view: GraphView,
     arrival_by_id: Sequence[float],
     departure_by_id: Sequence[float],
     window,
+    frontier: Optional[Dict[int, int]] = None,
 ) -> SubgraphView:
-    """The interval-sliced Lemma 1 scan over interned columns (Algorithm 2).
+    """The Lemma 1 edge mask over interned columns (Algorithm 2).
 
-    Pre-slices the timestamp-sorted columns to ``[τb, τe]`` with two bisects
-    — Lemma 1 implies ``τb <= τ <= τe`` for every admissible edge
-    (``A(s) = τb - 1``, ``D(t) = τe + 1``), so edges outside the window need
-    never be scanned.  The loop touches every in-window edge of ``G``, so
-    per-edge overhead matters: it is array indexing plus two comparisons.
+    ``frontier`` maps each vertex ``u`` the forward sweep reached to the
+    out-CSR position where its edges with ``τ > A(u)`` begin (see
+    :func:`~repro.core.polarity.compute_polarity_id_arrays`); when omitted
+    it is derived from ``arrival_by_id`` by :func:`_derive_frontier`.
+    Each run ends at ``τe`` (one bisect), and an edge in it survives iff
+    ``τ < D(v)`` — the ``A(u) < τ`` half of Lemma 1 holds by construction,
+    and every survivor lies in ``[τb, τe]``.  The cost is the out-edges of
+    reached vertices after their arrival time plus a sort of the survivors
+    into the ascending order :class:`SubgraphView` expects; in-window edges
+    out of unreached vertices are never read.
     """
-    lo, hi = view.slice_bounds(window)
-    src, dst, ts = view.src, view.dst, view.ts
+    window = as_interval(window)
+    if frontier is None:
+        frontier = _derive_frontier(view, arrival_by_id, window)
+    offsets, out_ts, out_dst = view.out_offsets, view.out_ts, view.out_dst
+    out_edges = view.out_edges
+    window_end = window.end
     indices: list = []
     append = indices.append
     vids: Set[int] = set()
     add_vid = vids.add
-    # Iterating zipped array slices keeps the per-edge work in C; ``index``
-    # tracks the position in the parent columns.
-    index = lo
-    for u, v, timestamp in zip(src[lo:hi], dst[lo:hi], ts[lo:hi]):
-        if arrival_by_id[u] < timestamp < departure_by_id[v]:
-            append(index)
+    for u, start in frontier.items():
+        stop = bisect_right(out_ts, window_end, start, offsets[u + 1])
+        kept = len(indices)
+        for position in range(start, stop):
+            v = out_dst[position]
+            if out_ts[position] < departure_by_id[v]:
+                append(out_edges[position])
+                add_vid(v)
+        if len(indices) != kept:
             add_vid(u)
-            add_vid(v)
-        index += 1
+    indices.sort()
     return SubgraphView(view, indices, vids)
 
 

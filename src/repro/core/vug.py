@@ -68,7 +68,7 @@ class VUG:
         the pre-refactor materializing pipeline (the oracle baseline).
     kernel_backend:
         ``"python"`` (default) runs the pure-Python hot-path kernels;
-        ``"numpy"`` dispatches the polarity sweep, the Lemma 1 window scan
+        ``"numpy"`` dispatches the polarity sweep, the Lemma 1 mask
         and the adjacency grouping to their vectorized variants in
         :mod:`repro.core.kernels` — bit-identical by contract, validated by
         the randomized oracle.  When numpy is not installed ``"numpy"``
@@ -135,12 +135,14 @@ class VUG:
         # Phase 1: quick upper-bound graph (temporal constraint).
         started = time.perf_counter()
         if self.zero_materialization:
-            # Interval-sliced kernels over the frozen columnar view: the
-            # polarity sweeps run in interned-id space on the CSR-aligned
-            # timestamp columns and the Lemma 1 scan produces an edge mask —
-            # nothing is materialized anywhere in this pipeline.  Both
-            # backends read the same column buffers and produce the same
-            # mask; the numpy one does it in a handful of array passes.
+            # Kernels over the frozen columnar view: the polarity sweeps run
+            # in interned-id space on the CSR-aligned timestamp columns and
+            # the Lemma 1 test produces an edge mask — nothing is
+            # materialized anywhere in this pipeline.  The Python mask reads
+            # only the out-edges of vertices the forward sweep reached,
+            # after their arrival time, then sorts the survivors; the numpy
+            # one tests the whole window slice in a handful of array passes.
+            # Both read the same column buffers and produce the same mask.
             view = graph.view()
             if self.effective_kernel_backend() == "numpy":
                 arrival_ids, departure_ids = polarity_id_arrays_numpy(
@@ -148,10 +150,12 @@ class VUG:
                 )
                 quick = quick_mask_numpy(view, arrival_ids, departure_ids, window)
             else:
-                arrival_ids, departure_ids = compute_polarity_id_arrays(
+                arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
                     view, source, target, window
                 )
-                quick = quick_mask_kernel(view, arrival_ids, departure_ids, window)
+                quick = quick_mask_kernel(
+                    view, arrival_ids, departure_ids, window, frontier
+                )
         else:
             polarity = compute_polarity_times(graph, source, target, window)
             quick = quick_upper_bound_graph_materializing(

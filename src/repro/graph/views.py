@@ -70,7 +70,7 @@ class GraphView:
     src, dst, ts:
         Parallel edge columns sorted by ``ts`` non-descending — exactly the
         parent graph's sorted tuple backing, interned.  ``ts`` being sorted
-        is what lets QuickUBG pre-slice a query window with two bisects.
+        is what lets the numpy kernels slice a query window with two bisects.
     out_offsets, out_edges / in_offsets, in_edges:
         CSR adjacency: ``out_edges[out_offsets[u]:out_offsets[u + 1]]`` are
         the indices (into the edge columns) of ``u``'s out-edges, timestamp
@@ -373,8 +373,8 @@ class GraphView:
     def slice_bounds(self, interval) -> Tuple[int, int]:
         """Edge-column index range ``[lo, hi)`` covering ``interval``.
 
-        Two bisects on the sorted ``ts`` column — this is the
-        pre-slicing step of the QuickUBG kernel.
+        Two bisects on the sorted ``ts`` column — the window slice the
+        numpy QuickUBG kernels work on.
         """
         window = as_interval(interval)
         return (

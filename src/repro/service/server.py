@@ -52,6 +52,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import socket
 import threading
 import time
@@ -131,23 +132,56 @@ def request_op(request: dict) -> str:
     return operation
 
 
+#: Timestamps are stored in int64 columns.
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def request_integer(value, name: str) -> int:
+    """Decode an integral JSON number (``7`` or ``7.0``).
+
+    Raises :class:`ValueError` for bools, strings, fractional or
+    non-finite numbers and anything outside int64 — a bad timestamp fails
+    here, at the boundary, instead of overflowing deep in a column.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ValueError(f"{name} {value} is outside the int64 range")
+    return value
+
+
+def request_milliseconds(value, name: str) -> float:
+    """Decode a finite JSON number of milliseconds; :class:`ValueError` otherwise."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            milliseconds = float(value)
+            if math.isfinite(milliseconds):
+                return milliseconds
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def arrival_deadline(request: dict) -> Optional[Deadline]:
     """Stamp a request's budget against the clock *now*, at arrival.
 
     Queries carry ``deadline_ms``, batches ``budget_ms``.  The network
     tier stamps the deadline when the request is read off the socket, so
     time spent waiting for admission counts against the caller's budget —
-    that is what makes refuse-before-work meaningful under load.
+    that is what makes refuse-before-work meaningful under load.  Raises
+    :class:`ValueError` when the budget is not a finite number.
     """
     operation = request_op(request)
     raw = None
     if operation == "query":
-        raw = request.get("deadline_ms")
+        key = "deadline_ms"
+        raw = request.get(key)
     elif operation == "batch":
-        raw = request.get("budget_ms")
+        key = "budget_ms"
+        raw = request.get(key)
     if raw is None:
         return None
-    return Deadline.after(float(raw) / 1000.0)
+    return Deadline.after(request_milliseconds(raw, key) / 1000.0)
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +388,10 @@ class RequestCore:
         return TspgQuery(
             coerce_vertex(str(request["source"]), self.service),
             coerce_vertex(str(request["target"]), self.service),
-            (int(request["begin"]), int(request["end"])),
+            (
+                request_integer(request["begin"], "begin"),
+                request_integer(request["end"], "end"),
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -371,14 +408,15 @@ class RequestCore:
         """
         try:
             kind, request = parse_request_line(line)
-        except ValueError as exc:
+            if kind == "blank":
+                return None, False
+            if kind == "quit":
+                return {"ok": True, "op": "quit"}, True
+            deadline = arrival_deadline(request)
+        except (TypeError, ValueError) as exc:
             self.stats.note_protocol_error()
             return {"ok": False, "error": str(exc)}, False
-        if kind == "blank":
-            return None, False
-        if kind == "quit":
-            return {"ok": True, "op": "quit"}, True
-        return self.respond(request, arrival_deadline(request)), False
+        return self.respond(request, deadline), False
 
     def respond(self, request: dict, deadline: Optional[Deadline] = None) -> dict:
         """Handle one decoded request, translating errors per the contract."""
@@ -442,8 +480,8 @@ class RequestCore:
         self, request: dict, algorithm: Optional[str], deadline: Optional[Deadline]
     ) -> dict:
         query = self.parse_query(request)
-        if deadline is None and request.get("deadline_ms") is not None:
-            deadline = Deadline.after(float(request["deadline_ms"]) / 1000.0)
+        if deadline is None:
+            deadline = arrival_deadline(request)
         # Epoch stamps bracket the answer so a network client can replay
         # it against a serial oracle: the result is bit-identical to the
         # graph at *some* epoch in [epoch_before, epoch_after].
@@ -496,13 +534,15 @@ class RequestCore:
                 )
         budget = self.default_budget_seconds
         if request.get("budget_ms") is not None:
-            budget = float(request["budget_ms"]) / 1000.0
+            budget = request_milliseconds(request["budget_ms"], "budget_ms") / 1000.0
         if deadline is not None:
             # The arrival-stamped deadline already accounts for queue
             # wait; re-deriving from budget_ms here would restart the
             # clock and hand queued batches a fresh budget.
             budget = None
-        workers = int(request.get("workers", self.default_workers))
+        workers = request_integer(
+            request.get("workers", self.default_workers), "workers"
+        )
         report = self.service.run_batch(
             queries,
             algorithm,
@@ -530,7 +570,7 @@ class RequestCore:
                 source = coerce_vertex(source, self.service)
             if isinstance(target, str):
                 target = coerce_vertex(target, self.service)
-            edges.append((source, target, int(timestamp)))
+            edges.append((source, target, request_integer(timestamp, "timestamp")))
         delta = self.service.ingest(edges)
         return {
             "ok": True,

@@ -339,11 +339,33 @@ class TestServeCommand:
             '{"source": "s", "target": "t"}',
             '{"queries": [], "op": "batch"}',
             '{"algorithm": "nope", "source": "s", "target": "t", "begin": 1, "end": 2}',
+            # Malformed numbers: budgets must be finite numbers, begin/end
+            # and ingest timestamps integral.
+            '{"source": "s", "target": "t", "begin": 2, "end": 7, "deadline_ms": "abc"}',
+            '{"source": "s", "target": "t", "begin": 2, "end": 7, "deadline_ms": [5]}',
+            '{"source": "s", "target": "t", "begin": 2, "end": 7, "deadline_ms": NaN}',
+            '{"queries": [["s", "t", 2, 7]], "budget_ms": "abc"}',
+            '{"source": "s", "target": "t", "begin": 0, "end": 1e400}',
+            '{"source": "s", "target": "t", "begin": 1.7, "end": 7}',
+            '{"source": "s", "target": "t", "begin": true, "end": 7}',
+            '{"op": "ingest", "edges": [["s", "t", 1e400]]}',
+            '{"op": "ingest", "edges": [["s", "t", 8.5]]}',
+            '{"op": "ingest", "edges": [["s", "t", 1180591620717411303424]]}',
+            '{"op": []}',
+            '{"op": {}, "deadline_ms": 5}',
             '{"source": "s", "target": "t", "begin": 2, "end": 7}',
+            '{"source": "s", "target": "t", "begin": 2.0, "end": 7, "deadline_ms": 5e3}',
         ], capsys=capsys)
-        assert [r["ok"] for r in responses] == [False] * 5 + [True]
+        assert [r["ok"] for r in responses] == [False] * 17 + [True] * 2
         assert "missing begin, end" in responses[2]["error"]
         assert "unknown algorithm" in responses[4]["error"]
+        assert "deadline_ms must be a finite number" in responses[5]["error"]
+        assert "end must be an integer" in responses[9]["error"]
+        assert "timestamp must be an integer" in responses[12]["error"]
+        assert "outside the int64 range" in responses[14]["error"]
+        assert "unknown op" in responses[15]["error"]
+        assert "unknown op" in responses[16]["error"]
+        assert responses[-1]["num_edges"] == responses[-2]["num_edges"] > 0
 
     def test_quit_ends_the_session_early(self, tmp_path, capsys):
         # quit is acknowledged (so shutdown is observable, symmetric with

@@ -93,10 +93,10 @@ class TestEmptyWindows:
         span = graph.time_interval()
         window = (span.begin - 10, span.begin - 1)
         vertices = sorted(graph.vertices())
-        arrival, departure = compute_polarity_id_arrays(
+        arrival, departure, frontier = compute_polarity_id_arrays(
             view, vertices[0], vertices[1], window
         )
-        empty = quick_mask_kernel(view, arrival, departure, window)
+        empty = quick_mask_kernel(view, arrival, departure, window, frontier)
         assert empty.num_edges == 0
         assert empty.num_vertices == 0
         assert list(empty.vertices()) == []

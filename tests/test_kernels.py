@@ -1,7 +1,9 @@
-"""Unit tests for the vectorized numpy kernels and their fallback path.
+"""Unit tests for the query hot-path kernels and their fallback path.
 
-Three layers:
+Four layers:
 
+* the Python Lemma 1 mask against Lemma 1 evaluated edge by edge, with no
+  numpy involved, on eager, mmap-booted and append-extended views;
 * direct kernel equivalence — the numpy polarity sweep and edge-mask scan
   against their pure-Python references, element-wise, over randomized and
   degenerate windows (the windows are pinned by
@@ -21,6 +23,7 @@ from __future__ import annotations
 import builtins
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -36,9 +39,10 @@ from repro.core.kernels import (
 from repro.core.polarity import compute_polarity_id_arrays
 from repro.core.quick_ubg import quick_mask_kernel
 from repro.graph import columns
-from repro.graph.columns import IndexColumn, index_column
+from repro.graph.columns import ChainedColumn, IndexColumn, MmapColumn, index_column
 from repro.graph.edge import as_interval
 from repro.graph.generators import bursty_email_graph, uniform_random_temporal_graph
+from repro.store import boot_snapshot, save_snapshot
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy is not installed"
@@ -75,6 +79,83 @@ def _windows(graph):
     return windows
 
 
+def _lemma1_mask(view, arrival, departure):
+    """Lemma 1 evaluated edge by edge: ``(indices, vertex labels)``."""
+    indices = [
+        index for index in range(view.num_edges)
+        if arrival[view.src[index]] < view.ts[index] < departure[view.dst[index]]
+    ]
+    vids = {view.src[i] for i in indices} | {view.dst[i] for i in indices}
+    return indices, [view.labels[vid] for vid in sorted(vids)]
+
+
+class TestMaskMatchesLemma1:
+    """The frontier-driven mask is exactly Lemma 1 — no numpy needed.
+
+    The mask reads ``out_edges``, which is an ``MmapColumn`` on an mmap
+    boot and is spliced by ``_csr_extended`` after an append-only ingest,
+    so all three view shapes are checked.
+    """
+
+    @pytest.fixture(params=["eager", "mmap", "appended"])
+    def served(self, request, graph, tmp_path):
+        """``(graph, view)`` in one of the three shapes."""
+        if request.param == "eager":
+            return graph, graph.view()
+        path = str(tmp_path / "mask.tspgsnap")
+        save_snapshot(graph, path)
+        booted = boot_snapshot(path, mmap=True).graph
+        if not booted.is_lazily_booted:
+            pytest.skip("zero-copy boot unavailable on this platform")
+        if request.param == "mmap":
+            view = booted.view()
+            assert isinstance(view.out_edges, MmapColumn)
+            return booted, view
+        tail = booted.time_interval().end
+        rng = random.Random(17)
+        vertices = sorted(booted.vertices())
+        rows = [(100, vertices[0], tail + 1), (vertices[1], 100, tail + 2)]
+        while len(rows) < 12:
+            u, v = rng.sample(vertices, 2)
+            rows.append((u, v, tail + rng.randint(0, 6)))
+        rows.sort(key=lambda row: row[2])
+        assert booted.append_edges(rows).append_only
+        view = booted.view()
+        assert isinstance(view.ts, ChainedColumn)  # extended, not rebuilt
+        return booted, view
+
+    def test_mask_equals_edge_by_edge_lemma1(self, served):
+        graph, view = served
+        vertices = sorted(graph.vertices())
+        span = graph.time_interval()
+        queries = [
+            (pair, window)
+            for pair in (
+                (vertices[0], vertices[1]),
+                (vertices[3], vertices[2]),
+                (vertices[1], vertices[1]),          # source == target
+                (vertices[0], "no-such-vertex"),     # absent target
+                ("no-such-vertex", vertices[0]),     # absent source
+            )
+            for window in _windows(graph)
+        ]
+        rng = random.Random(23)
+        for _ in range(80):
+            begin = rng.randint(span.begin - 2, span.end)
+            window = (begin, rng.randint(begin, span.end + 2))
+            queries.append((tuple(rng.sample(vertices, 2)), window))
+        for (source, target), window in queries:
+            arrival, departure, frontier = compute_polarity_id_arrays(
+                view, source, target, window
+            )
+            expected = _lemma1_mask(view, arrival, departure)
+            for given in (frontier, None):
+                mask = quick_mask_kernel(view, arrival, departure, window, given)
+                assert (mask.indices, list(mask.vertices())) == expected, (
+                    source, target, window, given is None,
+                )
+
+
 @needs_numpy
 class TestKernelEquivalence:
     def test_polarity_tables_match_elementwise(self, graph):
@@ -102,9 +183,13 @@ class TestKernelEquivalence:
         for source, target in ((vertices[0], vertices[1]),
                                (vertices[3], vertices[2])):
             for window in _windows(graph):
-                tables = compute_polarity_id_arrays(view, source, target, window)
-                reference = quick_mask_kernel(view, *tables, window)
-                mask = quick_mask_numpy(view, *tables, window)
+                arrival, departure, frontier = compute_polarity_id_arrays(
+                    view, source, target, window
+                )
+                reference = quick_mask_kernel(
+                    view, arrival, departure, window, frontier
+                )
+                mask = quick_mask_numpy(view, arrival, departure, window)
                 assert mask.indices == reference.indices, (source, target, window)
                 assert list(mask.vertices()) == list(reference.vertices())
                 assert mask.backend == "numpy"
@@ -124,13 +209,15 @@ class TestKernelEquivalence:
             source, target = rng.sample(vertices, 2)
             begin = rng.randint(span.begin, span.end)
             window = (begin, rng.randint(begin, span.end))
-            reference = compute_polarity_id_arrays(view, source, target, window)
+            arrival, departure, frontier = compute_polarity_id_arrays(
+                view, source, target, window
+            )
             tables = polarity_id_arrays_numpy(view, source, target, window)
-            assert list(tables[0]) == reference[0], (source, target, window)
-            assert list(tables[1]) == reference[1], (source, target, window)
+            assert list(tables[0]) == arrival, (source, target, window)
+            assert list(tables[1]) == departure, (source, target, window)
             assert (
                 quick_mask_numpy(view, *tables, window).indices
-                == quick_mask_kernel(view, *reference, window).indices
+                == quick_mask_kernel(view, arrival, departure, window, frontier).indices
             ), (source, target, window)
 
     def test_layout_is_cached_per_window(self, graph):

@@ -131,19 +131,34 @@ class TestProtocolConformance:
                     b'{"source": "s", "target": "t"}\n',
                     b'{"queries": [], "op": "batch"}\n',
                     b"\xff\xfe\n",              # not UTF-8
+                    # Malformed numbers: budgets must be finite numbers,
+                    # begin/end and ingest timestamps integral.
+                    b'{"source": "s", "target": "t", "begin": 2, "end": 7, '
+                    b'"deadline_ms": "abc"}\n',
+                    b'{"source": "s", "target": "t", "begin": 2, "end": 7, '
+                    b'"deadline_ms": [5]}\n',
+                    b'{"queries": [["s", "t", 2, 7]], "budget_ms": "abc"}\n',
+                    b'{"source": "s", "target": "t", "begin": 0, "end": 1e400}\n',
+                    b'{"source": "s", "target": "t", "begin": 1.7, "end": 7}\n',
+                    b'{"source": "s", "target": "t", "begin": true, "end": 7}\n',
+                    b'{"op": "ingest", "edges": [["s", "t", 1e400]]}\n',
+                    b'{"op": []}\n',
+                    b'{"op": {}, "deadline_ms": 5}\n',
                 ):
                     client.send_raw(bad)
                     response = client.recv()
                     assert response["ok"] is False
                     assert response.get("error")
+                    assert "internal error" not in response["error"]
                 # The session is still alive and serving.
                 assert client.request(dict(QUERY))["ok"] is True
                 stats = client.request({"op": "stats"})
-                # Unparseable lines count as protocol errors; well-formed
-                # lines with bad request content (unknown op, missing
-                # fields, empty batch) answer ok:false without being
-                # framing errors.
-                assert stats["server"]["protocol_errors"] == 3
+                # Unparseable lines and budgets count as protocol errors;
+                # well-formed lines with bad request content (unknown op,
+                # missing fields, empty batch, non-integral begin/end or
+                # timestamps, a non-string op) answer ok:false without
+                # being framing errors.
+                assert stats["server"]["protocol_errors"] == 6
 
     def test_blank_lines_and_comments_answer_nothing(self):
         with boot() as st:
