@@ -39,7 +39,7 @@ Environment knobs (used by the CI smoke job to run on a tiny graph):
 
 The aggregated series is written to ``results/exp15_mmap_boot.txt`` and the
 raw timings to ``results/exp15_mmap_boot.json`` (the artifact the CI job
-uploads next to the exp10–exp14 ones).
+uploads next to the exp10–exp13 ones).
 """
 
 from __future__ import annotations

@@ -1,23 +1,17 @@
 """Exp-16 (new) — query-time residency of the window-local serving stack.
 
-No paper analogue: this benchmark caps the residency work — window-local
-kernel layouts (``repro.core.kernels``), extent-local snapshot mapping
-(``boot_snapshot(..., interval=...)``) and the madvise page-advice policy
-(``repro.store.residency``).  Four properties are asserted as acceptance
-criteria:
+No paper analogue: this benchmark caps the residency work — extent-local
+snapshot mapping (``boot_snapshot(..., interval=...)``) and the madvise
+page-advice policy (``repro.store.residency``).  Three properties are
+asserted as acceptance criteria:
 
-* **Window-layout wall-clock floor** — on a synth-scale graph, building
-  the timestamp-group kernel layout for a narrow window (a
-  ``WINDOW_FRACTION`` slice of the span) must beat the full-view build by
-  at least ``MIN_WINDOW_SPEEDUP``×: the window-local rebuild sorts only
-  the window's rows, so its cost is O(w log w) in the window size, not
-  O(E log E) in the view.
-* **Extent-local RSS ceiling** — a fresh subprocess boots the snapshot
-  mmap-backed with the narrow interval and touches every mapped column
-  row; resident growth must stay within ``MAX_INTERVAL_MULTIPLE`` of the
-  interval's mapped row payload (plus ``RSS_SLACK_BYTES`` of page-rounding
-  slack), proving the boot mapped the queried rows and not the file.
-  Skipped where RSS cannot be read.
+* **Extent-local RSS ceiling** — a fresh subprocess boots a synth-scale
+  snapshot mmap-backed with a narrow interval (a ``WINDOW_FRACTION`` slice
+  of the span) and touches every mapped column row; resident growth must
+  stay within ``MAX_INTERVAL_MULTIPLE`` of the interval's mapped row
+  payload (plus ``RSS_SLACK_BYTES`` of page-rounding slack), proving the
+  boot mapped the queried rows and not the file.  Skipped where RSS
+  cannot be read.
 * **Tri-path identity, registry-wide** — on the identity dataset every
   registry algorithm must answer a window-restricted workload
   bit-identically over the eager boot, the whole-file mmap boot and the
@@ -34,15 +28,12 @@ Environment knobs (used by the CI smoke job to run on a tiny graph):
   — synth-scale generator size (defaults ``20000`` / ``120000`` / ``2000``).
 * ``TSPG_EXP16_WINDOW_FRACTION`` — narrow-window width as a fraction of
   the span (default ``0.05``).
-* ``TSPG_EXP16_MIN_WINDOW_SPEEDUP`` — window-over-full layout-build floor
-  (default ``3.0``; ``0`` disables the assert).
 * ``TSPG_EXP16_MAX_INTERVAL_MULTIPLE`` — touch-phase RSS growth ceiling as
   a multiple of the mapped interval payload (default ``8.0``; ``0``
   disables).
 * ``TSPG_EXP16_RSS_SLACK_BYTES`` — additive slack on that ceiling for
   page rounding and allocator noise (default ``4194304``).
-* ``TSPG_EXP16_QUERIES`` / ``TSPG_EXP16_ROUNDS`` — workload size and
-  best-of timing rounds.
+* ``TSPG_EXP16_QUERIES`` — identity workload size.
 * ``TSPG_EXP16_DATASET`` — identity-leg dataset key (default ``D1``).
 
 The aggregated series is written to ``results/exp16_query_residency.txt``
@@ -56,36 +47,28 @@ import json
 import os
 import shutil
 import tempfile
-import time
 
 import pytest
 
 from repro.algorithms import available_algorithms
 from repro.analysis.memory import rss_bytes
 from repro.bench.experiments import (
-    _clear_layout_cache,
     _workload,
     exp16_query_residency,
     measure_residency_rss,
 )
 from repro.core.deadline import Deadline
-from repro.core.kernels import _ts_group_layout, numpy_or_none
 from repro.datasets.registry import SYNTH_SCALE, get_dataset
 from repro.service import TspgService
 from repro.store import ResidencyPolicy, boot_snapshot, save_snapshot
 
-#: synth-scale generator size for the layout and RSS legs.
+#: synth-scale generator size for the RSS leg.
 SCALE_VERTICES = int(os.environ.get("TSPG_EXP16_VERTICES", "20000"))
 SCALE_EDGES = int(os.environ.get("TSPG_EXP16_EDGES", "120000"))
 SCALE_TIMESTAMPS = int(os.environ.get("TSPG_EXP16_TIMESTAMPS", "2000"))
 
 #: Narrow-window width as a fraction of the timestamp span.
 WINDOW_FRACTION = float(os.environ.get("TSPG_EXP16_WINDOW_FRACTION", "0.05"))
-
-#: Acceptance floor for the window-over-full layout-build speedup.
-MIN_WINDOW_SPEEDUP = float(
-    os.environ.get("TSPG_EXP16_MIN_WINDOW_SPEEDUP", "3.0")
-)
 
 #: Ceiling on touch-phase RSS growth as a multiple of the mapped payload.
 MAX_INTERVAL_MULTIPLE = float(
@@ -97,9 +80,6 @@ RSS_SLACK_BYTES = int(os.environ.get("TSPG_EXP16_RSS_SLACK_BYTES", "4194304"))
 
 #: Queries in the identity workloads.
 BENCH_NUM_QUERIES = int(os.environ.get("TSPG_EXP16_QUERIES", "8"))
-
-#: Timing rounds (best-of) for the layout measurement.
-BENCH_ROUNDS = int(os.environ.get("TSPG_EXP16_ROUNDS", "3"))
 
 #: Small dataset for the registry-wide identity leg.
 IDENTITY_DATASET = os.environ.get("TSPG_EXP16_DATASET", "D1")
@@ -128,33 +108,6 @@ def scale_snapshot():
     save_snapshot(graph, path)
     yield {"graph": graph, "path": path, "window": _narrow_window(graph)}
     shutil.rmtree(tmp_dir, ignore_errors=True)
-
-
-def test_exp16_window_layout_speedup_floor(scale_snapshot):
-    """Acceptance: window-local layout ≥MIN_WINDOW_SPEEDUP× vs full-view."""
-    if MIN_WINDOW_SPEEDUP <= 0:
-        pytest.skip("TSPG_EXP16_MIN_WINDOW_SPEEDUP <= 0 disables the floor")
-    if numpy_or_none() is None:
-        pytest.skip("the layout tables need numpy")
-    graph = scale_snapshot["graph"]
-    window = scale_snapshot["window"]
-    timestamps = graph.timestamps()
-    full = (timestamps[0], timestamps[-1])
-    view = graph.view()
-    timings = {"full": float("inf"), "window": float("inf")}
-    for _ in range(max(1, BENCH_ROUNDS)):
-        for mode, bounds in (("full", full), ("window", window)):
-            _clear_layout_cache(view)
-            started = time.perf_counter()
-            _ts_group_layout(view, bounds)
-            timings[mode] = min(timings[mode], time.perf_counter() - started)
-    speedup = timings["full"] / max(timings["window"], 1e-12)
-    assert speedup >= MIN_WINDOW_SPEEDUP, (
-        f"window-local layout build only {speedup:.2f}x faster than the "
-        f"full-view build (needs {MIN_WINDOW_SPEEDUP}x; full "
-        f"{timings['full']:.5f}s vs window {timings['window']:.6f}s for "
-        f"window {window})"
-    )
 
 
 def test_exp16_extent_rss_ceiling(scale_snapshot):
@@ -285,7 +238,6 @@ def test_exp16_summary_table(save_report, results_dir):
         scale_vertices=SCALE_VERTICES,
         scale_edges=SCALE_EDGES,
         scale_timestamps=SCALE_TIMESTAMPS,
-        rounds=BENCH_ROUNDS,
         window_fraction=WINDOW_FRACTION,
     )
     save_report("exp16_query_residency", report, x_label="mode")
@@ -298,7 +250,6 @@ def test_exp16_summary_table(save_report, results_dir):
             "num_timestamps": SCALE_TIMESTAMPS,
         },
         "window_fraction": WINDOW_FRACTION,
-        "min_window_speedup_required": MIN_WINDOW_SPEEDUP,
         "max_interval_multiple_allowed": MAX_INTERVAL_MULTIPLE,
         "rss_slack_bytes": RSS_SLACK_BYTES,
         "rows": report.rows,

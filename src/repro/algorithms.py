@@ -2,7 +2,10 @@
 
 This module is the single place where the benchmark harness, the query runner
 and the CLI look algorithms up by their paper names: ``"VUG"``, ``"EPdtTSG"``,
-``"EPesTSG"``, ``"EPtgTSG"`` and ``"Naive"``.
+``"EPesTSG"``, ``"EPtgTSG"`` and ``"Naive"``.  Three VUG variants ride along:
+the ablations ``"VUG-noTight"`` and ``"VUG-noLemma10"``, and the
+``"VUG-materializing"`` reference pipeline the equivalence oracles compare
+against.  Every VUG entry runs the same pure-Python kernels.
 """
 
 from __future__ import annotations
@@ -12,40 +15,26 @@ from typing import Dict, List, Optional, Type
 from .baselines.ep_algorithms import EPdtTSG, EPesTSG, EPtgTSG, NaiveEnumeration
 from .baselines.interface import AlgorithmResult, TspgAlgorithm
 from .core.deadline import Deadline
-from .core.kernels import KERNEL_BACKENDS
 from .core.vug import VUG
 from .graph.edge import Vertex, as_interval
 from .graph.temporal_graph import TemporalGraph
 
 
 class VUGAlgorithm(TspgAlgorithm):
-    """Adapter exposing the VUG pipeline through the common algorithm interface.
-
-    ``kernel_backend`` selects the hot-path kernel implementation
-    (``"python"`` or ``"numpy"``); see :class:`repro.core.vug.VUG`.  The
-    class advertises the option via :attr:`supports_kernel_backend` so the
-    service layer can thread a backend selection through without probing
-    constructor signatures.
-    """
+    """Adapter exposing the VUG pipeline through the common algorithm interface."""
 
     name = "VUG"
-
-    #: The service layer injects ``kernel_backend`` only into algorithms
-    #: that advertise support (the VUG family).
-    supports_kernel_backend = True
 
     def __init__(
         self,
         use_tight_upper_bound: bool = True,
         use_lemma10: bool = True,
         zero_materialization: bool = True,
-        kernel_backend: str = "python",
     ) -> None:
         self._engine = VUG(
             use_tight_upper_bound=use_tight_upper_bound,
             use_lemma10=use_lemma10,
             zero_materialization=zero_materialization,
-            kernel_backend=kernel_backend,
         )
 
     def compute(
@@ -58,12 +47,7 @@ class VUGAlgorithm(TspgAlgorithm):
     ) -> AlgorithmResult:
         window = as_interval(interval)
         report = self._engine.run(graph, source, target, window, deadline=deadline)
-        extras: Dict[str, object] = {
-            "phase_timings": report.timings.as_dict(),
-            # The backend that actually ran ("numpy" silently degrades to
-            # "python" when numpy is missing) — benchmarks key off this.
-            "kernel_backend": self._engine.effective_kernel_backend(),
-        }
+        extras: Dict[str, object] = {"phase_timings": report.timings.as_dict()}
         # A deadline cut-off may have stopped the pipeline before either
         # upper bound existed; report whatever phases actually completed.
         if report.upper_bound_quick is not None:
@@ -85,8 +69,8 @@ class VUGQuickOnly(VUGAlgorithm):
 
     name = "VUG-noTight"
 
-    def __init__(self, kernel_backend: str = "python") -> None:
-        super().__init__(use_tight_upper_bound=False, kernel_backend=kernel_backend)
+    def __init__(self) -> None:
+        super().__init__(use_tight_upper_bound=False)
 
 
 class VUGNoLemma10(VUGAlgorithm):
@@ -94,8 +78,8 @@ class VUGNoLemma10(VUGAlgorithm):
 
     name = "VUG-noLemma10"
 
-    def __init__(self, kernel_backend: str = "python") -> None:
-        super().__init__(use_lemma10=False, kernel_backend=kernel_backend)
+    def __init__(self) -> None:
+        super().__init__(use_lemma10=False)
 
 
 class VUGMaterializing(VUGAlgorithm):
@@ -108,27 +92,8 @@ class VUGMaterializing(VUGAlgorithm):
 
     name = "VUG-materializing"
 
-    #: The materializing reference pipeline has no vectorized form.
-    supports_kernel_backend = False
-
     def __init__(self) -> None:
         super().__init__(zero_materialization=False)
-
-
-class VUGVectorized(VUGAlgorithm):
-    """VUG with the numpy kernel backend (polarity, mask, grouping).
-
-    Registered so the randomized bit-identity oracle validates the
-    vectorized hot path registry-wide against the same references as every
-    other variant.  Falls back to the pure-Python kernels silently when
-    numpy is not installed — the name then still answers queries, just not
-    faster.
-    """
-
-    name = "VUG-vectorized"
-
-    def __init__(self, kernel_backend: str = "numpy") -> None:
-        super().__init__(kernel_backend=kernel_backend)
 
 
 #: All algorithms evaluated in the paper's experiments, keyed by name.
@@ -141,7 +106,6 @@ ALGORITHM_CLASSES: Dict[str, Type[TspgAlgorithm]] = {
     "VUG-noTight": VUGQuickOnly,
     "VUG-noLemma10": VUGNoLemma10,
     "VUG-materializing": VUGMaterializing,
-    "VUG-vectorized": VUGVectorized,
 }
 
 #: The four algorithms compared throughout Section VI.
@@ -151,45 +115,6 @@ PAPER_ALGORITHMS: List[str] = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
 def available_algorithms() -> List[str]:
     """Names of every registered algorithm."""
     return sorted(ALGORITHM_CLASSES)
-
-
-def supports_kernel_backend(name: str) -> bool:
-    """``True`` iff algorithm ``name`` accepts the ``kernel_backend`` option."""
-    try:
-        cls = ALGORITHM_CLASSES[name]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown algorithm {name!r}; available: {', '.join(available_algorithms())}"
-        ) from exc
-    return bool(getattr(cls, "supports_kernel_backend", False))
-
-
-def merge_kernel_backend(
-    algorithm_options: Optional[Dict[str, Dict[str, object]]],
-    kernel_backend: Optional[str],
-) -> Dict[str, Dict[str, object]]:
-    """Bake a kernel-backend selection into per-algorithm option dicts.
-
-    The service layer threads one ``kernel_backend`` knob through batches,
-    shards and process-pool workers by merging it here, once, at
-    construction time: every algorithm advertising
-    ``supports_kernel_backend`` gains the option (explicit per-algorithm
-    settings win), and the merged dict then rides the existing
-    ``algorithm_options`` plumbing across every boundary — including worker
-    cache keys, which embed its ``repr``.
-    """
-    merged = {name: dict(opts) for name, opts in (algorithm_options or {}).items()}
-    if kernel_backend is None:
-        return merged
-    if kernel_backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {kernel_backend!r}; "
-            f"choose from {', '.join(KERNEL_BACKENDS)}"
-        )
-    for name, cls in ALGORITHM_CLASSES.items():
-        if getattr(cls, "supports_kernel_backend", False):
-            merged.setdefault(name, {}).setdefault("kernel_backend", kernel_backend)
-    return merged
 
 
 def get_algorithm(name: str, **options) -> TspgAlgorithm:

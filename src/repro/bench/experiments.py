@@ -23,9 +23,8 @@ Function                  Paper artifact
 ``exp11_view_pipeline``   (new)     — zero-materialization vs materializing VUG
 ``exp12_process_shards``  (new)     — thread vs snapshot-booted process backend
 ``exp13_serving_pool``    (new)     — persistent worker pool + per-query deadlines
-``exp14_vectorized_kernels`` (new)  — pure-Python vs numpy hot-path kernels
 ``exp15_mmap_boot``       (new)     — mmap-backed v4 columnar boot vs eager boots
-``exp16_query_residency`` (new)     — window-local layouts, extent-local mapping
+``exp16_query_residency`` (new)     — extent-local mapping, page advice
 ``exp17_live_ingest``     (new)     — ingest-while-querying identity oracle
 ``exp18_serving_tier``    (new)     — TCP serving tier under concurrent replay
 ========================  =======================================================
@@ -822,278 +821,6 @@ def exp11_view_pipeline(
 
 
 # ----------------------------------------------------------------------
-# Exp-14 (vectorized numpy kernels; no paper analogue)
-# ----------------------------------------------------------------------
-def measure_kernel_backends(
-    graph: TemporalGraph,
-    queries: Sequence,
-    rounds: int = 3,
-) -> Dict[str, object]:
-    """Best-of-``rounds`` cold per-query VUG times: python vs numpy kernels.
-
-    Both engines are the same zero-materialization pipeline over the same
-    warmed graph; the only difference is the kernel backend (``VUG`` runs
-    the pure-Python kernels, ``VUG-vectorized`` the numpy ones).  Every
-    query's results, phase edge counts and space cost are cross-checked
-    during measurement — including one extra pass per backend under a
-    generous active deadline, and one under an already-expired deadline —
-    so a divergence raises instead of reporting a meaningless timing.
-    Shared by the exp14 driver and the benchmark asserts.
-
-    Besides end-to-end wall time, the per-query QuickUBG phase timings are
-    accumulated separately: only phase 1 (polarity sweep + Lemma 1 edge mask)
-    and EEV's adjacency grouping are vectorized, so the honest speedup
-    floor is asserted on the kernel time, not on the whole pipeline.
-
-    When numpy is not installed the vectorized engine silently runs the
-    Python kernels; ``effective_backend`` reports which one actually ran so
-    callers can skip speedup asserts instead of failing them.
-    """
-    from ..core.deadline import Deadline
-    from ..core.kernels import numpy_available
-
-    graph.warm_indices()
-    engines = {
-        "python": get_algorithm("VUG"),
-        "numpy": get_algorithm("VUG-vectorized"),
-    }
-    best_total = {name: float("inf") for name in engines}
-    best_quick = {name: float("inf") for name in engines}
-    for _ in range(rounds):
-        totals = {name: 0.0 for name in engines}
-        quick_totals = {name: 0.0 for name in engines}
-        for query in queries:
-            outcomes = {}
-            for name, engine in engines.items():
-                started = time.perf_counter()
-                outcome = engine.run(graph, query.source, query.target, query.interval)
-                totals[name] += time.perf_counter() - started
-                quick_totals[name] += outcome.extras["phase_timings"]["QuickUBG"]
-                outcomes[name] = outcome
-            reference, vectorized = outcomes["python"], outcomes["numpy"]
-            if (
-                vectorized.result.vertices != reference.result.vertices
-                or vectorized.result.edges != reference.result.edges
-                or vectorized.space_cost != reference.space_cost
-                or vectorized.extras["quick_ubg_edges"] != reference.extras["quick_ubg_edges"]
-                or vectorized.extras["tight_ubg_edges"] != reference.extras["tight_ubg_edges"]
-            ):
-                raise AssertionError(
-                    f"vectorized kernels diverged from the Python kernels "
-                    f"on {query!r}"
-                )
-        for name in engines:
-            best_total[name] = min(best_total[name], totals[name])
-            best_quick[name] = min(best_quick[name], quick_totals[name])
-    # Deadline identity: an active-but-generous deadline must not change
-    # any answer, and an already-expired one must cut both backends off to
-    # the same empty timed_out result.
-    for query in queries:
-        live = {
-            name: engine.run(
-                graph, query.source, query.target, query.interval,
-                deadline=Deadline.after(3600.0),
-            )
-            for name, engine in engines.items()
-        }
-        if (
-            live["numpy"].result.edges != live["python"].result.edges
-            or live["numpy"].timed_out
-            or live["python"].timed_out
-        ):
-            raise AssertionError(
-                f"backends diverged under an active deadline on {query!r}"
-            )
-        expired = {
-            name: engine.run(
-                graph, query.source, query.target, query.interval,
-                deadline=Deadline.after(-1.0),
-            )
-            for name, engine in engines.items()
-        }
-        if not all(
-            outcome.timed_out and outcome.result.num_edges == 0
-            for outcome in expired.values()
-        ):
-            raise AssertionError(
-                f"expired deadline did not cut both backends off on {query!r}"
-            )
-    return {
-        "python_s": best_total["python"],
-        "numpy_s": best_total["numpy"],
-        "quick_python_s": best_quick["python"],
-        "quick_numpy_s": best_quick["numpy"],
-        "speedup": (
-            best_total["python"] / best_total["numpy"]
-            if best_total["numpy"]
-            else float("inf")
-        ),
-        "kernel_speedup": (
-            best_quick["python"] / best_quick["numpy"]
-            if best_quick["numpy"]
-            else float("inf")
-        ),
-        "effective_backend": (
-            "numpy" if numpy_available() else "python"
-        ),
-        "num_queries": len(queries),
-    }
-
-
-def measure_quick_kernels(
-    graph: TemporalGraph,
-    queries: Sequence,
-    rounds: int = 3,
-) -> Dict[str, object]:
-    """Best-of-``rounds`` timings of the QuickUBG *kernels* themselves.
-
-    Unlike :func:`measure_kernel_backends` this calls the polarity sweep and
-    the Lemma 1 edge mask directly — no pipeline around them, but each the
-    way ``VUG.run`` calls it (the Python mask walks the sweep's frontier) —
-    so the numbers isolate exactly the code the numpy backend replaces.
-    The exp14 benchmark asserts its speedup floor here, on a kernel-scale
-    graph, where per-call dispatch overhead no longer dominates; the stock
-    datasets are thousands of times smaller than the paper's and mostly
-    measure overhead.
-
-    Every query is cross-checked for bit-identity (tables element-wise, mask
-    indices and vertex ids exactly) before any timing is trusted.  The
-    one-time timestamp-group layout build is reported separately as
-    ``layout_s`` — it is per-view, amortized across all queries, exactly as
-    in production.  When numpy is unavailable the numpy fields are ``None``
-    and ``effective_backend`` is ``"python"`` so callers can skip instead of
-    fail.
-    """
-    from ..core.kernels import (
-        numpy_available,
-        polarity_id_arrays_numpy,
-        quick_mask_numpy,
-    )
-    from ..core.polarity import compute_polarity_id_arrays
-    from ..core.quick_ubg import quick_mask_kernel
-    from ..graph.edge import as_interval
-
-    graph.warm_indices()
-    view = graph.view()
-    windows = [as_interval(query.interval) for query in queries]
-    result: Dict[str, object] = {
-        "num_queries": len(queries),
-        "effective_backend": "numpy" if numpy_available() else "python",
-        "layout_s": None,
-        "numpy_s": None,
-        "kernel_speedup": None,
-    }
-
-    best_python = float("inf")
-    for _ in range(rounds):
-        elapsed = 0.0
-        for query, window in zip(queries, windows):
-            started = time.perf_counter()
-            arrival, departure, frontier = compute_polarity_id_arrays(
-                view, query.source, query.target, window
-            )
-            quick_mask_kernel(view, arrival, departure, window, frontier)
-            elapsed += time.perf_counter() - started
-        best_python = min(best_python, elapsed)
-    result["python_s"] = best_python
-    if not numpy_available():
-        return result
-
-    started = time.perf_counter()
-    polarity_id_arrays_numpy(
-        view, queries[0].source, queries[0].target, windows[0]
-    )
-    result["layout_s"] = time.perf_counter() - started
-    for query, window in zip(queries, windows):
-        arrival, departure, frontier = compute_polarity_id_arrays(
-            view, query.source, query.target, window
-        )
-        tables = polarity_id_arrays_numpy(
-            view, query.source, query.target, window
-        )
-        if list(tables[0]) != arrival or list(tables[1]) != departure:
-            raise AssertionError(
-                f"numpy polarity tables diverged on {query!r}"
-            )
-        reference_mask = quick_mask_kernel(
-            view, arrival, departure, window, frontier
-        )
-        mask = quick_mask_numpy(view, *tables, window)
-        if (
-            mask.indices != reference_mask.indices
-            or set(mask.vertices()) != set(reference_mask.vertices())
-        ):
-            raise AssertionError(f"numpy edge mask diverged on {query!r}")
-
-    best_numpy = float("inf")
-    for _ in range(rounds):
-        elapsed = 0.0
-        for query, window in zip(queries, windows):
-            started = time.perf_counter()
-            arrival, departure = polarity_id_arrays_numpy(
-                view, query.source, query.target, window
-            )
-            quick_mask_numpy(view, arrival, departure, window)
-            elapsed += time.perf_counter() - started
-        best_numpy = min(best_numpy, elapsed)
-    result["numpy_s"] = best_numpy
-    result["kernel_speedup"] = (
-        best_python / best_numpy if best_numpy else float("inf")
-    )
-    return result
-
-
-def exp14_vectorized_kernels(
-    dataset_key: str = "D10",
-    num_queries: int = 20,
-    rounds: int = 3,
-    seed: int = 7,
-) -> ExperimentReport:
-    """Exp-14: the vectorized numpy kernel backend.
-
-    Measures cold single-query VUG latency (no result cache, indices warm)
-    with the Python kernels against the numpy kernels on one dataset, with
-    the built-in bit-identity cross-check (deadlines on and off), and
-    reports wall seconds plus the QuickUBG kernel time each backend spent.
-    """
-    report = ExperimentReport(
-        experiment=f"Exp-14 (vectorized kernels, {dataset_key})",
-        description=(
-            f"Cold single-query VUG latency over {num_queries} queries: "
-            f"pure-Python hot-path kernels vs the numpy polarity / "
-            f"edge-mask / grouping kernels"
-        ),
-    )
-    graph = _load(dataset_key)
-    queries = list(_workload(graph, dataset_key, num_queries, seed=seed))
-    measured = measure_kernel_backends(graph, queries, rounds=rounds)
-    for mode, seconds, kernel_seconds in (
-        ("python", measured["python_s"], measured["quick_python_s"]),
-        ("numpy", measured["numpy_s"], measured["quick_numpy_s"]),
-    ):
-        report.add_row(
-            mode=mode,
-            wall_s=round(seconds, 4),
-            quick_kernel_s=round(kernel_seconds, 4),
-            per_query_ms=round(1000.0 * seconds / max(1, len(queries)), 3),
-        )
-        report.add_point("wall_s", mode, round(seconds, 4))
-    if measured["effective_backend"] == "numpy":
-        report.add_note(
-            f"numpy kernels are {measured['kernel_speedup']:.2f}x faster on "
-            f"the QuickUBG phase ({measured['speedup']:.2f}x end-to-end); "
-            f"results bit-identical on all {len(queries)} queries, deadlines "
-            f"on and off"
-        )
-    else:
-        report.add_note(
-            "numpy is not installed — the vectorized backend degraded to "
-            "the Python kernels (identity still cross-checked)"
-        )
-    return report
-
-
-# ----------------------------------------------------------------------
 # Exp-12 (process-parallel sharded serving; no paper analogue)
 # ----------------------------------------------------------------------
 # Re-exported from the pool module (the canonical home since WorkerPool
@@ -1634,8 +1361,8 @@ def exp15_mmap_boot(
 #: snapshot mmap-backed — whole-file or extent-local — in a fresh
 #: interpreter, touches every mapped column row, and reports resident
 #: memory growth alongside the boot's byte accounting.  The RSS baseline is
-#: taken *after* the boot (interpreter, optional numpy import and the
-#: label/adjacency structures are interval-independent); the touch growth
+#: taken *after* the boot (the interpreter and the label/adjacency
+#: structures are interval-independent); the touch growth
 #: is what scales with the mapped row payload.
 _RESIDENCY_PROBE = """
 import json, sys
@@ -1700,52 +1427,40 @@ def measure_residency_rss(
     return profile
 
 
-def _clear_layout_cache(view) -> None:
-    """Drop any cached window layouts so a timing run rebuilds from scratch."""
-    from ..core.kernels import _LAYOUT_KEY
-
-    view._kernel_scratch.pop(_LAYOUT_KEY, None)
-
-
 def exp16_query_residency(
     dataset_key: str = "D1",
     num_queries: int = 10,
     scale_vertices: int = 20_000,
     scale_edges: int = 120_000,
     scale_timestamps: int = 2_000,
-    rounds: int = 3,
     window_fraction: float = 0.05,
     seed: int = 7,
 ) -> ExperimentReport:
     """Exp-16: query-time residency of the window-local serving stack.
 
-    Four legs on one report.  **Layout wall-clock**: on a synth-scale
-    graph, building the timestamp-group kernel layout for a narrow window
-    (``window_fraction`` of the span) is timed against building it for the
-    full view — the window-local rebuild touches only the window's rows.
-    **Resident memory**: a fresh subprocess per mode boots the snapshot
-    mmap-backed (whole-file vs extent-local) and touches every mapped
-    column row; the extent boot's touch growth tracks the *interval's* row
-    payload, not the file's.  **Page advice**: a
-    :class:`~repro.store.ResidencyPolicy` is driven through its
-    warm/serve/evict phases over the mapped boot and its counters are
-    reported (a graceful no-op where madvise is unavailable).
+    Three legs on one report, over a synth-scale graph and a narrow window
+    (``window_fraction`` of the span).  **Resident memory**: a fresh
+    subprocess per mode boots the snapshot mmap-backed (whole-file vs
+    extent-local) and touches every mapped column row; the extent boot's
+    touch growth tracks the *interval's* row payload, not the file's.
+    **Page advice**: a :class:`~repro.store.ResidencyPolicy` is driven
+    through its warm/serve/evict phases over the mapped boot and its
+    counters are reported (a graceful no-op where madvise is unavailable).
     **Fidelity**: on ``dataset_key``, every registered algorithm answers a
     window-restricted workload on the eager, whole-file-mmap and
     extent-local boots — with and without a (generous) per-query deadline
     — and the results must be bit-identical across all six paths.
     """
     from ..core.deadline import Deadline
-    from ..core.kernels import _ts_group_layout, numpy_or_none
     from ..algorithms import available_algorithms
     from ..store import ResidencyPolicy
 
     report = ExperimentReport(
         experiment=f"Exp-16 (query residency, synth-scale + {dataset_key})",
         description=(
-            f"window-local kernel layouts, extent-local mmap boots and "
-            f"madvise page advice on a {scale_edges}-edge synth-scale "
-            f"graph, plus registry-wide tri-boot identity on {dataset_key}"
+            f"extent-local mmap boots and madvise page advice on a "
+            f"{scale_edges}-edge synth-scale graph, plus registry-wide "
+            f"tri-boot identity on {dataset_key}"
         ),
     )
     spec = SYNTH_SCALE.scaled(
@@ -1766,33 +1481,7 @@ def exp16_query_residency(
         f"(~{window_fraction:.0%} of the span)"
     )
 
-    # Leg 1: window-local vs full-view layout build wall-clock.
-    if numpy_or_none() is None:
-        report.add_note("layout timing: numpy unavailable — skipped")
-        layout_speedup = None
-    else:
-        view = scale_graph.view()
-        timings = {"full": float("inf"), "window": float("inf")}
-        for _ in range(max(1, rounds)):
-            for mode, bounds in (("full", (span_lo, span_hi)), ("window", window)):
-                _clear_layout_cache(view)
-                started = time.perf_counter()
-                _ts_group_layout(view, bounds)
-                timings[mode] = min(timings[mode], time.perf_counter() - started)
-        layout_speedup = (
-            timings["full"] / timings["window"]
-            if timings["window"] > 0
-            else float("inf")
-        )
-        for mode in ("full", "window"):
-            report.add_row(mode=f"layout-{mode}", wall_s=round(timings[mode], 5))
-            report.add_point("layout_s", mode, round(timings[mode], 5))
-        report.add_note(
-            f"window-local layout build is {layout_speedup:.1f}x faster "
-            f"than the full-view build for the narrow window"
-        )
-
-    # Legs 2 + 3: extent-local RSS ceiling and the page-advice policy.
+    # Legs 1 + 2: extent-local RSS ceiling and the page-advice policy.
     tmp_dir = tempfile.mkdtemp(prefix="exp16-")
     try:
         snap_path = os.path.join(tmp_dir, "scale.tspgsnap")
@@ -1856,7 +1545,7 @@ def exp16_query_residency(
     finally:
         shutil.rmtree(tmp_dir, ignore_errors=True)
 
-    # Leg 4: registry-wide tri-path identity, deadlines off and on.
+    # Leg 3: registry-wide tri-path identity, deadlines off and on.
     graph = _load(dataset_key)
     dataset_ts = graph.timestamps()
     restrict_lo = dataset_ts[0]
@@ -2711,7 +2400,6 @@ EXPERIMENTS = {
     "exp11": exp11_view_pipeline,
     "exp12": exp12_process_shards,
     "exp13": exp13_serving_pool,
-    "exp14": exp14_vectorized_kernels,
     "exp15": exp15_mmap_boot,
     "exp16": exp16_query_residency,
     "exp17": exp17_live_ingest,

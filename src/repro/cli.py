@@ -39,8 +39,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, TextIO
 
-from .algorithms import available_algorithms, get_algorithm, supports_kernel_backend
-from .core.kernels import KERNEL_BACKENDS
+from .algorithms import available_algorithms, get_algorithm
 from .bench import experiments as bench_experiments
 from .bench.reporting import render_table
 from .datasets.registry import SYNTH_SCALE, SYNTH_SCALE_KEY, dataset_keys, get_dataset
@@ -90,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--algorithm", default="VUG", choices=available_algorithms(), help="algorithm to use"
     )
-    query.add_argument(
-        "--kernel-backend", choices=KERNEL_BACKENDS, default=None,
-        help="hot-path kernel implementation for the VUG-family algorithms "
-        "('numpy' degrades to 'python' when numpy is missing; rejected for "
-        "algorithms without a vectorized form)",
-    )
     query.add_argument("--show-edges", action="store_true", help="print every result edge")
 
     batch = sub.add_parser("batch", help="serve a batch of queries via TspgService")
@@ -121,11 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--seed", type=int, default=7, help="random workload seed")
     batch.add_argument(
         "--algorithm", default="VUG", choices=available_algorithms(), help="algorithm to use"
-    )
-    batch.add_argument(
-        "--kernel-backend", choices=KERNEL_BACKENDS, default=None,
-        help="hot-path kernel implementation for the VUG-family algorithms "
-        "(others ignore it; 'numpy' degrades to 'python' without numpy)",
     )
     batch.add_argument("--workers", type=int, default=1, help="worker count (1 = serial)")
     batch.add_argument(
@@ -195,11 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--algorithm", default="VUG", choices=available_algorithms(),
         help="default algorithm (requests may override per line)",
-    )
-    serve.add_argument(
-        "--kernel-backend", choices=KERNEL_BACKENDS, default=None,
-        help="hot-path kernel implementation for the VUG-family algorithms "
-        "(others ignore it; 'numpy' degrades to 'python' without numpy)",
     )
     serve.add_argument(
         "--workers", type=int, default=2,
@@ -343,15 +326,7 @@ def _command_query(args: argparse.Namespace) -> int:
         graph = get_dataset(args.dataset).load()
     source = _coerce_vertex(args.source, graph)
     target = _coerce_vertex(args.target, graph)
-    if args.kernel_backend is not None:
-        if not supports_kernel_backend(args.algorithm):
-            raise SystemExit(
-                f"--kernel-backend is not supported by {args.algorithm!r} "
-                "(only the VUG-family algorithms have vectorized kernels)"
-            )
-        algorithm = get_algorithm(args.algorithm, kernel_backend=args.kernel_backend)
-    else:
-        algorithm = get_algorithm(args.algorithm)
+    algorithm = get_algorithm(args.algorithm)
     outcome = algorithm.run(graph, source, target, (args.begin, args.end))
     result = outcome.result
     print(
@@ -459,7 +434,6 @@ def _command_batch(args: argparse.Namespace) -> int:
             service = ShardedTspgService.from_shard_snapshots(
                 args.shard_snapshots, mmap=args.mmap, residency=args.residency,
                 default_algorithm=args.algorithm, cache_size=args.cache_size,
-                kernel_backend=args.kernel_backend,
             )
         except SnapshotError as exc:
             raise SystemExit(str(exc)) from None
@@ -477,7 +451,6 @@ def _command_batch(args: argparse.Namespace) -> int:
                 service = TspgService.from_snapshot(
                     args.snapshot, mmap=args.mmap, residency=args.residency,
                     default_algorithm=args.algorithm, cache_size=args.cache_size,
-                    kernel_backend=args.kernel_backend,
                 )
                 _print_mmap_note(args, service)
                 graph = service.graph
@@ -496,12 +469,10 @@ def _command_batch(args: argparse.Namespace) -> int:
             service = ShardedTspgService(
                 graph, args.shards, overlap=overlap,
                 default_algorithm=args.algorithm, cache_size=args.cache_size,
-                kernel_backend=args.kernel_backend,
             )
         else:
             service = TspgService(
                 graph, default_algorithm=args.algorithm, cache_size=args.cache_size,
-                kernel_backend=args.kernel_backend,
             )
     use_cache = not args.no_cache
     rows = []
@@ -580,14 +551,14 @@ def _serve_service(args: argparse.Namespace, pool: Optional[WorkerPool]):
         service = ShardedTspgService.from_shard_snapshots(
             args.shard_snapshots, mmap=args.mmap, residency=args.residency,
             default_algorithm=args.algorithm, cache_size=args.cache_size,
-            pool=pool, kernel_backend=args.kernel_backend,
+            pool=pool,
         )
         return service, f"shard snapshots {args.shard_snapshots}"
     if args.snapshot:
         service = TspgService.from_snapshot(
             args.snapshot, mmap=args.mmap, residency=args.residency,
             default_algorithm=args.algorithm, cache_size=args.cache_size,
-            pool=pool, kernel_backend=args.kernel_backend,
+            pool=pool,
         )
         return service, f"snapshot {args.snapshot}"
     if args.mmap:
@@ -600,7 +571,7 @@ def _serve_service(args: argparse.Namespace, pool: Optional[WorkerPool]):
         source = args.dataset
     service = TspgService(
         graph, default_algorithm=args.algorithm, cache_size=args.cache_size,
-        pool=pool, kernel_backend=args.kernel_backend,
+        pool=pool,
     )
     return service, source
 
@@ -897,15 +868,15 @@ def _command_experiment(args: argparse.Namespace) -> int:
         )
     elif name in {"exp12", "exp13"}:
         report = driver(args.dataset, num_queries=args.queries, workers=args.workers)
-    elif name in {"exp10", "exp11", "exp14", "exp15", "exp16", "exp17", "exp18"}:
+    elif name in {"exp10", "exp11", "exp15", "exp16", "exp17", "exp18"}:
         report = driver(args.dataset, num_queries=args.queries)
     else:
         report = driver(keys=args.datasets, num_queries=args.queries)
     if name in {"exp2", "exp5-fig10", "exp6", "exp7"}:
         x_label = "theta"
     elif name in {
-        "exp9", "exp10", "exp11", "exp12", "exp13", "exp14", "exp15", "exp16",
-        "exp17", "exp18",
+        "exp9", "exp10", "exp11", "exp12", "exp13", "exp15", "exp16", "exp17",
+        "exp18",
     }:
         x_label = "mode"
     else:

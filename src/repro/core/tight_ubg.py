@@ -93,9 +93,7 @@ def _tight_mask(
         indices.append(index)
         vids.add(u)
         vids.add(v)
-    # Carry the kernel backend forward so EEV's grouped adjacency expansion
-    # over Gt runs on the same (vectorized or pure-Python) path as Gq.
-    return SubgraphView(base, indices, vids, backend=quick.backend)
+    return SubgraphView(base, indices, vids)
 
 
 def tight_upper_bound_graph_materializing(

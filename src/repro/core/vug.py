@@ -16,10 +16,14 @@ upper-bound graphs ``Gq`` and ``Gt`` are edge-mask
 frozen columnar :class:`~repro.graph.views.GraphView` — no
 :class:`TemporalGraph` is built anywhere on the hot path (call
 ``.materialize()`` on a report's upper bounds if a mutable graph is
-needed).  Constructing ``VUG(zero_materialization=False)`` runs the
-pre-refactor pipeline that materializes a fresh graph per phase; it is kept
-as the reference baseline for the randomized equivalence oracle and the
-exp11 benchmark.
+needed).  QuickUBG is two pure-Python kernels over the view's columns:
+the id-space polarity sweeps
+(:func:`~repro.core.polarity.compute_polarity_id_arrays`) and the
+frontier-driven Lemma 1 mask
+(:func:`~repro.core.quick_ubg.quick_mask_kernel`).  Constructing
+``VUG(zero_materialization=False)`` runs the pre-refactor pipeline that
+materializes a fresh graph per phase; it is kept as the reference baseline
+for the randomized equivalence oracle and the exp11 benchmark.
 
 :func:`generate_tspg` is the one-call public entry point most users want.
 """
@@ -34,12 +38,6 @@ from ..graph.edge import Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from .deadline import Deadline
 from .eev import EEVDeadlineExpired, EEVStatistics, escaped_edges_verification
-from .kernels import (
-    KERNEL_BACKENDS,
-    numpy_available,
-    polarity_id_arrays_numpy,
-    quick_mask_numpy,
-)
 from .polarity import compute_polarity_id_arrays, compute_polarity_times
 from .quick_ubg import quick_mask_kernel, quick_upper_bound_graph_materializing
 from .result import PathGraph, PhaseTimings, VUGReport
@@ -66,40 +64,21 @@ class VUG:
         When ``True`` (the default) the phases exchange edge-mask views and
         no intermediate :class:`TemporalGraph` is built; ``False`` selects
         the pre-refactor materializing pipeline (the oracle baseline).
-    kernel_backend:
-        ``"python"`` (default) runs the pure-Python hot-path kernels;
-        ``"numpy"`` dispatches the polarity sweep, the Lemma 1 mask
-        and the adjacency grouping to their vectorized variants in
-        :mod:`repro.core.kernels` — bit-identical by contract, validated by
-        the randomized oracle.  When numpy is not installed ``"numpy"``
-        silently degrades to the Python kernels, so the setting is always
-        safe.  Only meaningful with ``zero_materialization=True`` (the
-        materializing reference pipeline has no vectorized form).
     """
 
     use_tight_upper_bound: bool = True
     use_lemma10: bool = True
     collect_eev_statistics: bool = False
     zero_materialization: bool = True
-    kernel_backend: str = "python"
-
-    _KERNEL_BACKENDS = KERNEL_BACKENDS
-
-    def __post_init__(self) -> None:
-        if self.kernel_backend not in self._KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"choose from {', '.join(self._KERNEL_BACKENDS)}"
-            )
 
     def effective_kernel_backend(self) -> str:
-        """The backend that will actually run (``"numpy"`` needs numpy)."""
-        if (
-            self.kernel_backend == "numpy"
-            and self.zero_materialization
-            and numpy_available()
-        ):
-            return "numpy"
+        """Always ``"python"``: the pipeline has one kernel implementation.
+
+        Kept because the serving benchmark's run manifest
+        (``perfbench/run.py``) records this value, so result files written
+        before and after the numpy backend was removed compare field for
+        field.
+        """
         return "python"
 
     def run(
@@ -138,24 +117,16 @@ class VUG:
             # Kernels over the frozen columnar view: the polarity sweeps run
             # in interned-id space on the CSR-aligned timestamp columns and
             # the Lemma 1 test produces an edge mask — nothing is
-            # materialized anywhere in this pipeline.  The Python mask reads
-            # only the out-edges of vertices the forward sweep reached,
-            # after their arrival time, then sorts the survivors; the numpy
-            # one tests the whole window slice in a handful of array passes.
-            # Both read the same column buffers and produce the same mask.
+            # materialized anywhere in this pipeline.  The mask reads only
+            # the out-edges of vertices the forward sweep reached, after
+            # their arrival time, then sorts the survivors.
             view = graph.view()
-            if self.effective_kernel_backend() == "numpy":
-                arrival_ids, departure_ids = polarity_id_arrays_numpy(
-                    view, source, target, window
-                )
-                quick = quick_mask_numpy(view, arrival_ids, departure_ids, window)
-            else:
-                arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
-                    view, source, target, window
-                )
-                quick = quick_mask_kernel(
-                    view, arrival_ids, departure_ids, window, frontier
-                )
+            arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
+                view, source, target, window
+            )
+            quick = quick_mask_kernel(
+                view, arrival_ids, departure_ids, window, frontier
+            )
         else:
             polarity = compute_polarity_times(graph, source, target, window)
             quick = quick_upper_bound_graph_materializing(

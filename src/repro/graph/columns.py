@@ -3,17 +3,14 @@
 :class:`IndexColumn` is the single storage type for every interned integer
 column in the codebase — the timestamp-sorted edge columns and CSR arrays of
 :class:`~repro.graph.views.GraphView`, the pickled payload of the snapshot
-codec, and the operands of the vectorized query kernels.  It subclasses
+codec, and the operands of the query kernels.  It subclasses
 :class:`array.array` (typecode ``"q"``, one int64 per element), so:
 
 * every pure-Python consumer (``bisect``, ``zip``, indexing, slicing) works
   unchanged — an :class:`IndexColumn` *is* an ``array``;
-* :meth:`IndexColumn.numpy` exposes the **same buffer** to numpy via
-  :func:`numpy.frombuffer` — zero copies, cached per column, so the
-  vectorized kernels and the Python sweeps literally read the same bytes;
 * pickling goes through ``array``'s reconstructor, which preserves the
-  subclass, so snapshots persist exactly one buffer per column and a booted
-  snapshot is vectorization-ready without any conversion.
+  subclass, so snapshots persist exactly one buffer per column.  Snapshots
+  name the class when they pickle a column, which is why it keeps its name.
 
 :class:`MmapColumn` is the mmap-backed sibling used by snapshot format v4:
 it wraps a ``memoryview`` slice of a memory-mapped snapshot file cast to the
@@ -21,15 +18,9 @@ same int64 layout, so a booted :class:`~repro.graph.views.GraphView` reads
 column bytes straight out of the OS page cache — no unpickling, no copies,
 no resident memory until a page is touched.  It exposes the read-only subset
 of the ``IndexColumn`` surface the query path uses (indexing, slicing,
-iteration, ``bisect``, :meth:`MmapColumn.numpy`); code that must mutate a
-column first calls :meth:`MmapColumn.materialize` to copy the bytes into a
-private :class:`IndexColumn` (copy-on-write — the file is never written).
-
-numpy itself is an *optional* accelerator, never a dependency: all access
-goes through :func:`numpy_or_none`, which memoizes a single import attempt.
-When numpy is absent everything above still works minus ``.numpy()`` — the
-kernels check :func:`numpy_available` and fall back to the pure-Python
-implementations.
+iteration, ``bisect``); code that must mutate a column first calls
+:meth:`MmapColumn.materialize` to copy the bytes into a private
+:class:`IndexColumn` (copy-on-write — the file is never written).
 """
 
 from __future__ import annotations
@@ -40,59 +31,16 @@ from typing import Iterable, List, Union
 #: Array typecode of every interned column: signed 64-bit integers.
 INDEX_TYPECODE = "q"
 
-#: Sentinel distinguishing "never tried importing numpy" from "numpy absent".
-_NUMPY_UNRESOLVED = object()
-
-_numpy_module = _NUMPY_UNRESOLVED
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when it is not installed.
-
-    The import is attempted once and memoized; tests force the absent path
-    by resetting :data:`_numpy_module` to the sentinel under a patched
-    ``__import__``.
-    """
-    global _numpy_module
-    if _numpy_module is _NUMPY_UNRESOLVED:
-        try:
-            import numpy
-        except ImportError:
-            numpy = None
-        _numpy_module = numpy
-    return _numpy_module
-
-
-def numpy_available() -> bool:
-    """``True`` iff the vectorized kernels can run in this interpreter."""
-    return numpy_or_none() is not None
-
 
 class IndexColumn(array):
-    """An ``array('q')`` with a cached zero-copy numpy view of its buffer.
+    """An ``array('q')`` subclass: the storage type of every interned column.
 
-    The column is append-mutable exactly like an ``array`` *until*
-    :meth:`numpy` is first called; after that the buffer is exported and
-    resizing would invalidate the view (Python raises ``BufferError``), which
-    is the behaviour we want — frozen views stay frozen.
+    It adds no behaviour to ``array``.  The distinct type tells adopted
+    columns (:func:`as_index_column` is a no-op on them) apart from plain
+    ``array('q')`` payloads written by older snapshots.
     """
 
-    __slots__ = ("_np",)
-
-    def numpy(self):
-        """This column as an ``int64`` numpy array sharing the same buffer."""
-        try:
-            return self._np
-        except AttributeError:
-            np = numpy_or_none()
-            if np is None:
-                raise RuntimeError(
-                    "IndexColumn.numpy() requires numpy, which is not "
-                    "installed; gate calls behind columns.numpy_available()"
-                )
-            view = np.frombuffer(self, dtype=np.int64)
-            self._np = view
-            return view
+    __slots__ = ()
 
 
 class MmapColumn:
@@ -104,13 +52,13 @@ class MmapColumn:
     valid for the column's lifetime.  Supports the read path of
     :class:`IndexColumn` — ``len``, integer indexing, slicing (zero-copy,
     returns another :class:`MmapColumn`), iteration, ``in``, ``tolist``,
-    ``tobytes``, equality against any int64 buffer or plain sequence, and a
-    cached zero-copy :meth:`numpy` view.  It is deliberately *not* mutable:
-    a mutation epoch bump on the owning graph rebuilds its view from
-    materialized :class:`IndexColumn` storage instead (copy-on-write).
+    ``tobytes`` and equality against any int64 buffer or plain sequence.
+    It is deliberately *not* mutable: a mutation epoch bump on the owning
+    graph rebuilds its view from materialized :class:`IndexColumn` storage
+    instead (copy-on-write).
     """
 
-    __slots__ = ("_view", "_keepalive", "_np")
+    __slots__ = ("_view", "_keepalive")
 
     #: Mirrors ``array.typecode`` so diagnostics can treat columns uniformly.
     typecode = INDEX_TYPECODE
@@ -169,26 +117,6 @@ class MmapColumn:
         """A private, mutable :class:`IndexColumn` copy of this column."""
         return IndexColumn(INDEX_TYPECODE, self._view.tobytes())
 
-    def numpy(self):
-        """This column as an ``int64`` numpy array over the mapped pages."""
-        try:
-            return self._np
-        except AttributeError:
-            np = numpy_or_none()
-            if np is None:
-                raise RuntimeError(
-                    "MmapColumn.numpy() requires numpy, which is not "
-                    "installed; gate calls behind columns.numpy_available()"
-                )
-            try:
-                view = np.frombuffer(self._view, dtype=np.int64)
-            except (ValueError, BufferError):
-                # ``frombuffer`` requires a C-contiguous buffer; a step-sliced
-                # offset view is not one, so fall back to a copying coercion.
-                view = np.array(self._view.tolist(), dtype=np.int64)
-            self._np = view
-            return view
-
 
 class ChainedColumn:
     """A read-only concatenation of a frozen base column and an appended tail.
@@ -200,15 +128,14 @@ class ChainedColumn:
     an :class:`IndexColumn`, an :class:`MmapColumn` or a previous chain's
     base — untouched and presents ``base + tail`` through the same read
     surface the views and kernels consume (``len``, indexing, slicing,
-    iteration, ``tolist``/``tobytes``, cached :meth:`numpy`).
+    iteration, ``tolist``/``tobytes``).
 
     Chains never nest: extending a chained column merges the new rows into
     its (small, private) tail, so depth stays 1 over the original base no
-    matter how many ingest batches arrive.  ``.numpy()`` concatenates —
-    one copy, only when the vectorized kernels first touch the column.
+    matter how many ingest batches arrive.
     """
 
-    __slots__ = ("base", "tail", "_base_len", "_np")
+    __slots__ = ("base", "tail", "_base_len")
 
     #: Mirrors ``array.typecode`` so diagnostics can treat columns uniformly.
     typecode = INDEX_TYPECODE
@@ -270,28 +197,6 @@ class ChainedColumn:
         """A private, mutable :class:`IndexColumn` copy of this column."""
         return IndexColumn(INDEX_TYPECODE, self.tobytes())
 
-    def numpy(self):
-        """This column as one contiguous ``int64`` numpy array (cached copy)."""
-        try:
-            return self._np
-        except AttributeError:
-            np = numpy_or_none()
-            if np is None:
-                raise RuntimeError(
-                    "ChainedColumn.numpy() requires numpy, which is not "
-                    "installed; gate calls behind columns.numpy_available()"
-                )
-            base = self.base
-            if isinstance(base, (IndexColumn, MmapColumn)):
-                base_np = base.numpy()
-            else:
-                base_np = np.asarray(base.tolist(), dtype=np.int64)
-            view = np.concatenate([base_np, self.tail.numpy()]) if len(
-                self.tail
-            ) else base_np
-            self._np = view
-            return view
-
 
 def extended_column(base, tail: "IndexColumn"):
     """``base`` with ``tail`` appended, reusing frozen buffers where possible.
@@ -312,10 +217,6 @@ def extended_column(base, tail: "IndexColumn"):
     merged = IndexColumn(INDEX_TYPECODE, base.tobytes())
     merged.extend(tail)
     return merged
-
-
-#: Columns the kernels can take a zero-copy ``.numpy()`` view of.
-BUFFER_COLUMN_TYPES = (IndexColumn, MmapColumn, ChainedColumn)
 
 
 def index_column(initializer: Union[bytes, Iterable[int]] = b"") -> IndexColumn:

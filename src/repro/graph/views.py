@@ -31,8 +31,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from collections import OrderedDict
-
 from .columns import (
     INDEX_TYPECODE,
     IndexColumn,
@@ -53,7 +51,7 @@ NeighborEntry = Tuple[Vertex, Timestamp]
 #: Array typecode for interned vertex ids, timestamps and edge indices.
 #: Kept as an alias of :data:`repro.graph.columns.INDEX_TYPECODE` — the
 #: buffer-backed :class:`IndexColumn` is the single storage type shared by
-#: the view, the snapshot codec and the vectorized kernels.
+#: the view, the snapshot codec and the query kernels.
 _IDX = INDEX_TYPECODE
 
 
@@ -70,7 +68,7 @@ class GraphView:
     src, dst, ts:
         Parallel edge columns sorted by ``ts`` non-descending — exactly the
         parent graph's sorted tuple backing, interned.  ``ts`` being sorted
-        is what lets the numpy kernels slice a query window with two bisects.
+        is what lets a query window be sliced with two bisects.
     out_offsets, out_edges / in_offsets, in_edges:
         CSR adjacency: ``out_edges[out_offsets[u]:out_offsets[u + 1]]`` are
         the indices (into the edge columns) of ``u``'s out-edges, timestamp
@@ -102,7 +100,6 @@ class GraphView:
         "in_offsets",
         "in_edges",
         "_in_aligned",
-        "_kernel_scratch",
         "epoch",
     )
 
@@ -131,11 +128,6 @@ class GraphView:
         self.in_edges = in_edges
         self._out_aligned: Optional[Tuple[array, array]] = None
         self._in_aligned: Optional[Tuple[array, array]] = None
-        # Lazy per-view derivatives owned by the vectorized kernels (the
-        # timestamp-group relaxation layout); like the CSR-aligned columns
-        # they are never persisted, and the view's immutability makes them
-        # valid for its whole lifetime.
-        self._kernel_scratch: Dict[str, object] = {}
         self.epoch = epoch
 
     @property
@@ -254,10 +246,7 @@ class GraphView:
         arrays are *spliced* — untouched per-vertex runs are bulk-copied
         between the O(delta) insertion points, never re-sorted or
         re-counted.  New vertices intern after the existing labels, so
-        every old id stays valid.  Cached kernel window layouts whose
-        ``[lo, hi)`` slice lies entirely inside the old columns are carried
-        to the new view — those rows are bit-identical, so warmed windows
-        stay warm across an ingest batch.
+        every old id stays valid.
 
         **Out-of-order fallback**: rows landing before the last existing
         timestamp cannot be appended without breaking the sorted-``ts``
@@ -290,7 +279,7 @@ class GraphView:
         in_offsets, in_edges = _csr_extended(
             self.in_offsets, self.in_edges, dst_tail, old_num_edges, num_vertices
         )
-        view = GraphView(
+        return GraphView(
             labels,
             extended_column(self.src, src_tail),
             extended_column(self.dst, dst_tail),
@@ -301,27 +290,6 @@ class GraphView:
             in_edges,
             epoch=delta.new_epoch,
         )
-        self._carry_kernel_layouts(view, old_num_edges)
-        return view
-
-    def _carry_kernel_layouts(self, view: "GraphView", old_num_edges: int) -> None:
-        """Copy still-valid window layouts into the extended view's scratch.
-
-        Layouts are keyed ``(lo, hi)`` over the ts-sorted edge columns and
-        store vertex ids only; rows ``[0, old_num_edges)`` are bit-identical
-        in the extended view and old vertex ids are unchanged, so any layout
-        whose window closed before the append point transfers verbatim.
-        Windows reaching the append point re-bisect to a different ``hi``
-        on the new view and miss naturally.
-        """
-        cache = self._kernel_scratch.get("ts_group_layouts")
-        if not cache:
-            return
-        carried = OrderedDict(
-            (key, layout) for key, layout in cache.items() if key[1] <= old_num_edges
-        )
-        if carried:
-            view._kernel_scratch["ts_group_layouts"] = carried
 
     def _rebuilt_with(self, delta) -> "GraphView":
         """Full rebuild over the merged (still-sorted) row sequence."""
@@ -373,8 +341,7 @@ class GraphView:
     def slice_bounds(self, interval) -> Tuple[int, int]:
         """Edge-column index range ``[lo, hi)`` covering ``interval``.
 
-        Two bisects on the sorted ``ts`` column — the window slice the
-        numpy QuickUBG kernels work on.
+        Two bisects on the sorted ``ts`` column.
         """
         window = as_interval(interval)
         return (
@@ -497,23 +464,11 @@ class SubgraphView:
     helpers consume.  Per-vertex adjacency is grouped lazily from the
     surviving indices — one O(k) pass for the whole view (*not* one parent
     CSR scan per vertex), cached for the view's lifetime, i.e. one query.
-
-    ``backend`` selects how that grouping pass runs: ``"python"`` (the
-    default) loops over the indices, ``"numpy"`` sorts the surviving key
-    column with one stable argsort over the shared column buffers (EEV's
-    grouped adjacency expansion, vectorized).  Both produce entry lists in
-    the *same* order — stable sorting by key preserves the within-key index
-    (= timestamp) order the Python loop appends in — so the choice can
-    never change a result, only its speed.  The flag is propagated by the
-    mask kernels (QuickUBG → TightUBG → EEV) so one selection covers the
-    whole pipeline; when numpy is unavailable the flag degrades to the
-    Python path silently.
     """
 
     __slots__ = (
         "base",
         "indices",
-        "backend",
         "_mask",
         "_vids",
         "_out_adj",
@@ -528,11 +483,9 @@ class SubgraphView:
         base: GraphView,
         indices: List[int],
         vids: Set[int],
-        backend: str = "python",
     ) -> None:
         self.base = base
         self.indices = indices
-        self.backend = backend
         self._mask: Optional[bytearray] = None
         self._vids = vids
         self._out_adj: Optional[Dict[int, List[NeighborEntry]]] = None
@@ -660,10 +613,6 @@ class SubgraphView:
         matching the parent CSR slices), so every grouped list comes out
         timestamp-sorted for free.
         """
-        if self.backend == "numpy":
-            grouped = self._group_by_numpy(key_column, label_column)
-            if grouped is not None:
-                return grouped
         labels, ts = self.base.labels, self.base.ts
         grouped = {}
         for i in self.indices:
@@ -674,47 +623,6 @@ class SubgraphView:
                 grouped[vid] = [entry]
             else:
                 bucket.append(entry)
-        return grouped
-
-    def _group_by_numpy(
-        self, key_column, label_column
-    ) -> Optional[Dict[int, List[NeighborEntry]]]:
-        """Vectorized grouping: one stable argsort over the shared buffers.
-
-        Returns ``None`` when numpy (or a buffer-backed column) is missing,
-        letting :meth:`_group_by` fall back to the Python loop.  A stable
-        sort by key keeps entries within each key in index order — exactly
-        the order the Python loop appends them in — so both paths build
-        identical adjacency lists.
-        """
-        from .columns import BUFFER_COLUMN_TYPES, numpy_or_none
-
-        np = numpy_or_none()
-        ts_column = self.base.ts
-        if (
-            np is None
-            or not isinstance(key_column, BUFFER_COLUMN_TYPES)
-            or not isinstance(label_column, BUFFER_COLUMN_TYPES)
-            or not isinstance(ts_column, BUFFER_COLUMN_TYPES)
-        ):
-            return None
-        grouped: Dict[int, List[NeighborEntry]] = {}
-        if not self.indices:
-            return grouped
-        indices = np.asarray(self.indices, dtype=np.int64)
-        keys = key_column.numpy()[indices]
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order].tolist()
-        label_ids = label_column.numpy()[indices][order].tolist()
-        timestamps = ts_column.numpy()[indices][order].tolist()
-        labels = self.base.labels
-        current = None
-        bucket: List[NeighborEntry] = []
-        for vid, label_id, timestamp in zip(keys_sorted, label_ids, timestamps):
-            if vid != current:
-                current = vid
-                bucket = grouped[vid] = []
-            bucket.append((labels[label_id], timestamp))
         return grouped
 
     def _group_out(self) -> Dict[int, List[NeighborEntry]]:

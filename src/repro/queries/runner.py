@@ -98,12 +98,6 @@ class QueryRunner:
         batches reuse the same long-lived workers instead of re-booting a
         fresh executor per batch.  The pool's lifecycle stays the
         caller's — the runner never closes it.
-    kernel_backend:
-        Forwarded to every service this runner builds: ``"python"`` or
-        ``"numpy"`` selects the hot-path kernel implementation of the
-        VUG-family algorithms (``None`` keeps each algorithm's default).
-        Bit-identical either way; ``"numpy"`` degrades to the Python
-        kernels when numpy is not installed.
     """
 
     time_budget_seconds: Optional[float] = None
@@ -113,7 +107,6 @@ class QueryRunner:
     shard_overlap: int = 0
     executor: str = "threads"
     pool: Optional[object] = None
-    kernel_backend: Optional[str] = None
     # One service per graph so index warming and (optional) memoization are
     # shared across run_workload/run_all/run_single calls.  Keyed by id();
     # the strong reference keeps each graph alive, so ids cannot be reused.
@@ -132,12 +125,10 @@ class QueryRunner:
                 service = ShardedTspgService(
                     graph, self.num_shards, overlap=self.shard_overlap,
                     executor=self.executor, pool=self.pool,
-                    kernel_backend=self.kernel_backend,
                 )
             else:
                 service = TspgService(
                     graph, executor=self.executor, pool=self.pool,
-                    kernel_backend=self.kernel_backend,
                 )
             self._services[id(graph)] = service
         return service
@@ -162,12 +153,10 @@ class QueryRunner:
             self._services[id(graph)] = ShardedTspgService(
                 graph, self.num_shards, overlap=self.shard_overlap,
                 executor=self.executor, pool=self.pool,
-                kernel_backend=self.kernel_backend,
             )
         else:
             service = TspgService.from_snapshot(
                 path, executor=self.executor, pool=self.pool,
-                kernel_backend=self.kernel_backend,
             )
             graph = service.graph
             self._services[id(graph)] = service
@@ -196,7 +185,6 @@ class QueryRunner:
 
         router = ShardedTspgService.from_shard_snapshots(
             path, executor=self.executor, pool=self.pool,
-            kernel_backend=self.kernel_backend,
         )
         graph = router.graph
         self._services[id(graph)] = router

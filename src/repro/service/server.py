@@ -152,6 +152,26 @@ def request_integer(value, name: str) -> int:
     return value
 
 
+def request_vertex(value, graph, name: str) -> object:
+    """Decode a vertex id: a string label or an integral JSON number.
+
+    Strings go through :func:`coerce_vertex`.  Numbers are decoded by
+    :func:`request_integer`, then resolve to the string label ``"7"`` only
+    when ``graph`` has that label and no integer ``7`` (the mirror of
+    :func:`coerce_vertex`).  Bools, null, fractional numbers, lists and
+    objects raise :class:`ValueError` instead of becoming a vertex nobody
+    asked for.
+    """
+    if isinstance(value, str):
+        return coerce_vertex(value, graph)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a string or an integer, got {value!r}")
+    vertex = request_integer(value, name)
+    if not graph.has_vertex(vertex) and graph.has_vertex(str(vertex)):
+        return str(vertex)
+    return vertex
+
+
 def request_milliseconds(value, name: str) -> float:
     """Decode a finite JSON number of milliseconds; :class:`ValueError` otherwise."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
@@ -386,8 +406,8 @@ class RequestCore:
         if missing:
             raise ValueError(f"query request is missing {', '.join(missing)}")
         return TspgQuery(
-            coerce_vertex(str(request["source"]), self.service),
-            coerce_vertex(str(request["target"]), self.service),
+            request_vertex(request["source"], self.service, "source"),
+            request_vertex(request["target"], self.service, "target"),
             (
                 request_integer(request["begin"], "begin"),
                 request_integer(request["end"], "end"),
@@ -566,11 +586,11 @@ class RequestCore:
                     "each ingested edge must be [source, target, timestamp]"
                 )
             source, target, timestamp = entry
-            if isinstance(source, str):
-                source = coerce_vertex(source, self.service)
-            if isinstance(target, str):
-                target = coerce_vertex(target, self.service)
-            edges.append((source, target, request_integer(timestamp, "timestamp")))
+            edges.append((
+                request_vertex(source, self.service, "source"),
+                request_vertex(target, self.service, "target"),
+                request_integer(timestamp, "timestamp"),
+            ))
         delta = self.service.ingest(edges)
         return {
             "ok": True,

@@ -59,7 +59,7 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..algorithms import get_algorithm, merge_kernel_backend
+from ..algorithms import get_algorithm
 from ..baselines.interface import AlgorithmResult, TspgAlgorithm
 from ..core.deadline import Deadline
 from ..graph.edge import Vertex
@@ -422,13 +422,6 @@ class TspgService:
         executor.
     algorithm_options:
         Per-algorithm constructor options, keyed by registry name.
-    kernel_backend:
-        ``"python"`` or ``"numpy"``: the hot-path kernel implementation for
-        every VUG-family algorithm this service instantiates (merged into
-        ``algorithm_options``; explicit per-algorithm settings win).
-        ``"numpy"`` silently degrades to the Python kernels when numpy is
-        not installed, and both backends are bit-identical by the
-        randomized oracle — so this knob changes speed, never answers.
 
     Examples
     --------
@@ -453,7 +446,6 @@ class TspgService:
         executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -477,12 +469,9 @@ class TspgService:
         self._residency = None
         self._snapshot_interval = None
         self._snapshot_boot = None
-        # ``kernel_backend`` is baked into the per-algorithm options here,
-        # once: the merged dict then crosses every existing boundary
-        # (process workers, snapshot boots, cache keys) unchanged.
-        self._algorithm_options = merge_kernel_backend(
-            algorithm_options, kernel_backend
-        )
+        self._algorithm_options = {
+            name: dict(opts) for name, opts in (algorithm_options or {}).items()
+        }
         self._algorithms: Dict[str, TspgAlgorithm] = {}
         self._algorithms_lock = threading.Lock()
         # Instances that took part in cache keys, pinned by id().  Keys embed

@@ -48,7 +48,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..algorithms import get_algorithm, merge_kernel_backend
+from ..algorithms import get_algorithm
 from ..baselines.interface import AlgorithmResult, TspgAlgorithm
 from ..core.deadline import Deadline
 from ..graph.edge import TimeInterval, Vertex, as_edge, as_interval
@@ -290,7 +290,6 @@ class ShardedTspgService:
         executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
-        kernel_backend: Optional[str] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be at least 1")
@@ -308,7 +307,6 @@ class ShardedTspgService:
             executor=executor,
             pool=pool,
             algorithm_options=algorithm_options,
-            kernel_backend=kernel_backend,
         )
         self._topology = self._build_topology()
 
@@ -324,7 +322,6 @@ class ShardedTspgService:
         executor: str,
         pool: Optional[WorkerPool],
         algorithm_options: Optional[Dict[str, Dict[str, object]]],
-        kernel_backend: Optional[str] = None,
     ) -> None:
         """State shared by ``__init__`` and :meth:`from_shard_snapshots`."""
         self._graph = graph
@@ -336,13 +333,9 @@ class ShardedTspgService:
         self._service_kwargs: Dict[str, object] = {
             "default_algorithm": default_algorithm,
             "cache_size": cache_size,
-            # The kernel-backend knob is baked into the options dict here so
-            # every consumer — per-shard services, the lazy fallback, and
-            # the process workers that receive this dict verbatim — runs
-            # the same backend.
-            "algorithm_options": merge_kernel_backend(
-                algorithm_options, kernel_backend
-            ),
+            "algorithm_options": {
+                name: dict(opts) for name, opts in (algorithm_options or {}).items()
+            },
         }
         self._rebuild_lock = threading.Lock()
         self._fallback_lock = threading.Lock()
@@ -400,7 +393,6 @@ class ShardedTspgService:
         executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
-        kernel_backend: Optional[str] = None,
     ) -> "ShardedTspgService":
         """Boot a router from a :class:`~repro.store.ShardSnapshotSet` directory.
 
@@ -444,7 +436,6 @@ class ShardedTspgService:
             executor=executor,
             pool=pool,
             algorithm_options=algorithm_options,
-            kernel_backend=kernel_backend,
         )
         shards, services, policies, mmap_active, mmap_reasons = (
             _boot_shard_generation(

@@ -97,7 +97,7 @@ class TestTableAndFigureDrivers:
             "table1", "exp1", "exp2", "exp3", "exp4",
             "exp5-table2", "exp5-fig9", "exp5-fig10",
             "exp6", "exp7", "exp8", "exp9", "exp10", "exp11", "exp12",
-            "exp13", "exp14", "exp15", "exp16", "exp17", "exp18",
+            "exp13", "exp15", "exp16", "exp17", "exp18",
         }
 
     def test_exp10_store_and_shards(self):

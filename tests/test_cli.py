@@ -333,7 +333,8 @@ class TestServeCommand:
         assert responses[0]["num_edges"] == 0
 
     def test_malformed_requests_do_not_end_the_loop(self, tmp_path, capsys):
-        responses = self._run(tmp_path, [
+        first, *responses, last = self._run(tmp_path, [
+            '{"op": "stats"}',
             "definitely not json",
             '{"op": "unknown-op"}',
             '{"source": "s", "target": "t"}',
@@ -353,10 +354,23 @@ class TestServeCommand:
             '{"op": "ingest", "edges": [["s", "t", 1180591620717411303424]]}',
             '{"op": []}',
             '{"op": {}, "deadline_ms": 5}',
+            # Malformed vertex ids: only strings and integral numbers name
+            # a vertex, in queries, batch entries and ingest rows alike.
+            '{"source": 1.5, "target": "t", "begin": 2, "end": 7}',
+            '{"source": true, "target": "t", "begin": 2, "end": 7}',
+            '{"source": null, "target": "t", "begin": 2, "end": 7}',
+            '{"source": [1], "target": "t", "begin": 2, "end": 7}',
+            '{"source": "s", "target": {"a": 1}, "begin": 2, "end": 7}',
+            '{"queries": [["s", null, 2, 7]]}',
+            '{"op": "ingest", "edges": [[null, "t", 9]]}',
+            '{"op": "ingest", "edges": [[1.5, "t", 9]]}',
+            '{"op": "ingest", "edges": [["s", true, 9]]}',
+            '{"op": "ingest", "edges": [[["a"], "t", 9]]}',
             '{"source": "s", "target": "t", "begin": 2, "end": 7}',
             '{"source": "s", "target": "t", "begin": 2.0, "end": 7, "deadline_ms": 5e3}',
+            '{"op": "stats"}',
         ], capsys=capsys)
-        assert [r["ok"] for r in responses] == [False] * 17 + [True] * 2
+        assert [r["ok"] for r in responses] == [False] * 27 + [True] * 2
         assert "missing begin, end" in responses[2]["error"]
         assert "unknown algorithm" in responses[4]["error"]
         assert "deadline_ms must be a finite number" in responses[5]["error"]
@@ -365,7 +379,13 @@ class TestServeCommand:
         assert "outside the int64 range" in responses[14]["error"]
         assert "unknown op" in responses[15]["error"]
         assert "unknown op" in responses[16]["error"]
+        assert "source must be an integer" in responses[17]["error"]
+        assert "source must be a string or an integer" in responses[18]["error"]
+        assert "target must be a string or an integer" in responses[21]["error"]
         assert responses[-1]["num_edges"] == responses[-2]["num_edges"] > 0
+        # No rejected ingest row reached the graph.
+        assert first["ok"] and last["ok"]
+        assert last["epoch"] == first["epoch"]
 
     def test_quit_ends_the_session_early(self, tmp_path, capsys):
         # quit is acknowledged (so shutdown is observable, symmetric with

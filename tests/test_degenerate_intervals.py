@@ -1,7 +1,7 @@
-"""Degenerate query windows: one empty-slice convention for every backend.
+"""Degenerate query windows: one empty-slice convention for every algorithm.
 
-The vectorized kernels and the pure-Python mask builds must agree on what a
-degenerate interval means *before* either is allowed to diverge:
+The view kernels and the materializing reference pipeline must agree on
+what a degenerate interval means:
 
 * an inverted interval (``begin > end``) is a construction error —
   :class:`TimeInterval` rejects it, so no kernel ever sees one;
@@ -11,8 +11,8 @@ degenerate interval means *before* either is allowed to diverge:
 * a single-instant window (``begin == end``) is valid and selects exactly
   the edges at that timestamp that Lemma 1 admits.
 
-These tests iterate the full algorithm registry, so any backend registered
-later (``VUG-vectorized``) is covered automatically.
+These tests iterate the full algorithm registry, so any algorithm
+registered later is covered automatically.
 """
 
 from __future__ import annotations

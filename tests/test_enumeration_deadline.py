@@ -5,8 +5,7 @@ so the cooperative deadline must be polled *inside* the DFS — per node
 expansion and per enumerated path — not just between pipeline phases.
 These tests pin that behaviour on a layered graph whose path count is far
 beyond what any budget could enumerate, plus the honest-accounting contract
-of a timed-out EP result (satellites of the vectorized-kernels PR; the
-polling itself landed with it).
+of a timed-out EP result.
 """
 
 from __future__ import annotations

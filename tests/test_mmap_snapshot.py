@@ -89,12 +89,6 @@ class TestMmapColumn:
         assert list(materialized) == values
         assert as_index_column(column) == materialized
 
-    def test_numpy_view_when_available(self):
-        pytest.importorskip("numpy")
-        column, values = self.column([10, 20, 30])
-        view = column.numpy()
-        assert view.tolist() == values
-
     def test_step_slices(self):
         column, values = self.column([0, 1, 2, 3, 4, 5, 6, 7])
         for step_slice in (
@@ -106,14 +100,6 @@ class TestMmapColumn:
             sliced = column[step_slice]
             assert isinstance(sliced, MmapColumn)
             assert sliced.tolist() == values[step_slice]
-
-    def test_step_slice_numpy_copies_non_contiguous(self):
-        np = pytest.importorskip("numpy")
-        column, values = self.column([0, 1, 2, 3, 4, 5, 6, 7])
-        strided = column[::2]
-        view = strided.numpy()
-        assert view.dtype == np.int64
-        assert view.tolist() == values[::2]
 
     def test_negative_indices(self):
         column, values = self.column([10, 20, 30, 40])

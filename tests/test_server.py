@@ -124,6 +124,7 @@ class TestProtocolConformance:
     def test_malformed_requests_answer_ok_false_and_loop_survives(self):
         with boot() as st:
             with TspgClient(st.address) as client:
+                epoch = client.request({"op": "stats"})["epoch"]
                 for bad in (
                     b"definitely not json\n",
                     b"[1, 2, 3]\n",            # JSON, but not an object
@@ -144,21 +145,53 @@ class TestProtocolConformance:
                     b'{"op": "ingest", "edges": [["s", "t", 1e400]]}\n',
                     b'{"op": []}\n',
                     b'{"op": {}, "deadline_ms": 5}\n',
+                    # Malformed vertex ids, in queries, batch entries and
+                    # ingest rows alike.
+                    b'{"source": 1.5, "target": "t", "begin": 2, "end": 7}\n',
+                    b'{"source": true, "target": "t", "begin": 2, "end": 7}\n',
+                    b'{"source": null, "target": "t", "begin": 2, "end": 7}\n',
+                    b'{"source": [1], "target": "t", "begin": 2, "end": 7}\n',
+                    b'{"source": "s", "target": {"a": 1}, "begin": 2, "end": 7}\n',
+                    b'{"queries": [["s", null, 2, 7]]}\n',
+                    b'{"op": "ingest", "edges": [[null, "t", 9]]}\n',
+                    b'{"op": "ingest", "edges": [[1.5, "t", 9]]}\n',
+                    b'{"op": "ingest", "edges": [["s", true, 9]]}\n',
+                    b'{"op": "ingest", "edges": [[["a"], "t", 9]]}\n',
                 ):
                     client.send_raw(bad)
                     response = client.recv()
                     assert response["ok"] is False
                     assert response.get("error")
                     assert "internal error" not in response["error"]
-                # The session is still alive and serving.
+                # The session is still alive and serving, and no rejected
+                # ingest row reached the graph.
                 assert client.request(dict(QUERY))["ok"] is True
                 stats = client.request({"op": "stats"})
+                assert stats["epoch"] == epoch
                 # Unparseable lines and budgets count as protocol errors;
                 # well-formed lines with bad request content (unknown op,
                 # missing fields, empty batch, non-integral begin/end or
-                # timestamps, a non-string op) answer ok:false without
-                # being framing errors.
+                # timestamps, a non-string op, bad vertex ids) answer
+                # ok:false without being framing errors.
                 assert stats["server"]["protocol_errors"] == 6
+
+    @pytest.mark.parametrize("label", [int, str])
+    def test_integral_vertex_ids_name_the_same_vertex_as_labels(self, label):
+        # JSON numbers resolve like string labels, on integer-labelled and
+        # string-labelled graphs alike; 1.0 is the integer 1.
+        rows = ((1, 2, 2), (2, 3, 6), (2, 4, 3), (4, 3, 7))
+        graph = TemporalGraph(edges=[(label(u), label(v), t) for u, v, t in rows])
+        with boot(TspgService(graph)) as st:
+            with TspgClient(st.address) as client:
+                answers = [
+                    client.request({"source": source, "target": 3, "begin": 2, "end": 7})
+                    for source in ("1", 1, 1.0)
+                ]
+                assert all(answer["ok"] for answer in answers)
+                assert answers[0]["num_edges"] > 0
+                assert len({answer["num_edges"] for answer in answers}) == 1
+                grown = client.request({"op": "ingest", "edges": [[3.0, 9, 8]]})
+                assert grown["ok"] and grown["new_vertices"] == ["9"]
 
     def test_blank_lines_and_comments_answer_nothing(self):
         with boot() as st:

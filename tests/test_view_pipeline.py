@@ -112,40 +112,6 @@ def test_every_registry_algorithm_agrees_with_the_materializing_reference():
             )
 
 
-def test_vectorized_backend_is_identical_under_active_deadlines():
-    """The numpy-kernel engine under a live deadline stays bit-identical.
-
-    Deadline polls must be read-only for the vectorized path exactly as for
-    the Python one: a generous in-flight budget changes nothing, and an
-    already-expired one cuts both engines to the same empty timed-out
-    answer.
-    """
-    from repro.core import Deadline
-
-    rng = random.Random(404)
-    vectorized = get_algorithm("VUG-vectorized")
-    reference_algorithm = get_algorithm("VUG-materializing")
-    for graph in _d1_style_graphs():
-        graph.warm_indices()
-        for query in _random_queries(graph, rng, 15):
-            bounded = vectorized.run(
-                graph, query.source, query.target, query.interval,
-                deadline=Deadline.after(3600.0),
-            )
-            reference = reference_algorithm.run(
-                graph, query.source, query.target, query.interval
-            )
-            assert bounded.timed_out is False, query
-            assert bounded.result.vertices == reference.result.vertices, query
-            assert bounded.result.edges == reference.result.edges, query
-            expired = vectorized.run(
-                graph, query.source, query.target, query.interval,
-                deadline=Deadline.after(-1.0),
-            )
-            assert expired.timed_out is True, query
-            assert expired.result.edges == set(), query
-
-
 @pytest.mark.parametrize("mode", ["serial", "parallel", "sharded"])
 def test_service_paths_serve_view_results_identical_to_reference(mode):
     """The serving layer (serial / parallel / sharded) stays bit-identical."""
