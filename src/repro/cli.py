@@ -711,16 +711,18 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
                 stdin = opened = open(args.input, "r", encoding="utf-8")
             else:
                 stdin = sys.stdin
-        served = 0
         for line in stdin:
             response, session_over = core.handle_line(line)
             if response is not None:
                 print(json.dumps(response), flush=True)
-                if response.get("op") != "quit":
-                    served += 1
+                if not session_over:
+                    core.stats.note_response()
             if session_over:
                 break
-        print(f"served {served} requests from {source}", file=sys.stderr)
+        print(
+            f"served {core.stats.responses_sent} requests from {source}",
+            file=sys.stderr,
+        )
         if args.residency:
             _print_residency_line(service, file=sys.stderr)
     finally:

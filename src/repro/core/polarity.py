@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
@@ -84,16 +84,19 @@ def compute_polarity_id_arrays(
     source: Vertex,
     target: Vertex,
     interval,
-) -> Tuple[List[float], List[float], Dict[int, int]]:
+) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
     """Algorithm 3 over the frozen CSR view, in interned-id space.
 
-    Returns ``(arrival_by_id, departure_by_id, frontier)``.  The two tables
-    are lists indexed by interned vertex id with the same values
-    :func:`compute_polarity_times` produces (the sweeps converge to the
-    unique earliest-arrival/latest-departure fixed point, so the two
-    implementations are interchangeable).  This is the polarity kernel of
-    the zero-materialization pipeline: dense lists replace hash tables, and
-    the per-vertex timestamp lists the dict-based sweeps rebuild every
+    Returns ``(arrival, departure, frontier)``.  The two tables are sparse
+    maps from interned vertex id to ``A(v)`` and ``D(v)``: they hold only
+    the vertices the forward and backward sweeps reached, and an absent id
+    means ``+inf`` (arrival) or ``-inf`` (departure).  Expanded to every
+    vertex they equal what :func:`compute_polarity_times` produces (the
+    sweeps converge to the unique earliest-arrival/latest-departure fixed
+    point, so the two implementations are interchangeable).  This is the
+    polarity kernel of the zero-materialization pipeline: a query allocates
+    in proportion to what its sweeps reach, never to ``|V|`` of the view,
+    and the per-vertex timestamp lists the dict-based sweeps rebuild every
     query are bisected *in place* on the view's CSR-aligned
     ``out_ts``/``in_ts`` columns instead.
 
@@ -112,13 +115,12 @@ def compute_polarity_id_arrays(
 
 def _sweep_arrival_ids(
     view: GraphView, source_id, target_id, window: TimeInterval
-) -> Tuple[List[float], Dict[int, int]]:
+) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Id-space forward sweep (mirror of :func:`_sweep_earliest_arrival`).
 
-    Returns the arrival table and the ``processed_from`` frontier.
+    Returns the sparse arrival table and the ``processed_from`` frontier.
     """
-    num_vertices = view.num_vertices
-    arrival: List[float] = [INFINITY] * num_vertices
+    arrival: Dict[int, int] = {}
     # Lowest out-CSR position already relaxed per vertex (exclusive stop).
     # A vertex is re-expanded whenever its arrival drops below τe, so once
     # the sweep ends this is the first position with τ > max(A(u), τb - 1)
@@ -128,14 +130,13 @@ def _sweep_arrival_ids(
         return arrival, processed_from
     arrival[source_id] = window.begin - 1
     queue = deque([source_id])
-    queued = bytearray(num_vertices)
-    queued[source_id] = 1
+    queued = {source_id}
     offsets, out_ts, out_dst = view.out_offsets, view.out_ts, view.out_dst
     window_end = window.end
     floor = window.begin - 1
     while queue:
         u = queue.popleft()
-        queued[u] = 0
+        queued.discard(u)
         current = arrival[u]
         begin, end = offsets[u], offsets[u + 1]
         stop = processed_from.get(u, end)
@@ -152,27 +153,28 @@ def _sweep_arrival_ids(
             if v == target_id:
                 # Algorithm 3 line 6: do not expand through the target.
                 continue
-            if timestamp >= arrival[v]:
+            if v in arrival and timestamp >= arrival[v]:
                 continue
             arrival[v] = timestamp
-            if timestamp != window_end and not queued[v]:
+            if timestamp != window_end and v not in queued:
                 queue.append(v)
-                queued[v] = 1
+                queued.add(v)
     return arrival, processed_from
 
 
 def _sweep_departure_ids(
     view: GraphView, source_id, target_id, window: TimeInterval
-) -> List[float]:
-    """Id-space backward sweep (mirror of :func:`_sweep_latest_departure`)."""
-    num_vertices = view.num_vertices
-    departure: List[float] = [NEG_INFINITY] * num_vertices
+) -> Dict[int, int]:
+    """Id-space backward sweep (mirror of :func:`_sweep_latest_departure`).
+
+    Returns the sparse departure table.
+    """
+    departure: Dict[int, int] = {}
     if target_id is None:
         return departure
     departure[target_id] = window.end + 1
     queue = deque([target_id])
-    queued = bytearray(num_vertices)
-    queued[target_id] = 1
+    queued = {target_id}
     # Highest in-CSR position (exclusive) already relaxed per vertex.
     processed_to: Dict[int, int] = {}
     offsets, in_ts, in_src = view.in_offsets, view.in_ts, view.in_src
@@ -180,7 +182,7 @@ def _sweep_departure_ids(
     ceiling = window.end + 1
     while queue:
         u = queue.popleft()
-        queued[u] = 0
+        queued.discard(u)
         current = departure[u]
         begin, end = offsets[u], offsets[u + 1]
         start = processed_to.get(u, begin)
@@ -197,12 +199,12 @@ def _sweep_departure_ids(
             if v == source_id:
                 # Mirror of the forward sweep: never expand through s.
                 continue
-            if timestamp <= departure[v]:
+            if v in departure and timestamp <= departure[v]:
                 continue
             departure[v] = timestamp
-            if timestamp != window_begin and not queued[v]:
+            if timestamp != window_begin and v not in queued:
                 queue.append(v)
-                queued[v] = 1
+                queued.add(v)
     return departure
 
 

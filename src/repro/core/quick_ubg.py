@@ -25,12 +25,12 @@ of the exp11 benchmark and the randomized equivalence oracle.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Set, Union
 
 from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView, SubgraphView
-from .polarity import PolarityTimes, compute_polarity_times
+from .polarity import INFINITY, NEG_INFINITY, PolarityTimes, compute_polarity_times
 
 GraphLike = Union[TemporalGraph, GraphView]
 
@@ -83,36 +83,41 @@ def quick_upper_bound_graph(
             )
         polarity = compute_polarity_times(graph, source, target, window)
     view = _as_view(graph)
-    # Re-key the polarity tables from vertex labels to interned ids once
-    # (O(n)); the mask kernel itself is pure array indexing.
-    arrival = polarity.arrival
-    departure = polarity.departure
-    infinity = float("inf")
-    neg_infinity = float("-inf")
-    labels = view.labels
-    arrival_by_id = [arrival.get(label, infinity) for label in labels]
-    departure_by_id = [departure.get(label, neg_infinity) for label in labels]
-    return quick_mask_kernel(view, arrival_by_id, departure_by_id, window)
+    # Re-key the finite polarity entries from vertex labels to interned
+    # ids: the kernel's tables are sparse, an absent id meaning ±inf.
+    index_of = view.index_of
+    arrival = {
+        index_of[label]: time
+        for label, time in polarity.arrival.items()
+        if time < INFINITY and label in index_of
+    }
+    departure = {
+        index_of[label]: time
+        for label, time in polarity.departure.items()
+        if time > NEG_INFINITY and label in index_of
+    }
+    return quick_mask_kernel(view, arrival, departure, window)
 
 
 def _derive_frontier(
-    view: GraphView, arrival_by_id: Sequence[float], window: TimeInterval
+    view: GraphView, arrival: Dict[int, int], window: TimeInterval
 ) -> Dict[int, int]:
-    """The mask kernel's frontier, derived from an arrival table (O(n)).
+    """The mask kernel's frontier, derived from a sparse arrival table.
 
     Maps every vertex with ``A(u) < τe`` to the first out-CSR position with
-    ``τ > max(A(u), τb - 1)``.  :func:`~repro.core.polarity.
-    compute_polarity_id_arrays` returns the same map straight from its
-    forward sweep; this derivation serves callers that only hold the tables.
+    ``τ > max(A(u), τb - 1)``, walking only the table's reached entries.
+    :func:`~repro.core.polarity.compute_polarity_id_arrays` returns the
+    same map straight from its forward sweep; this derivation serves
+    callers that only hold the tables.
     """
     offsets, out_ts = view.out_offsets, view.out_ts
     window_end = window.end
     floor = window.begin - 1
     frontier: Dict[int, int] = {}
-    for u, arrival in enumerate(arrival_by_id):
-        if arrival < window_end:
+    for u, time in arrival.items():
+        if time < window_end:
             frontier[u] = bisect_right(
-                out_ts, arrival if arrival > floor else floor,
+                out_ts, time if time > floor else floor,
                 offsets[u], offsets[u + 1],
             )
     return frontier
@@ -120,27 +125,29 @@ def _derive_frontier(
 
 def quick_mask_kernel(
     view: GraphView,
-    arrival_by_id: Sequence[float],
-    departure_by_id: Sequence[float],
+    arrival: Dict[int, int],
+    departure: Dict[int, int],
     window,
     frontier: Optional[Dict[int, int]] = None,
 ) -> SubgraphView:
     """The Lemma 1 edge mask over interned columns (Algorithm 2).
 
-    ``frontier`` maps each vertex ``u`` the forward sweep reached to the
-    out-CSR position where its edges with ``τ > A(u)`` begin (see
-    :func:`~repro.core.polarity.compute_polarity_id_arrays`); when omitted
-    it is derived from ``arrival_by_id`` by :func:`_derive_frontier`.
-    Each run ends at ``τe`` (one bisect), and an edge in it survives iff
-    ``τ < D(v)`` — the ``A(u) < τ`` half of Lemma 1 holds by construction,
-    and every survivor lies in ``[τb, τe]``.  The cost is the out-edges of
-    reached vertices after their arrival time plus a sort of the survivors
-    into the ascending order :class:`SubgraphView` expects; in-window edges
-    out of unreached vertices are never read.
+    ``arrival`` and ``departure`` are the sparse id-space polarity tables
+    of :func:`~repro.core.polarity.compute_polarity_id_arrays` (an absent
+    id means ``+inf`` / ``-inf``).  ``frontier`` maps each vertex ``u`` the
+    forward sweep reached to the out-CSR position where its edges with
+    ``τ > A(u)`` begin; when omitted it is derived from ``arrival`` by
+    :func:`_derive_frontier`.  Each run ends at ``τe`` (one bisect), and
+    an edge in it survives iff ``τ < D(v)`` — the ``A(u) < τ`` half of
+    Lemma 1 holds by construction, and every survivor lies in
+    ``[τb, τe]``.  The cost is the out-edges of reached vertices after
+    their arrival time plus a sort of the survivors into the ascending
+    order :class:`SubgraphView` expects; in-window edges out of unreached
+    vertices are never read.
     """
     window = as_interval(window)
     if frontier is None:
-        frontier = _derive_frontier(view, arrival_by_id, window)
+        frontier = _derive_frontier(view, arrival, window)
     offsets, out_ts, out_dst = view.out_offsets, view.out_ts, view.out_dst
     out_edges = view.out_edges
     window_end = window.end
@@ -153,7 +160,7 @@ def quick_mask_kernel(
         kept = len(indices)
         for position in range(start, stop):
             v = out_dst[position]
-            if out_ts[position] < departure_by_id[v]:
+            if v in departure and out_ts[position] < departure[v]:
                 append(out_edges[position])
                 add_vid(v)
         if len(indices) != kept:

@@ -9,6 +9,7 @@ type.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from ..graph.edge import TemporalEdge, TimeInterval, Timestamp, Vertex, as_edge, as_interval
@@ -117,6 +118,18 @@ class PathGraph:
     def is_empty(self) -> bool:
         """``True`` when the path graph has no edges."""
         return not self.edges
+
+    @cached_property
+    def ordered_edges(self) -> Tuple[EdgeTuple, ...]:
+        """The edges sorted by ``(τ, str(u), str(v))``, computed once.
+
+        The deterministic order the serving tier writes ``include_edges``
+        answers in.  A result is immutable and a cache hit shares it, so
+        the sort runs once per answer rather than once per response.
+        """
+        return tuple(
+            sorted(self.edges, key=lambda item: (item[2], str(item[0]), str(item[1])))
+        )
 
     def temporal_edges(self) -> Iterator[TemporalEdge]:
         """Iterate edges as :class:`TemporalEdge` objects."""

@@ -436,6 +436,10 @@ class RequestCore:
         except (TypeError, ValueError) as exc:
             self.stats.note_protocol_error()
             return {"ok": False, "error": str(exc)}, False
+        if deadline is not None and deadline.expired():
+            # Refuse before work, as the TCP tier's admission does.
+            self.stats.note_refusal("deadline")
+            return self.deadline_refusal(request), False
         return self.respond(request, deadline), False
 
     def respond(self, request: dict, deadline: Optional[Deadline] = None) -> dict:
@@ -522,13 +526,10 @@ class RequestCore:
         }
         if request.get("include_edges"):
             # Deterministic order so two replays of the same answer are
-            # byte-identical on the wire, not just set-equal.
+            # byte-identical on the wire, not just set-equal.  Fresh lists:
+            # a caller mutating the response cannot touch a cached answer.
             response["edges"] = [
-                [u, v, t]
-                for u, v, t in sorted(
-                    outcome.result.edges,
-                    key=lambda item: (item[2], str(item[0]), str(item[1])),
-                )
+                [u, v, t] for u, v, t in outcome.result.ordered_edges
             ]
         return response
 
@@ -649,7 +650,8 @@ class RequestCore:
                 "refused": True,
             }
         if operation == "batch":
-            total = len(request.get("queries") or [])
+            queries = request.get("queries")
+            total = len(queries) if isinstance(queries, list) else 0
             return {
                 "ok": True,
                 "op": "batch",

@@ -325,12 +325,31 @@ class TestServeCommand:
         assert "pool" not in stats  # thread executor attaches no pool
 
     def test_expired_deadline_reports_timed_out(self, tmp_path, capsys):
-        responses = self._run(tmp_path, [
+        # Mirrors test_server's refuse-before-work test: stdio shares the
+        # TCP tier's admission semantics and stats schema.
+        query, batch, malformed, stats = self._run(tmp_path, [
             '{"source": "s", "target": "t", "begin": 2, "end": 7, "deadline_ms": -1}',
+            '{"op": "batch", "queries": [["s", "t", 2, 7]], "budget_ms": 0}',
+            # Refused before its queries are validated, without ending the loop.
+            '{"op": "batch", "queries": 7, "budget_ms": 0}',
+            '{"op": "stats"}',
         ], capsys=capsys)
-        assert responses[0]["ok"] is True
-        assert responses[0]["timed_out"] is True
-        assert responses[0]["num_edges"] == 0
+        assert query["ok"] is True
+        assert query["refused"] is True
+        assert query["timed_out"] is True
+        assert query["num_edges"] == 0
+        assert batch["ok"] is True and batch["refused"] is True
+        assert batch["queries"] == 1 and batch["completed"] == 0
+        assert batch["timed_out"] is True
+        assert malformed["refused"] is True and malformed["queries"] == 0
+        # Refuse-before-work: the service never saw these requests (no
+        # cache traffic) and no query or batch op was admitted.
+        server = stats["server"]
+        assert server["refused_deadline"] == 3
+        assert server["requests_admitted"] == 0
+        assert server["responses_sent"] == 3
+        assert server["latency_ms"] == {}
+        assert stats["cache"]["misses"] == 0
 
     def test_malformed_requests_do_not_end_the_loop(self, tmp_path, capsys):
         first, *responses, last = self._run(tmp_path, [

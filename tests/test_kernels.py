@@ -1,11 +1,15 @@
 """Unit tests for the QuickUBG hot-path kernels.
 
-Three layers:
+Four layers:
 
 * the id-space polarity sweeps against the label-space reference
   :func:`compute_polarity_times`, re-keyed through ``view.labels``, over
-  degenerate windows, endpoint edge cases and a randomized multigraph;
+  degenerate windows, endpoint edge cases and a randomized multigraph —
+  the sparse id tables are expanded to every vertex id first, so equality
+  is checked entry by entry;
 * the Lemma 1 mask against Lemma 1 evaluated edge by edge;
+* the cost model — a query allocates for the vertices its sweeps reach,
+  not for ``|V|`` of the view;
 * hash-seed determinism — the engine's results are identical across
   interpreters with different ``PYTHONHASHSEED`` values (set iteration
   order must never leak into kernel outputs).
@@ -17,17 +21,21 @@ the kernels read CSR columns whose storage differs between the three.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from repro.core.polarity import compute_polarity_id_arrays, compute_polarity_times
 from repro.core.quick_ubg import quick_mask_kernel
+from repro.core.vug import VUG
 from repro.graph.columns import ChainedColumn, MmapColumn
 from repro.graph.generators import bursty_email_graph, uniform_random_temporal_graph
+from repro.graph.temporal_graph import TemporalGraph
 from repro.store import boot_snapshot, save_snapshot
 
 
@@ -136,6 +144,21 @@ def _label_space_tables(graph, view, source, target, window):
     )
 
 
+def _expanded(view, arrival, departure):
+    """The sparse id tables as one list entry per vertex id.
+
+    The tables store only reached vertices: every key is a vertex id of
+    the view and no value is ±inf (an absent id stands for it).
+    """
+    for table in (arrival, departure):
+        assert set(table) <= set(range(view.num_vertices))
+        assert not any(math.isinf(time) for time in table.values())
+    return (
+        [arrival.get(vid, math.inf) for vid in range(view.num_vertices)],
+        [departure.get(vid, -math.inf) for vid in range(view.num_vertices)],
+    )
+
+
 class TestPolarityMatchesLabelSpace:
     """The id-space sweeps equal the label-space Algorithm 3, entry by entry."""
 
@@ -145,7 +168,7 @@ class TestPolarityMatchesLabelSpace:
             arrival, departure, _ = compute_polarity_id_arrays(
                 view, source, target, window
             )
-            assert (arrival, departure) == _label_space_tables(
+            assert _expanded(view, arrival, departure) == _label_space_tables(
                 graph, view, source, target, window
             ), (source, target, window)
 
@@ -165,7 +188,7 @@ class TestPolarityMatchesLabelSpace:
             arrival, departure, _ = compute_polarity_id_arrays(
                 view, source, target, window
             )
-            assert (arrival, departure) == _label_space_tables(
+            assert _expanded(view, arrival, departure) == _label_space_tables(
                 g, view, source, target, window
             ), (source, target, window)
 
@@ -179,12 +202,34 @@ class TestMaskMatchesLemma1:
             arrival, departure, frontier = compute_polarity_id_arrays(
                 view, source, target, window
             )
-            expected = _lemma1_mask(view, arrival, departure)
+            expected = _lemma1_mask(view, *_expanded(view, arrival, departure))
             for given in (frontier, None):
                 mask = quick_mask_kernel(view, arrival, departure, window, given)
                 assert (mask.indices, list(mask.vertices())) == expected, (
                     source, target, window, given is None,
                 )
+
+
+def test_query_allocates_for_what_it_reaches():
+    """A one-edge answer on a 50,001-vertex chain allocates kilobytes.
+
+    Only ``0 -> 1`` lies in the window, so the sweeps reach two vertices;
+    any table sized to ``|V|`` (8 bytes per vertex) would peak far above
+    the bound.
+    """
+    g = TemporalGraph()
+    g.add_edges((i, i + 1, 1) for i in range(50_000))
+    engine = VUG()
+    warm = engine.run(g, 0, 1, (1, 10))  # builds and caches the view
+    assert warm.result.edges == {(0, 1, 1)}
+    tracemalloc.start()
+    try:
+        report = engine.run(g, 0, 1, (1, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.result.edges == {(0, 1, 1)}
+    assert peak < 64 * 1024, f"query peaked at {peak} bytes"
 
 
 #: Subprocess payload for the hash-seed sweep: runs the VUG engine on a

@@ -32,6 +32,14 @@ class TestPathGraphConstruction:
         result = PathGraph.from_graph("s", "t", (1, 2), graph)
         assert result.to_temporal_graph() == graph
 
+    def test_ordered_edges_sorted_once(self):
+        result = PathGraph.from_edges(
+            "s", "t", (1, 9), [("b", "t", 5), (10, "t", 3), ("s", "b", 3), (2, 10, 3)]
+        )
+        ordered = result.ordered_edges
+        assert ordered == ((10, "t", 3), (2, 10, 3), ("s", "b", 3), ("b", "t", 5))
+        assert result.ordered_edges is ordered  # memoized on the result
+
     def test_temporal_edges_iteration(self):
         result = PathGraph.from_edges("s", "t", (1, 5), [("s", "t", 2)])
         assert list(result.temporal_edges()) == [TemporalEdge("s", "t", 2)]

@@ -596,3 +596,16 @@ class TestHelpers:
         response, over = core.handle_line(json.dumps(QUERY) + "\n")
         assert response["ok"] is True and over is False
         assert core.stats.protocol_errors == 1
+
+    def test_edge_lists_are_fresh_on_every_cache_hit(self):
+        core = RequestCore(TspgService(small_graph()))
+        request = dict(QUERY, include_edges=True)
+        first = core.respond(request)
+        expected = [list(edge) for edge in first["edges"]]
+        assert expected == sorted(expected, key=lambda e: (e[2], e[0], e[1]))
+        # A caller mutating its response must not reach the cached answer.
+        first["edges"][0][2] = -1
+        first["edges"].append(["x", "y", 0])
+        second = core.respond(request)
+        assert second["cache_hit"] is True
+        assert second["edges"] == expected
