@@ -114,8 +114,13 @@ class ResultCache(Generic[Value]):
                 self._evictions += 1
 
     def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
+        """Membership probe: counts no hit or miss and keeps LRU order.
+
+        Lock-free, so an event loop can probe while executor threads hold
+        the lock: one dict lookup is atomic under the GIL, and
+        :meth:`rekey` publishes its rewritten dict in one assignment.
+        """
+        return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:

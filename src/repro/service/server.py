@@ -21,9 +21,12 @@ own protocol implementation:
   firehose client blocks only its own reader), a global in-flight bound
   refuses excess load outright, and a round-robin fair scheduler hands
   worker slots out per-client so one busy connection cannot starve the
-  rest.  Each client's responses are written under a per-connection lock
-  with ``drain()`` — a slow consumer stalls only its own writes, never
-  the accept loop or other clients.
+  rest.  A query whose answer is already cached is answered on the event
+  loop itself — cheaper than the hand-off to a worker thread — and every
+  other request runs on the worker pool.  Each client's replies are
+  written, in request order, by that connection's one processor
+  coroutine with ``drain()`` — a slow consumer stalls only its own
+  writes, never the accept loop or other clients.
 - :class:`TspgClient` is a small blocking JSONL client (tests, the exp18
   load harness, and the CI protocol smoke all drive the server with it),
   and :class:`ServerThread` runs a server on a background event loop for
@@ -414,6 +417,26 @@ class RequestCore:
             ),
         )
 
+    def answerable_from_cache(self, request: dict) -> bool:
+        """Whether ``request`` is a query the service holds a cached answer for.
+
+        True only for a well-formed ``query`` op with a known algorithm
+        whose answer the service's lock-free :meth:`has_cached` probe
+        finds.  It parses the query but neither calls :meth:`respond` nor
+        touches the cache's counters or LRU order, and never raises: a
+        malformed request answers ``False`` and :meth:`respond` reports it.
+        """
+        if request_op(request) != "query":
+            return False
+        algorithm = request.get("algorithm")
+        if algorithm is not None and algorithm not in available_algorithms():
+            return False
+        try:
+            query = self.parse_query(request)
+        except (KeyError, TypeError, ValueError):
+            return False
+        return self.service.has_cached(query, algorithm)
+
     # ------------------------------------------------------------------
     # the line-level protocol (stdio drives this directly)
     # ------------------------------------------------------------------
@@ -700,9 +723,15 @@ class _FairScheduler:
         self._waiters: Dict[object, Deque[asyncio.Future]] = {}
         self._rotation: Deque[object] = deque()
 
-    async def acquire(self, session_key: object) -> None:
+    def try_acquire(self) -> bool:
+        """Take a slot now if one is free and nobody is waiting for it."""
         if self._free > 0 and not self._rotation:
             self._free -= 1
+            return True
+        return False
+
+    async def acquire(self, session_key: object) -> None:
+        if self.try_acquire():
             return
         future = asyncio.get_running_loop().create_future()
         queue = self._waiters.get(session_key)
@@ -756,14 +785,19 @@ _CLOSE = object()
 
 
 class _Session:
-    """One connected client: its writer lock and bounded pending queue."""
+    """One connected client: its writer and bounded pending queue.
 
-    __slots__ = ("key", "writer", "write_lock", "pending", "alive")
+    ``pending`` carries, in arrival order, ``(request, deadline)`` pairs
+    to run, ready-made replies (dicts) the reader produced itself, and the
+    ``_QUIT`` / ``_CLOSE`` sentinels.  Only the session's processor
+    writes to the socket, so replies leave in the order requests came in.
+    """
+
+    __slots__ = ("key", "writer", "pending", "alive")
 
     def __init__(self, key: int, writer: asyncio.StreamWriter, bound: int) -> None:
         self.key = key
         self.writer = writer
-        self.write_lock = asyncio.Lock()
         self.pending: asyncio.Queue = asyncio.Queue(maxsize=bound)
         self.alive = True
 
@@ -772,12 +806,11 @@ class _Session:
             return
         data = (json.dumps(response) + "\n").encode("utf-8")
         try:
-            # The per-session lock + drain() is the slow-client isolation:
-            # a consumer that stops reading fills its own socket buffer and
-            # stalls only coroutines writing to *this* session.
-            async with self.write_lock:
-                self.writer.write(data)
-                await self.writer.drain()
+            # drain() is the slow-client isolation: a consumer that stops
+            # reading fills its own socket buffer and stalls only this
+            # session's processor.
+            self.writer.write(data)
+            await self.writer.drain()
         except (ConnectionError, OSError):
             self.alive = False
 
@@ -788,8 +821,12 @@ class TspgServer:
     Per connection, a *reader* coroutine parses length-delimited lines and
     feeds a bounded pending queue (blocking the reader — TCP backpressure
     — when the client outruns the server), and a *processor* coroutine
-    dequeues, passes admission control, runs the request on a bounded
-    thread pool and writes the response.  Admission control:
+    dequeues, passes admission control, runs the request and writes the
+    response.  A query whose answer is cached runs on the event loop
+    (then yields it, so a backlog of hits takes turns with other
+    sessions); everything else runs on a bounded thread pool.  Replies
+    the reader makes itself (framing errors, bad budgets, overload
+    refusals) queue behind the requests before them.  Admission control:
 
     - a request with a deadline that has already expired, or that expires
       while waiting for a worker slot, is refused before any work runs;
@@ -930,7 +967,7 @@ class TspgServer:
                 line = await reader.readline()
             except (asyncio.LimitOverrunError, ValueError):
                 self.stats.note_protocol_error()
-                await session.send(
+                await session.pending.put(
                     {
                         "ok": False,
                         "error": (
@@ -952,7 +989,7 @@ class TspgServer:
                 text = line.decode("utf-8")
             except UnicodeDecodeError:
                 self.stats.note_protocol_error()
-                await session.send(
+                await session.pending.put(
                     {"ok": False, "error": "request line is not valid UTF-8"}
                 )
                 continue
@@ -960,7 +997,7 @@ class TspgServer:
                 kind, request = parse_request_line(text)
             except ValueError as exc:
                 self.stats.note_protocol_error()
-                await session.send({"ok": False, "error": str(exc)})
+                await session.pending.put({"ok": False, "error": str(exc)})
                 continue
             if kind == "blank":
                 continue
@@ -973,11 +1010,13 @@ class TspgServer:
                 deadline = arrival_deadline(request)
             except (TypeError, ValueError) as exc:
                 self.stats.note_protocol_error()
-                await session.send({"ok": False, "error": str(exc)})
+                await session.pending.put({"ok": False, "error": str(exc)})
                 continue
             if self.queue_depth >= self._max_inflight:
                 self.stats.note_refusal("overload")
-                await session.send(self._core.overload_refusal(self._max_inflight))
+                await session.pending.put(
+                    self._core.overload_refusal(self._max_inflight)
+                )
                 continue
             self._queued += 1
             # Bounded: when this client has max_pending requests waiting,
@@ -993,33 +1032,57 @@ class TspgServer:
             if item is _QUIT:
                 await session.send({"ok": True, "op": "quit"})
                 return
-            request, deadline = item
-            try:
-                response = await self._admit_and_run(session, request, deadline)
-            except Exception as exc:  # unexpected: answer, never kill the loop
-                response = {"ok": False, "error": f"internal error: {exc!r}"}
-            finally:
-                self._queued -= 1
+            if isinstance(item, dict):
+                # A reply the reader made itself; it never entered the
+                # queue_depth count.
+                response = item
+            else:
+                request, deadline = item
+                try:
+                    response = await self._admit_and_run(
+                        session, request, deadline
+                    )
+                except Exception as exc:  # unexpected: answer, never kill the loop
+                    response = {"ok": False, "error": f"internal error: {exc!r}"}
+                finally:
+                    self._queued -= 1
             await session.send(response)
             self.stats.note_response()
 
     async def _admit_and_run(
         self, session: _Session, request: dict, deadline: Optional[Deadline]
     ) -> dict:
+        remaining = None
         if deadline is not None:
             remaining = deadline.remaining() - self._admission_margin
             if remaining <= 0:
                 self.stats.note_refusal("deadline")
                 return self._core.deadline_refusal(request)
+        if self._core.answerable_from_cache(request):
+            # A cache hit costs less than the hand-off to a worker thread
+            # would, so it runs right here on the loop.
+            self._inflight += 1
             try:
-                await asyncio.wait_for(
-                    self._scheduler.acquire(session.key), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                self.stats.note_refusal("deadline")
-                return self._core.deadline_refusal(request)
-        else:
-            await self._scheduler.acquire(session.key)
+                response = self._core.respond(request, deadline)
+            finally:
+                self._inflight -= 1
+            # Yield once: a session with a backlog of hits must let the
+            # other sessions' requests in between its own.
+            await asyncio.sleep(0)
+            return response
+        # A free slot nobody is waiting for is taken without wait_for,
+        # which would wrap the acquire in a new Task and a timer.
+        if not self._scheduler.try_acquire():
+            if remaining is None:
+                await self._scheduler.acquire(session.key)
+            else:
+                try:
+                    await asyncio.wait_for(
+                        self._scheduler.acquire(session.key), timeout=remaining
+                    )
+                except asyncio.TimeoutError:
+                    self.stats.note_refusal("deadline")
+                    return self._core.deadline_refusal(request)
         self._inflight += 1
         try:
             return await asyncio.get_running_loop().run_in_executor(

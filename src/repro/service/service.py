@@ -774,6 +774,9 @@ class TspgService:
     def _cache_key(self, query: TspgQuery, algorithm: TspgAlgorithm) -> CacheKey:
         with self._algorithms_lock:
             self._pinned_algorithms.setdefault(id(algorithm), algorithm)
+        return self._unpinned_key(query, algorithm)
+
+    def _unpinned_key(self, query: TspgQuery, algorithm: TspgAlgorithm) -> CacheKey:
         # The warmed epoch is part of the key: entries written for an older
         # edge set can never satisfy a lookup issued after a mutation, even
         # if the write lands after the rewarm cleared the cache.
@@ -788,6 +791,24 @@ class TspgService:
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
+    def has_cached(self, query: TspgQuery, algorithm: Optional[str] = None) -> bool:
+        """Whether :meth:`submit` would answer ``query`` from the cache now.
+
+        A non-blocking probe for an event loop: it takes no lock and
+        changes nothing — no rewarm, no algorithm instance built, no hit
+        or miss counted, no LRU move.  It answers ``False`` whenever
+        ``submit`` would first have to rewarm (the graph moved past the
+        warmed epoch) or build the algorithm.  ``True`` is a hint, not a
+        reservation: an ingest landing right after the probe turns the
+        lookup into a miss, which ``submit`` then answers as usual.
+        """
+        if self._graph.epoch != self._warmed_epoch:
+            return False
+        instance = self._algorithms.get(algorithm or self._default_algorithm)
+        if instance is None:
+            return False
+        return self._unpinned_key(query, instance) in self._cache
+
     def submit(
         self,
         query: TspgQuery,

@@ -368,11 +368,15 @@ class ShardedTspgService:
         # saved to one) carries the set-level ``ingest.tspgjournal``;
         # ``_overflow_rows`` holds ingested rows outside every shard extent
         # of a snapshot-booted router (answerable via the fallback; folded
-        # into the next generation by :meth:`rewarm_shards`).
+        # into the next generation by :meth:`rewarm_shards`).  The two sets
+        # beside it index those rows and their endpoints, so dedup and
+        # :meth:`has_vertex` stay O(1) however many rows accumulate.
         self._ingest_lock = threading.Lock()
         self._shard_set_path: Optional[str] = None
         self._shard_residency_requested: bool = False
         self._overflow_rows: List[Tuple[Vertex, Vertex, int]] = []
+        self._overflow_row_set: set = set()
+        self._overflow_vertices: set = set()
         # Mappings retired from superseded generations (survives the
         # per-generation policies being swapped out).
         self._residency_retired: int = 0
@@ -599,16 +603,16 @@ class ShardedTspgService:
                 num_vertices=graph.num_vertices,
             )
         if self._graph is None:
-            known = set(self._overflow_rows)
             for row in rows:
                 if any(
                     spec.extent.begin <= row[2] <= spec.extent.end
                     for spec in topology.shards
                 ):
                     continue
-                if row not in known:
-                    known.add(row)
+                if row not in self._overflow_row_set:
+                    self._overflow_row_set.add(row)
                     self._overflow_rows.append(row)
+                    self._overflow_vertices.update(row[:2])
         span = topology.span
         if rows:
             lo = min(row[2] for row in rows)
@@ -799,6 +803,8 @@ class ShardedTspgService:
                 self._shard_snapshot_epoch = manifest.epoch
                 self._extra_vertices = tuple(shard_set.load_isolated(manifest))
                 self._overflow_rows = []
+                self._overflow_row_set = set()
+                self._overflow_vertices = set()
         return manifest
 
     # ------------------------------------------------------------------
@@ -919,7 +925,7 @@ class ShardedTspgService:
             return self._graph.has_vertex(vertex)
         if vertex in self._extra_vertices:
             return True
-        if any(vertex in row[:2] for row in self._overflow_rows):
+        if vertex in self._overflow_vertices:
             return True
         return any(
             service.graph.has_vertex(vertex)
@@ -1157,6 +1163,27 @@ class ShardedTspgService:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def has_cached(self, query: TspgQuery, algorithm: Optional[str] = None) -> bool:
+        """Whether :meth:`submit` would answer ``query`` from a cache now.
+
+        The router side of :meth:`TspgService.has_cached`: it routes
+        against the published topology and asks the routed service.  No
+        lock, no repartition, and the lazy fallback is never built — a
+        query ``submit`` would repartition for, or route to a fallback
+        not built yet, answers ``False``.
+        """
+        topology = self._topology
+        if self._graph is not None and self._graph.epoch != topology.epoch:
+            return False
+        index = self._route_in(topology, query.interval)
+        if index == FALLBACK_SHARD:
+            service = self._fallback_service
+            if service is None:
+                return False
+        else:
+            service = topology.services[index]
+        return service.has_cached(query, algorithm)
+
     def submit(
         self,
         query: TspgQuery,

@@ -23,7 +23,7 @@ from repro.graph.columns import ChainedColumn
 from repro.graph.generators import uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.queries.query import TspgQuery
-from repro.service import ShardedTspgService, TspgService
+from repro.service import RequestCore, ShardedTspgService, TspgService
 from repro.store import (
     ResidencyPolicy,
     SnapshotError,
@@ -494,6 +494,42 @@ class TestRouterIngest:
                 frozenset(outcome.result.vertices),
                 frozenset(outcome.result.edges),
             )
+
+    def test_vertices_named_only_by_overflow_rows_are_known(self, tmp_path):
+        # Rows past every shard extent live only in the overflow list (and
+        # the journal); membership and label coercion must still see their
+        # endpoints — the integer 7 resolves to the label "7" only if
+        # has_vertex("7") answers True.
+        graph = sample_graph()
+        shard_dir = self._shard_dir(tmp_path, graph)
+        router = ShardedTspgService.from_shard_snapshots(shard_dir)
+        rows = [("t", "z", 30), ("z", "7", 31)]
+        router.ingest(rows)
+        router.ingest(rows)  # a repeat adds no overflow row
+
+        def check(contender):
+            assert contender.has_vertex("z") and contender.has_vertex("7")
+            assert not contender.has_vertex(7)
+            query = RequestCore(contender).parse_query(
+                {"source": 7, "target": "z", "begin": 30, "end": 31}
+            )
+            assert (query.source, query.target) == ("7", "z")
+            assert contender._graph is None  # answered union-free
+
+        check(router)
+        assert router._overflow_rows == rows
+        rebooted = ShardedTspgService.from_shard_snapshots(shard_dir)
+        check(rebooted)  # the journal replay rebuilt the overflow index
+        assert rebooted._overflow_rows == rows
+        rebooted.rewarm_shards()
+        assert rebooted._overflow_rows == []
+        assert not rebooted._overflow_row_set
+        assert not rebooted._overflow_vertices
+        assert rebooted.has_vertex("7")
+        # Generation N+1 holds the rows in its shards, no overflow left.
+        regen = ShardedTspgService.from_shard_snapshots(shard_dir)
+        assert regen._overflow_rows == []
+        check(regen)
 
     def test_snapshot_booted_ingest_does_not_materialise_the_union(
         self, tmp_path

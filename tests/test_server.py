@@ -1,6 +1,6 @@
 """The TCP serving tier: protocol conformance, admission control, concurrency.
 
-Three layers of coverage, all over a *real* socket (no transport mocks):
+Four layers of coverage, all over a *real* socket (no transport mocks):
 
 * **Protocol conformance** — framing edge cases (split/partial lines,
   oversized payloads, malformed JSON, unknown ops, mid-request
@@ -9,6 +9,9 @@ Three layers of coverage, all over a *real* socket (no transport mocks):
 * **Admission control** — refuse-before-work on arrival-stamped
   deadlines, prompt refusals while the pool is saturated, the global
   in-flight bound, and round-robin fairness across clients.
+* **The loop path** — cached queries are answered on the event-loop
+  thread, still refused past their deadline, and a backlog of hits takes
+  turns with other clients.
 * **Concurrency stress** — concurrent query clients race a writer client
   issuing ``ingest`` ops; every answer must be bit-identical to a serial
   replay of the ingest sequence at some epoch inside the answer's stamped
@@ -20,6 +23,7 @@ import asyncio
 import json
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -72,6 +76,35 @@ class SlowService(TspgService):
 
     def submit(self, query, algorithm=None, **kwargs):
         time.sleep(self._delay)
+        return super().submit(query, algorithm, **kwargs)
+
+
+class ThreadRecordingService(TspgService):
+    """Records the name of the thread each submit runs on."""
+
+    def __init__(self, graph, **kwargs) -> None:
+        super().__init__(graph, **kwargs)
+        self.threads = []
+
+    def submit(self, query, algorithm=None, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        return super().submit(query, algorithm, **kwargs)
+
+
+class SlowHitService(TspgService):
+    """A service whose submit takes ``delay`` seconds on cache hits only.
+
+    Hits run on the event loop, so this is a backlog of hits that blocks
+    the loop for a predictable window per request.
+    """
+
+    def __init__(self, graph, delay: float, **kwargs) -> None:
+        super().__init__(graph, **kwargs)
+        self._delay = delay
+
+    def submit(self, query, algorithm=None, **kwargs):
+        if self.has_cached(query, algorithm):
+            time.sleep(self._delay)
         return super().submit(query, algorithm, **kwargs)
 
 
@@ -243,6 +276,38 @@ class TestProtocolConformance:
                 with pytest.raises(ConnectionError):
                     client.recv()  # the server closed after the ack
 
+    def test_reader_replies_keep_their_place_in_the_order(self):
+        # Framing and budget errors are answered by the reader itself; they
+        # must still queue behind the slow query sent before them.
+        service = SlowService(small_graph(), delay=0.2, cache_size=0)
+        with boot(service) as st:
+            with TspgClient(st.address) as client:
+                client.send_raw(
+                    (json.dumps(QUERY) + "\n").encode()
+                    + b"{not json\n"
+                    + (json.dumps(dict(QUERY, deadline_ms="x")) + "\n").encode()
+                )
+                replies = [client.recv() for _ in range(3)]
+                assert replies[0]["ok"] is True and replies[0]["op"] == "query"
+                assert replies[1]["ok"] is False
+                assert "deadline_ms" not in replies[1]["error"]
+                assert replies[2]["ok"] is False
+                assert "deadline_ms" in replies[2]["error"]
+                server = client.request({"op": "stats"})["server"]
+                # Reader replies count as responses, not as queued work.
+                assert server["responses_sent"] == 3
+                assert server["protocol_errors"] == 2
+                assert server["queue_depth"] == 1  # the stats request itself
+
+    def test_overload_refusal_follows_the_answer_queued_before_it(self):
+        service = SlowService(small_graph(), delay=0.2, cache_size=0)
+        with boot(service, workers=1, max_inflight=1) as st:
+            with TspgClient(st.address) as client:
+                first, second = client.request_pipelined([dict(QUERY)] * 2)
+                assert first["ok"] is True and first["op"] == "query"
+                assert second["ok"] is False and second["refused"] is True
+                assert second["retryable"] is True
+
     def test_eof_without_quit_closes_cleanly(self):
         with boot() as st:
             client = TspgClient(st.address)
@@ -394,12 +459,77 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
+# cached queries answer on the event loop
+# ----------------------------------------------------------------------
+
+
+class TestLoopPath:
+    def test_a_cache_hit_runs_on_the_loop_and_a_miss_on_a_worker(self):
+        service = ThreadRecordingService(small_graph())
+        with boot(service) as st:
+            with TspgClient(st.address) as client:
+                request = dict(QUERY, include_edges=True)
+                miss = client.request(request)
+                hit = client.request(request)
+        assert miss["cache_hit"] is False and hit["cache_hit"] is True
+        assert hit["edges"] == miss["edges"] and miss["edges"]
+        assert service.threads[0].startswith("tspg-serve_")
+        assert service.threads[1] == "tspg-server"  # the event-loop thread
+
+    def test_an_expired_deadline_is_refused_even_when_cached(self):
+        with boot() as st:
+            with TspgClient(st.address) as client:
+                assert client.request(dict(QUERY))["ok"] is True
+                response = client.request(dict(QUERY, deadline_ms=-1))
+                assert response["refused"] is True
+                assert response["timed_out"] is True
+                assert response["cache_hit"] is False
+                stats = client.request({"op": "stats"})
+                assert stats["cache"]["hits"] == 0
+                assert stats["cache"]["misses"] == 1
+                assert stats["server"]["refused_deadline"] == 1
+
+    def test_cached_firehose_cannot_starve_a_polite_client(self):
+        service = SlowHitService(small_graph(), delay=0.05)
+        with boot(service, workers=1) as st:
+            with TspgClient(st.address) as firehose, TspgClient(st.address) as polite:
+                assert polite.request(dict(QUERY))["cache_hit"] is False
+                firehose.send_raw(
+                    b"".join([(json.dumps(QUERY) + "\n").encode()] * 16)
+                )
+                time.sleep(0.06)  # firehose backlog is in place
+                started = time.monotonic()
+                assert polite.request(dict(QUERY))["cache_hit"] is True
+                polite_wait = time.monotonic() - started
+                # Each hit yields the loop, so the polite client waits a few
+                # hits, not the 16-deep backlog (~0.8s).
+                assert polite_wait < 0.5
+                for _ in range(16):
+                    assert firehose.recv()["cache_hit"] is True
+
+
+# ----------------------------------------------------------------------
 # concurrency stress: the exp17 oracle across the network boundary
 # ----------------------------------------------------------------------
 
 
 class TestConcurrentIngestOracle:
     def test_concurrent_answers_match_a_serial_replay_at_their_epoch(self):
+        self._check_against_serial_replay(cache_size=0)
+
+    def test_loop_answered_hits_match_a_serial_replay_at_their_epoch(self):
+        # With the cache on, repeats are answered on the event loop while
+        # the writer ingests, so the lock-free probe races every ingest; a
+        # short switch interval makes the threads interleave finely.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records = self._check_against_serial_replay(cache_size=1024)
+        finally:
+            sys.setswitchinterval(interval)
+        assert any(response["cache_hit"] for _, response in records)
+
+    def _check_against_serial_replay(self, cache_size: int):
         dataset = get_dataset("D1")
         graph = dataset.load()
         base_edges = list(graph.edge_tuples())
@@ -420,7 +550,7 @@ class TestConcurrentIngestOracle:
                 batch.append((u, v, rng.randint(lo, hi)))
             batches.append(batch)
 
-        service = TspgService(graph, cache_size=0)
+        service = TspgService(graph, cache_size=cache_size)
         records = []
         errors = []
         with boot(service) as st:
@@ -498,6 +628,7 @@ class TestConcurrentIngestOracle:
                 f"answer for {query} (epochs {k_lo}..{k_hi}) matches no "
                 f"serial replay prefix"
             )
+        return records
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,12 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.queries.query import QueryWorkload, TspgQuery
 from repro.queries.runner import QueryRunner
 from repro.queries.workload import generate_workload
-from repro.service import ResultCache, TspgService
+from repro.service import (
+    FALLBACK_SHARD,
+    ResultCache,
+    ShardedTspgService,
+    TspgService,
+)
 
 
 def _random_case(seed: int):
@@ -391,6 +396,100 @@ class TestResultCache:
         refetched = service.query(source, target, interval)
         assert "cache_hit" not in refetched.extras
         assert service.cache_stats().evictions >= 1
+
+
+# ----------------------------------------------------------------------
+# the lock-free cache probe (what the event loop asks before a hit)
+# ----------------------------------------------------------------------
+def _probe_graph() -> TemporalGraph:
+    return uniform_random_temporal_graph(
+        num_vertices=16, num_edges=100, num_timestamps=30, seed=5
+    )
+
+
+@pytest.fixture(params=["flat", "mmap-router"])
+def probed(request, tmp_path):
+    """A flat service, or a router booted from mmap shard snapshots."""
+    if request.param == "flat":
+        return TspgService(_probe_graph())
+    path = str(tmp_path / "shards")
+    ShardedTspgService(_probe_graph(), 3, overlap=1).save_shards(path)
+    return ShardedTspgService.from_shard_snapshots(path, mmap=True)
+
+
+#: Routes to shard 0 of the three-shard router; (1, 30) spans them all.
+SHARD_QUERY = TspgQuery(0, 5, (1, 6))
+SPANNING_QUERY = TspgQuery(0, 5, (1, 30))
+
+
+class TestCacheProbe:
+    def test_false_before_the_first_submit_true_after(self, probed):
+        assert not probed.has_cached(SHARD_QUERY)
+        probed.submit(SHARD_QUERY)
+        assert probed.has_cached(SHARD_QUERY)
+        assert probed.has_cached(SHARD_QUERY, "VUG")
+        # Another algorithm (never built) and an unknown name find nothing.
+        assert not probed.has_cached(SHARD_QUERY, "VUG-noTight")
+        assert not probed.has_cached(SHARD_QUERY, "no-such-algorithm")
+        assert not probed.has_cached(TspgQuery(5, 0, (1, 6)))
+
+    def test_false_after_an_ingest_until_the_next_query(self, probed):
+        probed.submit(SHARD_QUERY)
+        probed.ingest([(100, 101, 3)])  # inside the query window
+        assert not probed.has_cached(SHARD_QUERY)
+        assert probed.submit(SHARD_QUERY).extras.get("cache_hit") is None
+        assert probed.has_cached(SHARD_QUERY)
+
+    def test_probing_counts_nothing_and_builds_nothing(self, probed):
+        probed.submit(SHARD_QUERY)
+        before = probed.cache_stats()
+        for _ in range(3):
+            assert probed.has_cached(SHARD_QUERY)
+            assert not probed.has_cached(TspgQuery(1, 2, (1, 6)))
+            assert not probed.has_cached(SHARD_QUERY, "VUG-noTight")
+        after = probed.cache_stats()
+        assert (after.hits, after.misses, after.size) == (
+            before.hits, before.misses, before.size,
+        )
+        if isinstance(probed, ShardedTspgService):
+            services = probed._all_services()
+        else:
+            services = [probed]
+        for service in services:
+            assert "VUG-noTight" not in service._algorithms
+
+    def test_flat_probe_is_false_while_the_graph_is_ahead_of_the_warm(self):
+        service = TspgService(_probe_graph())
+        service.submit(SHARD_QUERY)
+        service.graph.append_edges([(100, 101, 29)])  # outside the window
+        # submit would rewarm first, so the probe declines even though
+        # the entry survives that rewarm.
+        assert not service.has_cached(SHARD_QUERY)
+        assert service.warmed_epoch != service.graph.epoch
+        assert service.submit(SHARD_QUERY).extras.get("cache_hit") is True
+        assert service.has_cached(SHARD_QUERY)
+
+    def test_probing_keeps_lru_order(self):
+        service = TspgService(_probe_graph(), cache_size=2)
+        first, second = SHARD_QUERY, TspgQuery(1, 2, (1, 6))
+        service.submit(first)
+        service.submit(second)
+        assert service.has_cached(first)  # a get() here would refresh it
+        service.submit(TspgQuery(2, 3, (1, 6)))  # evicts the LRU entry
+        assert not service.has_cached(first)
+        assert service.has_cached(second)
+
+    def test_router_probe_never_builds_the_fallback(self, tmp_path):
+        path = str(tmp_path / "shards")
+        ShardedTspgService(_probe_graph(), 3, overlap=1).save_shards(path)
+        router = ShardedTspgService.from_shard_snapshots(path, mmap=True)
+        assert router.route(SPANNING_QUERY.interval) == FALLBACK_SHARD
+        assert not router.has_cached(SPANNING_QUERY)
+        assert router.describe()[-1]["built"] is False
+        assert router._graph is None  # nor materialised the union
+        router.submit(SPANNING_QUERY)
+        assert router.describe()[-1]["built"] is True
+        assert router.has_cached(SPANNING_QUERY)
 
 
 # ----------------------------------------------------------------------
