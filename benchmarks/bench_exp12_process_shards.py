@@ -30,8 +30,7 @@ Environment knobs (used by the CI smoke job to run on a tiny dataset):
 
 The aggregated series is written to ``results/exp12_process_shards.txt`` and
 the raw timings to ``results/exp12_process_shards.json`` (the artifact the
-CI job uploads next to the exp10/exp11 ones so timing trajectories
-accumulate).
+CI job uploads).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ Environment knobs (used by the CI smoke job to run on a tiny dataset):
 
 The aggregated series is written to ``results/exp13_serving_pool.txt`` and
 the raw timings to ``results/exp13_serving_pool.json`` (the artifact the CI
-job uploads next to the exp10–exp12 ones so timing trajectories accumulate).
+job uploads).
 """
 
 from __future__ import annotations

@@ -85,9 +85,9 @@ class VUGNoLemma10(VUGAlgorithm):
 class VUGMaterializing(VUGAlgorithm):
     """Reference: the pre-refactor pipeline that materializes ``Gq``/``Gt``.
 
-    Registered so the randomized equivalence oracle and the exp11 benchmark
-    can compare the zero-materialization hot path against the original
-    per-phase graph-building implementation through the same interface.
+    Registered so the randomized equivalence oracle can compare the
+    zero-materialization hot path against the original per-phase
+    graph-building implementation through the same interface.
     """
 
     name = "VUG-materializing"

@@ -20,8 +20,6 @@ from .memory import (
     SpaceProfile,
     collect_space_profiles,
     measure_deep_size,
-    peak_rss_bytes,
-    rss_bytes,
 )
 
 __all__ = [
@@ -40,6 +38,4 @@ __all__ = [
     "SpaceProfile",
     "collect_space_profiles",
     "measure_deep_size",
-    "peak_rss_bytes",
-    "rss_bytes",
 ]

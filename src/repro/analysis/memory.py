@@ -13,86 +13,15 @@ wildly between the cheapest and most expensive query.
 For completeness, :func:`measure_deep_size` provides an actual byte-level
 measurement of Python object graphs (via ``sys.getsizeof`` recursion) that the
 space benchmark also reports.
-
-:func:`rss_bytes` / :func:`peak_rss_bytes` expose the *process-level* view —
-current and high-water resident set size — for the one experiment where
-interpreter RSS is the measurement itself: exp15's mmap-boot ceiling, which
-asserts that mapping a snapshot keeps resident memory far below the file's
-column payload until queries actually touch the pages.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from ..baselines.interface import AlgorithmResult
-
-
-def _status_kb(field_name: str) -> Optional[int]:
-    """Read one kB-denominated field from ``/proc/self/status`` (Linux)."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii") as handle:
-            for line in handle:
-                if line.startswith(field_name + ":"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        return None
-    return None
-
-
-def _statm_rss_bytes() -> Optional[int]:
-    """Fast current-RSS read from ``/proc/self/statm`` (Linux).
-
-    ``statm`` is a single short line (seven page counts, field 1 is the
-    resident set), so one read + split beats scanning ``status`` line by
-    line — this path sits inside residency-tracking serve loops and the
-    exp16 probes, where it is called per request.
-    """
-    try:
-        with open("/proc/self/statm", "rb", buffering=0) as handle:
-            pages = int(handle.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def rss_bytes() -> Optional[int]:
-    """Current resident set size of this process in bytes (None if unknown).
-
-    Linux reads ``/proc/self/statm`` (one unbuffered read of a short line)
-    with ``VmRSS`` from ``/proc/self/status`` as the fallback; elsewhere
-    there is no portable *current*-RSS source without third-party deps, so
-    callers must handle ``None`` (exp15/exp16 skip their ceiling
-    assertions in that case).
-    """
-    rss = _statm_rss_bytes()
-    if rss is not None:
-        return rss
-    kb = _status_kb("VmRSS")
-    return None if kb is None else kb * 1024
-
-
-def peak_rss_bytes() -> Optional[int]:
-    """High-water resident set size of this process in bytes (None if unknown).
-
-    Linux reads ``VmHWM`` from ``/proc/self/status`` and falls back to
-    ``resource.getrusage`` (whose ``ru_maxrss`` is kB on Linux, bytes on
-    macOS).
-    """
-    kb = _status_kb("VmHWM")
-    if kb is not None:
-        return kb * 1024
-    try:
-        import resource
-    except ImportError:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if peak <= 0:
-        return None
-    return int(peak) if sys.platform == "darwin" else int(peak) * 1024
 
 
 @dataclass

@@ -18,7 +18,8 @@ main operations:
   touching any payload byte;
 * ``datasets``    — list the synthetic dataset analogues and their statistics
   (plus the ``synth-scale`` streaming generator's parameters, never loaded);
-* ``experiment``  — run one of the paper's experiments (table1, exp1 … exp18);
+* ``experiment``  — run one of the paper's experiments (table1, exp1 … exp8) or
+  a service experiment (exp9, exp12, exp13);
 * ``case-study``  — reproduce the SFMTA transit case study (Fig. 13).
 
 ``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the v4
@@ -870,16 +871,11 @@ def _command_experiment(args: argparse.Namespace) -> int:
         )
     elif name in {"exp12", "exp13"}:
         report = driver(args.dataset, num_queries=args.queries, workers=args.workers)
-    elif name in {"exp10", "exp11", "exp15", "exp16", "exp17", "exp18"}:
-        report = driver(args.dataset, num_queries=args.queries)
     else:
         report = driver(keys=args.datasets, num_queries=args.queries)
     if name in {"exp2", "exp5-fig10", "exp6", "exp7"}:
         x_label = "theta"
-    elif name in {
-        "exp9", "exp10", "exp11", "exp12", "exp13", "exp15", "exp16", "exp17",
-        "exp18",
-    }:
+    elif name in {"exp9", "exp12", "exp13"}:
         x_label = "mode"
     else:
         x_label = "dataset"

@@ -96,25 +96,8 @@ class TestTableAndFigureDrivers:
         assert set(experiments.EXPERIMENTS) == {
             "table1", "exp1", "exp2", "exp3", "exp4",
             "exp5-table2", "exp5-fig9", "exp5-fig10",
-            "exp6", "exp7", "exp8", "exp9", "exp10", "exp11", "exp12",
-            "exp13", "exp15", "exp16", "exp17", "exp18",
+            "exp6", "exp7", "exp8", "exp9", "exp12", "exp13",
         }
-
-    def test_exp10_store_and_shards(self):
-        report = experiments.exp10_store_and_shards(
-            "D1", num_queries=3, shard_counts=(2,)
-        )
-        by_mode = {row["mode"]: row for row in report.rows}
-        assert {"cold-boot", "snapshot-boot", "1-shard", "2-shard"} <= set(by_mode)
-        assert by_mode["snapshot-boot"]["wall_s"] <= by_mode["cold-boot"]["wall_s"]
-        assert by_mode["2-shard"]["identical"] is True
-
-    def test_exp11_view_pipeline(self):
-        report = experiments.exp11_view_pipeline("D1", num_queries=4, rounds=1)
-        by_mode = {row["mode"]: row for row in report.rows}
-        assert {"zero-materialization", "materializing"} == set(by_mode)
-        # The driver cross-checks bit-identity internally; the note records it.
-        assert any("bit-identical" in note for note in report.notes)
 
     def test_exp12_process_shards(self, tmp_path):
         report = experiments.exp12_process_shards(

@@ -488,14 +488,3 @@ class TestServeCommand:
         # One worker set served both batches: the pool never re-forked.
         assert stats["pool"]["batches_served"] == 2
         assert stats["pool"]["generation"] == 1
-
-
-class TestExperimentExp10:
-    def test_exp10_runs_on_a_small_dataset(self, capsys):
-        assert main([
-            "experiment", "exp10", "--dataset", "D1", "--queries", "3",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Exp-10" in out
-        assert "snapshot-boot" in out
-        assert "cold-boot" in out

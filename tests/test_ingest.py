@@ -19,6 +19,7 @@ import threading
 import pytest
 
 from repro.algorithms import get_algorithm
+from repro.datasets.registry import load_dataset
 from repro.graph.columns import ChainedColumn
 from repro.graph.generators import uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
@@ -26,6 +27,7 @@ from repro.queries.query import TspgQuery
 from repro.service import RequestCore, ShardedTspgService, TspgService
 from repro.store import (
     ResidencyPolicy,
+    ShardSnapshotSet,
     SnapshotError,
     SnapshotGraphStore,
     append_journal_delta,
@@ -559,6 +561,50 @@ class TestRouterIngest:
             frozenset(outcome.result.vertices),
             frozenset(outcome.result.edges),
         )
+
+    def test_a_crash_before_the_manifest_commit_keeps_generation_n_serving(
+        self, tmp_path, monkeypatch
+    ):
+        # Kill the re-warm at the worst moment: the generation-N+1 shard
+        # files are on disk but the atomic manifest commit has not run.
+        # Generation N plus the journal must still serve, and the next
+        # boot replays the journal as if the re-warm was never attempted.
+        import repro.store.shard_set as shard_set_mod
+
+        shard_dir = str(tmp_path / "shards")
+        ShardedTspgService(load_dataset("D1"), 3).save_shards(shard_dir)
+        router = ShardedTspgService.from_shard_snapshots(shard_dir)
+        base_epoch = router._current_topology().epoch
+        delta = router.ingest([(0, 1, 200), (1, 2, 201), (0, 2, 205)])
+        sidecar = os.path.join(shard_dir, "ingest.tspgjournal")
+        assert os.path.exists(sidecar)
+
+        real_commit = shard_set_mod._commit_bytes
+
+        def crash_on_manifest(path, blobs):
+            if os.path.basename(str(path)) == "manifest.json":
+                raise RuntimeError("injected crash before manifest commit")
+            return real_commit(path, blobs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(shard_set_mod, "_commit_bytes", crash_on_manifest)
+            with pytest.raises(RuntimeError, match="injected crash"):
+                router.rewarm_shards()
+
+        _, records = read_journal(sidecar)
+        assert records, "journal emptied before the manifest commit"
+        assert ShardSnapshotSet(shard_dir).manifest().epoch == base_epoch
+        reboot = ShardedTspgService.from_shard_snapshots(shard_dir)
+        assert reboot._current_topology().epoch == delta.new_epoch
+        answer = reboot.query(0, 1, (195, 206))
+        assert (0, 1, 200) in answer.result.edges
+
+        # A clean re-warm afterwards folds the journal for real.
+        manifest = reboot.rewarm_shards()
+        assert manifest.epoch == delta.new_epoch
+        assert not os.path.exists(sidecar)
+        regen = ShardedTspgService.from_shard_snapshots(shard_dir)
+        assert (0, 1, 200) in regen.query(0, 1, (195, 206)).result.edges
 
     def test_rewarm_retires_the_old_generations_residency(self, tmp_path):
         shard_dir = self._shard_dir(tmp_path, sample_graph())
