@@ -18,8 +18,8 @@ sort of the survivors, not the query window's edge count.  Call
 ``.materialize()`` on the result when a real graph is needed.
 
 The pre-refactor materializing implementation is retained as
-:func:`quick_upper_bound_graph_materializing`; it is the reference baseline
-of the exp11 benchmark and the randomized equivalence oracle.
+:func:`quick_upper_bound_graph_materializing`; it is the reference the
+randomized equivalence tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ def quick_upper_bound_graph_materializing(
 ) -> TemporalGraph:
     """Pre-refactor QuickUBG: build ``Gq`` as a fresh :class:`TemporalGraph`.
 
-    Kept as the reference implementation the randomized oracle and the
-    exp11 benchmark compare the zero-materialization kernel against; new
-    code should use :func:`quick_upper_bound_graph`.
+    Kept as the reference implementation the randomized equivalence tests
+    compare the zero-materialization kernel against; new code should use
+    :func:`quick_upper_bound_graph`.
     """
     window = as_interval(interval)
     if polarity is None:

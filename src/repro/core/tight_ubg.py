@@ -105,8 +105,8 @@ def tight_upper_bound_graph_materializing(
 ) -> TemporalGraph:
     """Pre-refactor TightUBG: build ``Gt`` as a fresh :class:`TemporalGraph`.
 
-    Kept as the reference implementation for the randomized oracle and the
-    exp11 benchmark; new code should pass views through
+    Kept as the reference implementation for the randomized equivalence
+    tests; new code should pass views through
     :func:`tight_upper_bound_graph`.
     """
     window = as_interval(interval)

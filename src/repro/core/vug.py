@@ -22,8 +22,8 @@ the id-space polarity sweeps
 frontier-driven Lemma 1 mask
 (:func:`~repro.core.quick_ubg.quick_mask_kernel`).  Constructing
 ``VUG(zero_materialization=False)`` runs the pre-refactor pipeline that
-materializes a fresh graph per phase; it is kept as the reference baseline
-for the randomized equivalence oracle and the exp11 benchmark.
+materializes a fresh graph per phase; it is kept as the reference pipeline
+the randomized equivalence tests compare against.
 
 :func:`generate_tspg` is the one-call public entry point most users want.
 """

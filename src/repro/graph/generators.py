@@ -28,7 +28,7 @@ sensitive to:
   testing (10⁷–10⁸ edges): yields skewed-degree, bursty-timestamp edges one
   at a time without ever materialising the edge list, so a caller can pipe
   them straight into an on-disk snapshot (see ``tspg warm --dataset
-  synth-scale`` and exp15).
+  synth-scale``, which perfbench's ``scale-cold`` workload boots).
 
 All generators take an explicit ``seed`` and are fully deterministic.
 """

@@ -18,7 +18,6 @@ timestamp) are stored once.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left, bisect_right, insort_right
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -870,31 +869,10 @@ class TemporalGraph:
         a fixed order that depends only on the edge set (see
         :func:`_edge_sort_key` — stable across processes and hash seeds).
         Callers needing set semantics should wrap the result in ``set(...)``.
-
-        .. versionchanged:: 1.2
-           Previously returned a freshly-allocated :class:`set` with
-           nondeterministic iteration order; use :meth:`edge_tuple_set` for
-           the old shape.
         """
         if self._edge_tuples_cache is None:
             self._edge_tuples_cache = tuple(self._sorted_tuple_backing())
         return self._edge_tuples_cache
-
-    def edge_tuple_set(self) -> Set[Tuple[Vertex, Vertex, Timestamp]]:
-        """Deprecated: a copy of the edge set as plain tuples (old shape).
-
-        .. deprecated:: 1.2
-           :meth:`edge_tuples` now returns the temporally sorted read-only
-           sequence; wrap it in ``set(...)`` where set semantics are needed.
-        """
-        warnings.warn(
-            "TemporalGraph.edge_tuple_set() is deprecated: edge_tuples() "
-            "returns a deterministic read-only sequence; wrap it in set(...) "
-            "for set semantics",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return set(self._edge_set)
 
     def sorted_edges(self, reverse: bool = False) -> List[TemporalEdge]:
         """All edges sorted in non-descending temporal order.

@@ -2,21 +2,26 @@
 
 This package is the scale layer of the library: where
 :func:`repro.generate_tspg` answers one query, :class:`TspgService` serves
-*many* queries over the *same* graph efficiently by
+*many* queries over the *same* graph efficiently.  A service routes each
+query to an engine whose graph holds every edge of the query's window (the
+tspG of ``[τb, τe]`` uses only edges timestamped inside it), and each
+engine
 
-* warming the per-graph indices once (sorted edge list, distinct-timestamp
-  set, per-vertex ``T_out``/``T_in`` views) instead of letting the first
+* warms its graph's indices once per epoch instead of letting the first
   query of every workload rebuild them;
-* memoizing results in a thread-safe LRU cache keyed by
-  ``(source, target, interval, algorithm)`` — repeat queries are answered in
-  dictionary-lookup time;
-* executing batches on a configurable ``concurrent.futures`` worker pool with
-  a per-batch wall-clock budget (the batch analogue of the paper's 12-hour
-  "INF" cut-off) — either the in-process thread backend or, when the service
-  (or each shard of a :class:`ShardedTspgService`) has a binary snapshot to
-  boot workers from, a true multi-core ``ProcessPoolExecutor`` backend
-  (``run_batch(executor="processes")``) that sidesteps the GIL on the
-  pure-Python hot path.
+* memoizes results in a thread-safe LRU cache keyed by
+  ``(source, target, interval, algorithm, epoch)`` — repeat queries are
+  answered in dictionary-lookup time;
+* runs batches serially or on threads, under an optional per-batch
+  wall-clock budget (the batch analogue of the paper's 12-hour "INF"
+  cut-off), or hands them to worker processes that boot from the engine's
+  snapshot file (``run_batch(executor="processes")``), sidestepping the
+  GIL on the pure-Python hot path.
+
+A flat :class:`TspgService` is the one-shard case: one engine over the
+graph itself.  :class:`ShardedTspgService` is the same service over N
+time-range shards; it adds only partitioning and routing, the lazy
+full-graph fallback and the shard-set lifecycle.
 
 Quickstart
 ----------
@@ -40,12 +45,7 @@ views and caches — alive across batches (``tspg serve`` drives one), and
 batch budgets travel as cooperative per-query
 :class:`~repro.core.deadline.Deadline` objects so an expired query frees
 its worker promptly.  See ``docs/serving.md`` for the full serving-layer
-tour.
-
-The CLI exposes the same machinery as ``tspg batch`` / ``tspg serve`` and
-the throughput benchmarks (``bench_exp9`` serial/parallel/cached,
-``bench_exp12`` thread/process backends, ``bench_exp13`` persistent pool +
-deadlines) measure the regimes against each other.
+tour; the CLI exposes the same machinery as ``tspg batch`` / ``tspg serve``.
 """
 
 from ..core.deadline import Deadline

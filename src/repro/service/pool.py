@@ -13,11 +13,12 @@ the per-worker snapshot-booted service cache
 (:data:`repro.service.service._WORKER_SERVICES`) — including the warmed
 view and each worker's LRU result cache — is built once and then reused by
 every subsequent batch routed through the pool.  Attach one to a
-:class:`~repro.service.TspgService` or
-:class:`~repro.service.ShardedTspgService` (the ``pool=`` constructor
-argument or :meth:`~repro.service.TspgService.attach_pool`) and every
-``run_batch(executor="processes")`` call fans out over the pool instead of
-building its own executor; ``tspg serve`` drives exactly this loop.
+:class:`~repro.service.TspgService` — flat, or the sharded router, which
+shares the same batch path — with the ``pool=`` constructor argument or
+:meth:`~repro.service.TspgService.attach_pool`, and every
+``run_batch(executor="processes")`` call fans its engines' chunks out over
+the pool instead of building its own executor; ``tspg serve`` drives
+exactly this loop.
 
 Lifecycle
 ---------
@@ -33,8 +34,8 @@ Lifecycle
   fresh workers and succeeds — the in-flight batch fails loudly, the pool
   recovers.
 
-Thread-safety: submits may come from multiple threads (the sharded router
-fans groups out concurrently); the executor swap is lock-guarded.
+Thread-safety: submits may come from multiple threads (concurrent batches
+of one serving loop); the executor swap is lock-guarded.
 """
 
 from __future__ import annotations

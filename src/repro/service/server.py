@@ -27,8 +27,8 @@ own protocol implementation:
   written, in request order, by that connection's one processor
   coroutine with ``drain()`` — a slow consumer stalls only its own
   writes, never the accept loop or other clients.
-- :class:`TspgClient` is a small blocking JSONL client (tests, the exp18
-  load harness, and the CI protocol smoke all drive the server with it),
+- :class:`TspgClient` is a small blocking JSONL client (the tests and the
+  CI protocol smoke drive the server with it),
   and :class:`ServerThread` runs a server on a background event loop for
   in-process harnesses.
 
@@ -1102,8 +1102,7 @@ class TspgServer:
 class ServerThread:
     """Run a :class:`TspgServer` on a background event loop.
 
-    The harness side of the tier: tests, the exp18 load generator and the
-    CI protocol smoke all boot one of these, connect
+    The harness side of the tier: the tests boot one of these, connect
     :class:`TspgClient`s against :attr:`address`, and tear it down with
     :meth:`stop` (or the context manager).
     """

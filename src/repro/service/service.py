@@ -1,46 +1,36 @@
-"""The batch query service: one graph, many queries, reusable work.
+"""The batch query service: many queries over one graph, reusable work.
 
-:class:`TspgService` is the serving layer over the VUG pipeline.  It owns one
-:class:`~repro.graph.temporal_graph.TemporalGraph`, warms the per-graph
-indices exactly once per epoch (sorted edge list, distinct timestamps,
-per-vertex ``T_out``/``T_in`` views, and the frozen columnar
-:class:`~repro.graph.views.GraphView` the zero-materialization query pipeline
-runs on — previously rebuilt lazily on first use per query), memoizes
-results in a bounded LRU keyed by
-``(source, target, interval, algorithm)``, and executes batches either
-serially or on a ``concurrent.futures`` worker pool with a per-batch
-wall-clock budget (the paper's "INF" cut-off, applied to a batch instead of a
-workload).
+:class:`TspgService` is the serving layer over the VUG pipeline.  Under
+the paper's temporal-path constraint a query's tspG uses only the edges
+timestamped inside its window, so any engine whose graph holds every
+edge of that window answers it exactly.  A service is therefore a
+*router* over a tuple of engines: each engine warms one graph's indices
+once per epoch (sorted edge list, distinct timestamps and the frozen
+columnar :class:`~repro.graph.views.GraphView` the query pipeline runs
+on), memoizes results in a bounded LRU keyed by ``(source, target,
+interval, algorithm, epoch)``, and runs queries serially or on threads.
+A flat service — this class's own constructors — is the one-shard case:
+one engine over the source graph itself, with no projection, no
+fallback and no union.  :class:`~repro.service.sharding.ShardedTspgService`
+adds time-range partitioning, the lazy full-graph fallback and the
+shard-set lifecycle; every other surface is written once, here.
 
-Two batch execution backends exist (``run_batch(executor=...)``):
-
-* ``"threads"`` — a ``ThreadPoolExecutor`` sharing this process's warmed
-  graph.  Zero start-up cost, but the pure-Python VUG hot path is GIL-bound,
-  so threads only overlap the small C-level portions.
-* ``"processes"`` — a ``ProcessPoolExecutor`` whose workers boot their own
-  service from the binary index snapshot this service was started from
-  (:meth:`TspgService.from_snapshot`), run a contiguous chunk of the batch
-  serially, and return their pickled :class:`BatchReport`.  True multi-core
-  parallelism for the GIL-bound hot path; falls back to threads
-  automatically when no snapshot is attached (nothing for a worker to boot
-  from), when the graph has mutated since the snapshot was taken, or when
-  the algorithm was passed as an instance instead of a registry name.
-
-The process backend's executor is per-batch by default (created and torn
-down inside ``run_batch``); attaching a persistent
-:class:`~repro.service.pool.WorkerPool` (the ``pool=`` constructor argument
-or :meth:`TspgService.attach_pool`) makes repeated batches reuse the same
-long-lived worker processes — and therefore their snapshot-booted services,
-warmed views and worker-side caches — amortising the fork + boot cost to
-zero after the first batch.  Batch budgets and per-query cut-offs travel as
-cooperative :class:`~repro.core.deadline.Deadline` objects all the way into
-the algorithms, so an expired query yields a ``timed_out`` row promptly
-instead of squatting on a worker past the budget.
+Batches (:meth:`TspgService.run_batch`) are grouped by routed engine and
+run on threads, or — with ``executor="processes"`` — in worker processes
+that boot their own service from the snapshot file each engine was booted
+from: true multi-core parallelism for the GIL-bound hot path, degrading to
+threads whenever no current snapshot exists.  A persistent
+:class:`~repro.service.pool.WorkerPool` keeps those workers (and their
+booted services) alive across batches.  Batch budgets and per-query
+cut-offs travel as cooperative :class:`~repro.core.deadline.Deadline`
+objects into the algorithms, so an expired query yields a ``timed_out``
+row promptly instead of squatting on a worker past the budget.
 
 Every algorithm registered in :mod:`repro.algorithms` is available by name;
-instances are created once per service and shared across worker threads —
-legal because every :meth:`~repro.baselines.interface.TspgAlgorithm.compute`
-implementation in the library keeps its state on the stack.
+instances are created once per service and shared across engines and
+worker threads — legal because every
+:meth:`~repro.baselines.interface.TspgAlgorithm.compute` implementation in
+the library keeps its state on the stack.
 """
 
 from __future__ import annotations
@@ -48,7 +38,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import (
     FIRST_EXCEPTION,
     Future,
@@ -56,14 +45,15 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..algorithms import get_algorithm
 from ..baselines.interface import AlgorithmResult, TspgAlgorithm
 from ..core.deadline import Deadline
-from ..graph.edge import Vertex
-from ..graph.temporal_graph import TemporalGraph
+from ..graph.edge import TimeInterval, Vertex
+from ..graph.temporal_graph import EdgeDelta, TemporalGraph
 from ..queries.query import QueryWorkload, TspgQuery
 from .cache import CacheKey, CacheStats, ResultCache
 from .pool import WorkerPool
@@ -73,11 +63,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 AlgorithmSpec = Union[str, TspgAlgorithm]
 
-#: Default capacity of the per-service result cache.
+#: Default capacity of each engine's result cache.
 DEFAULT_CACHE_SIZE = 1024
 
 #: Batch execution backends accepted by ``run_batch(executor=...)``.
 EXECUTOR_BACKENDS = ("threads", "processes")
+
+#: Routing key of a router's full-graph fallback engine.
+FALLBACK_SHARD = -1
 
 
 def _validate_executor(executor: str) -> str:
@@ -87,33 +80,6 @@ def _validate_executor(executor: str) -> str:
             f"{', '.join(EXECUTOR_BACKENDS)}"
         )
     return executor
-
-
-def _usable_pool(pool: Optional[WorkerPool]) -> Optional[WorkerPool]:
-    """``pool`` if it is attached and can still serve, else ``None``."""
-    if pool is not None and not pool.closed:
-        return pool
-    return None
-
-
-def _common_fallback_reasons(
-    workers: int, algorithm: Optional[AlgorithmSpec]
-) -> List[str]:
-    """Degrade-to-threads reasons shared by the flat and sharded services.
-
-    The snapshot-specific reasons differ per service and are appended by
-    each ``process_fallback_reasons`` implementation; keeping the common
-    wording here stops the two CLI notes from drifting apart.
-    """
-    reasons: List[str] = []
-    if workers == 1:
-        reasons.append("max_workers=1 requests a serial run")
-    if isinstance(algorithm, TspgAlgorithm):
-        reasons.append(
-            "the algorithm is a configured instance, not a registry "
-            "name, and cannot be shipped to worker processes"
-        )
-    return reasons
 
 
 def _chunk_positions(count: int, chunks: int) -> List[List[int]]:
@@ -393,255 +359,59 @@ class BatchReport:
         }
 
 
-class TspgService:
-    """Serve many ``tspG`` queries over one temporal graph.
+@dataclass(frozen=True)
+class _Topology:
+    """One self-consistent routing table: shard specs, engines, span, epoch.
 
-    Parameters
-    ----------
-    graph:
-        The temporal graph every query runs against.  The service warms the
-        graph's lazy indices on construction, so the first query (and every
-        concurrent query) starts from fully-built sorted views.
-    default_algorithm:
-        Algorithm name used when a call does not specify one.
-    cache_size:
-        Capacity of the LRU result cache (``0`` disables memoization).
-    max_workers:
-        Default worker count for :meth:`run_batch`; ``1`` means serial.
-    executor:
-        Default batch backend for :meth:`run_batch`: ``"threads"`` or
-        ``"processes"`` (the latter needs a snapshot to boot workers from —
-        see :meth:`from_snapshot` — and silently degrades to threads
-        otherwise).
-    pool:
-        Optional persistent :class:`~repro.service.pool.WorkerPool`.  When
-        attached (and open), ``processes`` batches fan out over the pool's
-        long-lived workers instead of building a per-batch
-        ``ProcessPoolExecutor`` — repeat batches skip the fork + snapshot
-        boot entirely.  A closed pool degrades back to the per-batch
-        executor.
-    algorithm_options:
-        Per-algorithm constructor options, keyed by registry name.
-
-    Examples
-    --------
-    >>> from repro import TemporalGraph
-    >>> from repro.service import TspgService
-    >>> from repro.queries.query import TspgQuery
-    >>> graph = TemporalGraph(edges=[("s", "b", 2), ("b", "t", 6),
-    ...                              ("b", "c", 3), ("c", "t", 7)])
-    >>> service = TspgService(graph)
-    >>> outcome = service.submit(TspgQuery("s", "t", (2, 7)))
-    >>> sorted(outcome.result.vertices)
-    ['b', 'c', 's', 't']
+    Swapped in one assignment, so a reader never mixes the specs of one
+    epoch with the engines of another.  A flat service's topology has no
+    shard specs and exactly one engine; ``epoch`` is the service epoch
+    the table describes.
     """
 
-    def __init__(
-        self,
-        graph: TemporalGraph,
-        *,
-        default_algorithm: str = "VUG",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        max_workers: int = 1,
-        executor: str = "threads",
-        pool: Optional[WorkerPool] = None,
-        algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self._graph = graph
-        self._default_algorithm = default_algorithm
+    shards: Tuple[object, ...]
+    engines: Tuple["_Engine", ...]
+    span: Optional[TimeInterval]
+    epoch: int
+
+
+class _Engine:
+    """One warmed graph behind one result cache: what a service routes to.
+
+    An engine has three jobs.  It *warms* its graph's indices, rewarming
+    once per graph epoch with delta-aware cache invalidation.  It
+    *caches* results in an LRU whose keys embed the warmed epoch, and
+    answers the lock-free :meth:`has_cached` probe.  It *runs* one query,
+    or a batch serially or on threads.  The owning service resolves
+    algorithm names and hands instances in.  ``snapshot_path`` and
+    ``snapshot_interval`` name the file (and time extent) a process worker
+    boots an identical engine from; ``None`` when there is none.
+    """
+
+    def __init__(self, graph: TemporalGraph, cache_size: int) -> None:
+        self.graph = graph
         self._cache: ResultCache[AlgorithmResult] = ResultCache(cache_size)
-        self._max_workers = max_workers
-        self._default_executor = _validate_executor(executor)
-        self._pool = pool
-        # Set by from_snapshot: where process-pool workers can boot an
-        # identical service from, and the graph epoch that file describes.
-        self._snapshot_path: Optional[str] = None
-        self._snapshot_epoch: Optional[int] = None
-        # Whether the boot requested / actually used the mmap-backed
-        # columnar path (snapshot format v4), plus why it degraded if not.
-        self._snapshot_mmap_requested: bool = False
-        self._snapshot_mmap: bool = False
-        self._snapshot_mmap_reasons: List[str] = []
-        # Page-advice policy over the boot's mappings (set by
-        # from_snapshot when residency management was requested).
-        self._residency = None
-        self._snapshot_interval = None
-        self._snapshot_boot = None
-        self._algorithm_options = {
-            name: dict(opts) for name, opts in (algorithm_options or {}).items()
-        }
-        self._algorithms: Dict[str, TspgAlgorithm] = {}
-        self._algorithms_lock = threading.Lock()
+        # Guards the rewarm transition so concurrent queries observing a
+        # stale epoch rewarm exactly once.  The owning service's ingest
+        # holds it from the append to the epoch publish.
+        self._rewarm_lock = threading.Lock()
         # Instances that took part in cache keys, pinned by id().  Keys embed
         # id(instance) so same-named but differently-configured algorithms
         # never share entries; pinning prevents id reuse after garbage
         # collection from aliasing a dead instance's entries.
-        self._pinned_algorithms: Dict[int, TspgAlgorithm] = {}
-        # Guards the rewarm transition so concurrent queries observing a
-        # stale epoch rewarm exactly once.
-        self._rewarm_lock = threading.Lock()
-        #: Sizes of the indices warmed at construction time (see
-        #: :meth:`TemporalGraph.warm_indices`).
+        self._pinned: Dict[int, TspgAlgorithm] = {}
+        self._pin_lock = threading.Lock()
+        #: Sizes of the warmed indices (see :meth:`TemporalGraph.warm_indices`).
         self.index_stats: Dict[str, int] = graph.warm_indices()
-        # The graph epoch the warmed indices (and cache entries) describe.
-        self._warmed_epoch: int = graph.epoch
+        #: The graph epoch the warmed indices (and cache entries) describe.
+        self.warmed_epoch: int = graph.epoch
+        self.snapshot_path: Optional[str] = None
+        self.snapshot_interval = None
 
     # ------------------------------------------------------------------
-    # alternate constructors (the GraphStore layer)
+    # warm
     # ------------------------------------------------------------------
-    @classmethod
-    def from_store(cls, store: "GraphStore", **kwargs) -> "TspgService":
-        """Build a service over the warmed graph a :class:`GraphStore` loads."""
-        return cls(store.load(), **kwargs)
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path,
-        *,
-        mmap: bool = False,
-        interval=None,
-        residency=False,
-        **kwargs,
-    ) -> "TspgService":
-        """Boot a service from a binary index snapshot in O(read).
-
-        The snapshot (written by :func:`repro.store.save_snapshot` or the
-        ``tspg warm`` command) already contains every warmed index, so no
-        edge is re-inserted or re-sorted; construction cost is dominated by
-        reading and decoding the file.  Raises
-        :class:`~repro.store.SnapshotError` on a corrupt or incompatible
-        file.
-
-        ``mmap=True`` requests the zero-copy columnar boot (snapshot
-        format v4): the file is mapped instead of decompressed and the
-        view columns serve straight out of the page cache, so boot cost
-        and resident memory scale with the pages queries actually touch.
-        Pre-v4 snapshots degrade to the eager boot with the reasons
-        recorded on :meth:`mmap_fallback_reasons` — a readable snapshot
-        always boots.
-
-        The snapshot path is remembered: it is what the
-        ``executor="processes"`` batch backend hands to its pool workers so
-        each can boot an identical service in O(read) — with ``mmap``
-        active, workers map the very same file, sharing its page-cache
-        pages instead of re-unpickling a private copy per process.  The
-        association is epoch-guarded — mutating the graph afterwards
-        disables the process backend (workers would boot a stale graph)
-        until a fresh snapshot is attached.
-
-        ``interval`` restricts the boot to that (inclusive) time range's
-        edges — combined with ``mmap`` this is the extent-local boot that
-        maps only the range's rows (see :func:`repro.store.boot_snapshot`).
-        Queries whose window lies inside the interval answer bit-identically
-        to an unrestricted boot.
-
-        ``residency=True`` attaches a :class:`~repro.store.ResidencyPolicy`
-        driving ``madvise`` page advice over the boot's mappings:
-        ``MADV_SEQUENTIAL`` for the warm scan, ``MADV_RANDOM`` once
-        serving starts, and :meth:`evict_cold_pages` for the serve loop's
-        periodic ``MADV_DONTNEED``.  A pre-built policy may be passed
-        instead of ``True``.  Advice degrades to a recorded no-op where
-        unsupported — it never changes results, only paging behaviour.
-        """
-        from ..store.graph_store import SnapshotGraphStore  # deferred: cycle
-        from ..store.residency import ResidencyPolicy  # deferred: cycle
-
-        policy = None
-        if residency:
-            policy = (
-                residency
-                if isinstance(residency, ResidencyPolicy)
-                else ResidencyPolicy()
-            )
-        store = SnapshotGraphStore(
-            path, mmap=mmap, interval=interval, residency=policy
-        )
-        graph = store.load()
-        if policy is not None:
-            policy.advise_warm()  # sequential read-ahead for the warm scan
-        service = cls(graph, **kwargs)
-        if policy is not None:
-            policy.advise_serve()  # point queries from here on
-        service._snapshot_path = store.path
-        service._snapshot_epoch = service.graph.epoch
-        service._snapshot_mmap_requested = store.mmap_requested
-        service._snapshot_mmap = store.mmap_active
-        service._snapshot_mmap_reasons = (
-            store.mmap_fallback_reasons() if mmap else []
-        )
-        service._residency = policy
-        service._snapshot_interval = interval
-        service._snapshot_boot = store.last_boot
-        return service
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> TemporalGraph:
-        """The graph this service answers queries about."""
-        return self._graph
-
-    def has_vertex(self, vertex: Vertex) -> bool:
-        """Whether ``vertex`` exists in the served graph.
-
-        Exists so callers that only need a membership probe (the CLI's
-        vertex-label coercion) can treat flat and sharded services
-        uniformly — the sharded counterpart answers without materialising
-        its full-graph union.
-        """
-        return self._graph.has_vertex(vertex)
-
-    @property
-    def epoch(self) -> int:
-        """Mutation epoch of the served graph.
-
-        Part of the uniform flat/sharded surface: the serving tier stamps
-        this onto every query response (``epoch_before`` /
-        ``epoch_after``) so network clients can replay answers against a
-        serial oracle while ingest runs concurrently.
-        """
-        return self._graph.epoch
-
-    @property
-    def default_algorithm(self) -> str:
-        """Name of the algorithm used when none is given."""
-        return self._default_algorithm
-
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the result cache."""
-        return self._cache.stats()
-
-    @property
-    def warmed_epoch(self) -> int:
-        """Graph epoch the currently warmed indices describe."""
-        return self._warmed_epoch
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The attached persistent worker pool, if any."""
-        return self._pool
-
-    def attach_pool(self, pool: Optional[WorkerPool]) -> None:
-        """Attach (or with ``None`` detach) a persistent worker pool.
-
-        The pool's lifecycle stays the caller's: the service never closes
-        it, and several services may share one pool (worker-side booted
-        services are cached per snapshot path, so shards of different
-        routers coexist in the same workers).
-        """
-        self._pool = pool
-
-    def clear_cache(self) -> None:
-        """Drop all memoized results (e.g. after mutating the graph)."""
-        self._cache.clear()
-        with self._algorithms_lock:
-            self._pinned_algorithms.clear()
-
-    def _ensure_current(self) -> None:
+    def ensure_current(self) -> None:
         """Rewarm indices and drop stale results when the graph has mutated.
 
         Every query entry point calls this: the graph's mutation
@@ -660,18 +430,18 @@ class TspgService:
         a gap in the delta log, and the rewarm falls back to the wholesale
         clear.
         """
-        if self._graph.epoch == self._warmed_epoch:
+        if self.graph.epoch == self.warmed_epoch:
             return
         with self._rewarm_lock:
-            if self._graph.epoch == self._warmed_epoch:
+            if self.graph.epoch == self.warmed_epoch:
                 return  # another thread already rewarmed
-            deltas = self._graph.deltas_since(self._warmed_epoch)
+            deltas = self.graph.deltas_since(self.warmed_epoch)
             if deltas:
                 self._invalidate_for_deltas(deltas)
             else:
                 self.clear_cache()
-            self.index_stats = self._graph.warm_indices()
-            self._warmed_epoch = self._graph.epoch
+            self.index_stats = self.graph.warm_indices()
+            self.warmed_epoch = self.graph.epoch
 
     def _invalidate_for_deltas(self, deltas) -> int:
         """Drop only the cache entries a batch of append deltas can affect.
@@ -689,7 +459,7 @@ class TspgService:
         fresh_vertices = set()
         for delta in populated:
             fresh_vertices.update(delta.new_vertices)
-        new_epoch = self._graph.epoch
+        new_epoch = self.graph.epoch
 
         def transform(key):
             source, target, interval, algorithm_id, _epoch = key
@@ -702,78 +472,17 @@ class TspgService:
 
         return self._cache.rekey(transform)
 
-    def ingest(self, edges) -> "EdgeDelta":
-        """Append edges through the journaled delta path and serve on.
-
-        The live-ingest entry point: applies ``edges`` via
-        :meth:`TemporalGraph.append_edges` (an mmap-booted graph stays lazy
-        and its columnar view is *extended*, not rebuilt), records the
-        delta in the snapshot's ``*.tspgjournal`` sidecar when this service
-        was booted from a snapshot, and runs the delta-aware cache rewarm.
-        Returns the applied :class:`~repro.graph.temporal_graph.EdgeDelta`.
-
-        Because a snapshot boot replays the journal, process-pool workers
-        booting from the same path reconstruct the identical post-append
-        graph — so the ``executor="processes"`` backend stays enabled
-        across journaled ingests instead of degrading to threads.
-        """
-        with self._rewarm_lock:
-            delta = self._graph.append_edges(edges)
-            if (
-                delta
-                and self._snapshot_path is not None
-                and self._snapshot_epoch == delta.old_epoch
-            ):
-                # Journal only while snapshot + journal still reproduce the
-                # live graph; a legacy mutation in between broke that chain
-                # (and already disabled the process backend).
-                from ..store.journal import append_journal_delta  # deferred: cycle
-
-                append_journal_delta(self._snapshot_path, delta)
-                # Workers boot snapshot + journal and land on this epoch.
-                self._snapshot_epoch = self._graph.epoch
-        self._ensure_current()
-        return delta
-
-    def refresh_indices(self) -> Dict[str, int]:
-        """Deprecated: staleness is now detected automatically via the epoch.
-
-        Kept as an alias so pre-epoch callers keep working; it forces an
-        immediate rewarm (harmless — the next query would have done the same)
-        and returns the fresh index stats.
-
-        .. deprecated:: 1.1
-           Mutations bump :attr:`TemporalGraph.epoch` and the service rewarms
-           transparently; there is nothing to call any more.
-        """
-        warnings.warn(
-            "TspgService.refresh_indices() is deprecated: graph mutations are "
-            "detected automatically via TemporalGraph.epoch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        with self._rewarm_lock:
-            self.clear_cache()
-            self.index_stats = self._graph.warm_indices()
-            self._warmed_epoch = self._graph.epoch
-        return self.index_stats
-
-    def _resolve(self, algorithm: Optional[AlgorithmSpec]) -> TspgAlgorithm:
-        """Return a shared algorithm instance for a name (or pass one through)."""
-        if isinstance(algorithm, TspgAlgorithm):
-            return algorithm
-        name = algorithm or self._default_algorithm
-        with self._algorithms_lock:
-            instance = self._algorithms.get(name)
-            if instance is None:
-                options = self._algorithm_options.get(name, {})
-                instance = get_algorithm(name, **options)
-                self._algorithms[name] = instance
-        return instance
+    # ------------------------------------------------------------------
+    # cache
+    # ------------------------------------------------------------------
+    def clear_cache(self) -> None:
+        self._cache.clear()
+        with self._pin_lock:
+            self._pinned.clear()
 
     def _cache_key(self, query: TspgQuery, algorithm: TspgAlgorithm) -> CacheKey:
-        with self._algorithms_lock:
-            self._pinned_algorithms.setdefault(id(algorithm), algorithm)
+        with self._pin_lock:
+            self._pinned.setdefault(id(algorithm), algorithm)
         return self._unpinned_key(query, algorithm)
 
     def _unpinned_key(self, query: TspgQuery, algorithm: TspgAlgorithm) -> CacheKey:
@@ -785,80 +494,85 @@ class TspgService:
             query.target,
             query.interval.as_tuple(),
             f"{algorithm.name}@{id(algorithm)}",
-            self._warmed_epoch,
+            self.warmed_epoch,
         )
 
-    # ------------------------------------------------------------------
-    # single queries
-    # ------------------------------------------------------------------
-    def has_cached(self, query: TspgQuery, algorithm: Optional[str] = None) -> bool:
-        """Whether :meth:`submit` would answer ``query`` from the cache now.
+    def has_cached(self, query: TspgQuery, algorithm: TspgAlgorithm) -> bool:
+        """Lock-free, side-effect-free: see :meth:`TspgService.has_cached`."""
+        if self.graph.epoch != self.warmed_epoch:
+            return False
+        return self._unpinned_key(query, algorithm) in self._cache
 
-        A non-blocking probe for an event loop: it takes no lock and
-        changes nothing — no rewarm, no algorithm instance built, no hit
-        or miss counted, no LRU move.  It answers ``False`` whenever
-        ``submit`` would first have to rewarm (the graph moved past the
-        warmed epoch) or build the algorithm.  ``True`` is a hint, not a
-        reservation: an ingest landing right after the probe turns the
-        lookup into a miss, which ``submit`` then answers as usual.
+    def _lookup(self, key: CacheKey) -> Optional[AlgorithmResult]:
+        """The cached outcome for ``key`` as a hit, timed as the lookup."""
+        started = time.perf_counter()
+        cached = self._cache.get(key)
+        if cached is None:
+            return None
+        return AlgorithmResult(
+            algorithm=cached.algorithm,
+            result=cached.result,
+            elapsed_seconds=time.perf_counter() - started,
+            space_cost=cached.space_cost,
+            timed_out=cached.timed_out,
+            extras={**cached.extras, "cache_hit": True},
+        )
+
+    def cache_lookup(self, item: "BatchItem", algorithm: TspgAlgorithm) -> bool:
+        """Fill ``item`` from the cache; ``True`` on a hit.
+
+        The parent-side peek the process backend uses so memoized queries
+        never cross the process boundary (worker processes cannot see this
+        cache); mirrors :meth:`submit`'s hit path exactly.
         """
-        if self._graph.epoch != self._warmed_epoch:
+        hit = self._lookup(self._cache_key(item.query, algorithm))
+        if hit is None:
             return False
-        instance = self._algorithms.get(algorithm or self._default_algorithm)
-        if instance is None:
-            return False
-        return self._unpinned_key(query, instance) in self._cache
+        item.outcome = hit
+        item.cache_hit = True
+        item.elapsed_seconds = hit.elapsed_seconds
+        return True
 
+    def cache_store(self, item: "BatchItem", algorithm: TspgAlgorithm) -> None:
+        """Memoize a worker-computed outcome (same rules as :meth:`submit`).
+
+        Results shipped back from a worker process would otherwise die with
+        its pool, making repeat batches recompute everything.  Skips,
+        cut-offs and hits are never stored.
+        """
+        outcome = item.outcome
+        if outcome is None or outcome.timed_out or item.cache_hit or item.skipped:
+            return
+        self._cache.put(self._cache_key(item.query, algorithm), outcome)
+
+    # ------------------------------------------------------------------
+    # run
+    # ------------------------------------------------------------------
     def submit(
         self,
         query: TspgQuery,
-        algorithm: Optional[AlgorithmSpec] = None,
-        *,
+        algorithm: TspgAlgorithm,
         use_cache: bool = True,
         deadline: Optional[Deadline] = None,
     ) -> AlgorithmResult:
-        """Answer one query, consulting and populating the result cache.
-
-        On a cache hit the returned :class:`AlgorithmResult` shares the
-        (immutable) ``result`` and ``space_cost`` of the original run but
-        reports the *lookup* time as ``elapsed_seconds`` and carries
-        ``extras["cache_hit"] = True``.  If the graph was mutated since the
-        last query, the indices are transparently rewarmed and stale cached
-        results dropped first.
-
-        ``deadline`` is the cooperative per-query cut-off, forwarded into
-        the algorithm (see :meth:`TspgAlgorithm.run`): an
-        expired-on-arrival query returns a ``timed_out`` result before any
-        phase — or even the cache — is touched, and an in-flight one cuts
-        itself off at the algorithm's documented check points.  A
-        ``timed_out`` outcome is never memoized.
-        """
-        self._ensure_current()
-        resolved = self._resolve(algorithm)
+        """Answer one query (see :meth:`TspgService.submit`)."""
+        self.ensure_current()
         if deadline is not None and deadline.expired():
             # Deterministic admission refusal: even a cache hit is not
             # served past the deadline, so an expired query's outcome does
             # not depend on what happens to be cached.
-            return resolved.run(
-                self._graph, query.source, query.target, query.interval,
+            return algorithm.run(
+                self.graph, query.source, query.target, query.interval,
                 deadline=deadline,
             )
         key: Optional[CacheKey] = None
         if use_cache:
-            key = self._cache_key(query, resolved)
-            started = time.perf_counter()
-            cached = self._cache.get(key)
-            if cached is not None:
-                return AlgorithmResult(
-                    algorithm=cached.algorithm,
-                    result=cached.result,
-                    elapsed_seconds=time.perf_counter() - started,
-                    space_cost=cached.space_cost,
-                    timed_out=cached.timed_out,
-                    extras={**cached.extras, "cache_hit": True},
-                )
-        outcome = resolved.run(
-            self._graph, query.source, query.target, query.interval,
+            key = self._cache_key(query, algorithm)
+            hit = self._lookup(key)
+            if hit is not None:
+                return hit
+        outcome = algorithm.run(
+            self.graph, query.source, query.target, query.interval,
             deadline=deadline,
         )
         # Never memoize a cut-off run: a timed-out (possibly partial) result
@@ -867,146 +581,37 @@ class TspgService:
             self._cache.put(key, outcome)
         return outcome
 
-    def query(
-        self,
-        source: Vertex,
-        target: Vertex,
-        interval,
-        algorithm: Optional[AlgorithmSpec] = None,
-        *,
-        use_cache: bool = True,
-        deadline: Optional[Deadline] = None,
-    ) -> AlgorithmResult:
-        """Convenience wrapper building the :class:`TspgQuery` for the caller."""
-        return self.submit(
-            TspgQuery(source=source, target=target, interval=interval),
-            algorithm,
-            use_cache=use_cache,
-            deadline=deadline,
-        )
-
-    # ------------------------------------------------------------------
-    # batches
-    # ------------------------------------------------------------------
     def run_batch(
         self,
-        queries: Union[Sequence[TspgQuery], QueryWorkload],
-        algorithm: Optional[AlgorithmSpec] = None,
-        *,
-        max_workers: Optional[int] = None,
-        use_cache: bool = True,
-        time_budget_seconds: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-        executor: Optional[str] = None,
-    ) -> BatchReport:
-        """Answer a batch of queries, optionally in parallel.
-
-        Parameters
-        ----------
-        queries:
-            The batch; a :class:`QueryWorkload` is accepted directly.
-        max_workers:
-            Worker-pool width; ``1`` (the default from the constructor)
-            executes serially in submission order.
-        time_budget_seconds:
-            Wall-clock budget for the whole batch.  Queries that have not
-            *started* when the budget expires are reported as skipped
-            (``BatchItem.skipped``) and the report is flagged ``timed_out`` —
-            the batch analogue of the paper's 12-hour "INF" cut-off.  The
-            budget also travels into every query as a cooperative
-            :class:`~repro.core.deadline.Deadline`, so an in-flight query
-            cuts itself off promptly (a ``timed_out`` outcome) instead of
-            occupying its worker past the budget.
-        deadline:
-            An explicit absolute cut-off, for callers that already hold a
-            :class:`Deadline` (the serve loop's per-request deadlines).
-            When both this and ``time_budget_seconds`` are given the
-            stricter instant wins.
-        executor:
-            ``"threads"`` (default) or ``"processes"``.  The process backend
-            fans contiguous chunks of the batch out to a
-            ``ProcessPoolExecutor`` whose workers boot from this service's
-            snapshot (:meth:`from_snapshot`) — true multi-core parallelism
-            for the GIL-bound hot path.  It degrades to threads
-            automatically when no current snapshot is attached or the
-            algorithm is an unregistered instance;
-            :attr:`BatchReport.executor` records the backend actually used.
-
-        Returns
-        -------
-        BatchReport
-            Per-query outcomes aligned with the input order plus wall-clock
-            and throughput aggregates.  Results are identical regardless of
-            worker count and backend: every query runs against the same
-            immutable warmed graph (or a snapshot-booted copy of it), and
-            result objects are frozen.
-        """
-        query_list = list(queries)
-        self._ensure_current()
-        resolved = self._resolve(algorithm)
-        workers = max_workers if max_workers is not None else self._max_workers
-        if workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        executor_kind = _validate_executor(
-            executor if executor is not None else self._default_executor
-        )
-        budget_deadline = Deadline.from_budget(time_budget_seconds)
-        if budget_deadline is not None:
-            deadline = budget_deadline.earlier(deadline)
-        report = BatchReport(
-            algorithm=resolved.name,
-            items=[BatchItem(query=query) for query in query_list],
-            num_workers=workers,
-        )
-        started = time.perf_counter()
-        if workers == 1 or len(query_list) <= 1:
-            self._run_batch_serial(report, resolved, use_cache, deadline)
-        elif executor_kind == "processes" and self._process_backend_ready(algorithm):
-            self._run_batch_processes(
-                report, algorithm, resolved, workers, use_cache, deadline
-            )
+        report: "BatchReport",
+        algorithm: TspgAlgorithm,
+        workers: int,
+        use_cache: bool,
+        deadline: Optional[Deadline],
+    ) -> None:
+        """Answer ``report``'s items in place, serially or on threads."""
+        if workers == 1 or len(report.items) <= 1:
+            self._run_batch_serial(report, algorithm, use_cache, deadline)
         else:
-            self._run_batch_parallel(report, resolved, workers, use_cache, deadline)
-        if deadline is not None and deadline.expired() and report.num_timed_out:
-            # Queries the deadline cut off mid-flight are budget expiry too,
-            # exactly like the skipped-before-start case.
-            report.timed_out = True
-        report.wall_seconds = time.perf_counter() - started
-        return report
-
-    def _process_backend_ready(self, algorithm: Optional[AlgorithmSpec]) -> bool:
-        """Whether a ``processes`` request can actually use the process pool.
-
-        Requires a snapshot taken at the current graph epoch (workers boot
-        from it) and a registry-name algorithm (instances are configured
-        in-process and are not shipped across the boundary).  When this is
-        ``False`` the batch silently runs on the thread backend instead.
-        """
-        return (
-            self._snapshot_path is not None
-            and self._snapshot_epoch == self._graph.epoch
-            and not isinstance(algorithm, TspgAlgorithm)
-        )
+            self._run_batch_parallel(report, algorithm, workers, use_cache, deadline)
 
     def _run_one(
         self,
-        item: BatchItem,
+        item: "BatchItem",
         algorithm: TspgAlgorithm,
         use_cache: bool,
         deadline: Optional[Deadline] = None,
     ) -> None:
         """Execute one batch item in place (runs on a worker thread)."""
         started = time.perf_counter()
-        outcome = self.submit(
-            item.query, algorithm, use_cache=use_cache, deadline=deadline
-        )
+        outcome = self.submit(item.query, algorithm, use_cache, deadline)
         item.outcome = outcome
         item.cache_hit = bool(outcome.extras.get("cache_hit"))
         item.elapsed_seconds = time.perf_counter() - started
 
     def _run_batch_serial(
         self,
-        report: BatchReport,
+        report: "BatchReport",
         algorithm: TspgAlgorithm,
         use_cache: bool,
         deadline: Optional[Deadline],
@@ -1017,6 +622,7 @@ class TspgService:
                 report.timed_out = True
                 continue
             self._run_one(item, algorithm, use_cache, deadline)
+
 
     def _run_batch_parallel(
         self,
@@ -1083,46 +689,746 @@ class TspgService:
                 if item.outcome is not None and not item.outcome.timed_out:
                     item.skipped = True
 
-    def _cache_lookup(self, item: BatchItem, resolved: TspgAlgorithm) -> bool:
-        """Fill ``item`` from the result cache; ``True`` on a hit.
 
-        The parent-side peek the process backend uses so memoized queries
-        never cross the process boundary (worker processes cannot see this
-        cache); mirrors :meth:`submit`'s hit path exactly.
-        """
-        key = self._cache_key(item.query, resolved)
-        started = time.perf_counter()
-        cached = self._cache.get(key)
-        if cached is None:
-            return False
-        item.outcome = AlgorithmResult(
-            algorithm=cached.algorithm,
-            result=cached.result,
-            elapsed_seconds=time.perf_counter() - started,
-            space_cost=cached.space_cost,
-            timed_out=cached.timed_out,
-            extras={**cached.extras, "cache_hit": True},
+class TspgService:
+    """Serve many ``tspG`` queries over one temporal graph.
+
+    A service routes every query to one of its engines (see the module
+    docstring).  The constructors here build a *flat* service: one engine
+    over ``graph`` itself.  :class:`~repro.service.ShardedTspgService`
+    builds the N-shard router on the same surfaces.
+
+    Parameters
+    ----------
+    graph:
+        The temporal graph every query runs against.  The service warms the
+        graph's lazy indices on construction, so the first query (and every
+        concurrent query) starts from fully-built sorted views.
+    default_algorithm:
+        Algorithm name used when a call does not specify one.
+    cache_size:
+        Capacity of the LRU result cache (``0`` disables memoization).
+    max_workers:
+        Default worker count for :meth:`run_batch`; ``1`` means serial.
+    executor:
+        Default batch backend for :meth:`run_batch`: ``"threads"`` or
+        ``"processes"`` (the latter needs a snapshot to boot workers from —
+        see :meth:`from_snapshot` — and silently degrades to threads
+        otherwise).
+    pool:
+        Optional persistent :class:`~repro.service.pool.WorkerPool`.  When
+        attached (and open), ``processes`` batches fan out over the pool's
+        long-lived workers instead of building a per-batch
+        ``ProcessPoolExecutor`` — repeat batches skip the fork + snapshot
+        boot entirely.  A closed pool degrades back to the per-batch
+        executor.
+    algorithm_options:
+        Per-algorithm constructor options, keyed by registry name.
+
+    Examples
+    --------
+    >>> from repro import TemporalGraph
+    >>> from repro.service import TspgService
+    >>> from repro.queries.query import TspgQuery
+    >>> graph = TemporalGraph(edges=[("s", "b", 2), ("b", "t", 6),
+    ...                              ("b", "c", 3), ("c", "t", 7)])
+    >>> service = TspgService(graph)
+    >>> outcome = service.submit(TspgQuery("s", "t", (2, 7)))
+    >>> sorted(outcome.result.vertices)
+    ['b', 'c', 's', 't']
+    """
+
+    #: How :meth:`process_fallback_reasons` names an absent or stale snapshot.
+    _NO_SNAPSHOT_REASON = (
+        "no snapshot is attached (boot via TspgService.from_snapshot "
+        "or 'tspg warm') so workers have nothing to boot from"
+    )
+    _STALE_SNAPSHOT_REASON = (
+        "the graph mutated after the snapshot was taken (stale "
+        "epoch); re-warm to re-attach"
+    )
+    #: Whether process workers replay the ingest journal.  A flat
+    #: snapshot's journal is the file's own sidecar, which every boot of
+    #: the file replays, so a journaled ingest keeps the backend current.
+    _WORKERS_REPLAY_JOURNAL = True
+
+    def __init__(
+        self,
+        graph: TemporalGraph,
+        *,
+        default_algorithm: str = "VUG",
+        cache_size: int = DEFAULT_CACHE_SIZE,
+        max_workers: int = 1,
+        executor: str = "threads",
+        pool: Optional[WorkerPool] = None,
+        algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
+    ) -> None:
+        self._init_runtime(
+            graph,
+            default_algorithm=default_algorithm,
+            cache_size=cache_size,
+            max_workers=max_workers,
+            executor=executor,
+            pool=pool,
+            algorithm_options=algorithm_options,
         )
-        item.cache_hit = True
-        item.elapsed_seconds = item.outcome.elapsed_seconds
-        return True
+        self._topology = _Topology((), (self._new_engine(graph),), None, graph.epoch)
 
-    def _cache_store(self, item: BatchItem, resolved: TspgAlgorithm) -> None:
-        """Memoize a worker-computed outcome in the parent's cache.
+    def _init_runtime(
+        self,
+        graph: Optional[TemporalGraph],
+        *,
+        default_algorithm: str,
+        cache_size: int,
+        max_workers: int,
+        executor: str,
+        pool: Optional[WorkerPool],
+        algorithm_options: Optional[Dict[str, Dict[str, object]]],
+    ) -> None:
+        """State every service shape shares; the engines come after."""
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        # The source graph; None on a router booted from shard snapshots
+        # until something needs the union of its shard graphs.
+        self._graph = graph
+        self._default_algorithm = default_algorithm
+        self._cache_size = cache_size
+        self._max_workers = max_workers
+        self._default_executor = _validate_executor(executor)
+        self._pool = pool
+        self._algorithm_options = {
+            name: dict(opts) for name, opts in (algorithm_options or {}).items()
+        }
+        self._algorithms: Dict[str, TspgAlgorithm] = {}
+        self._algorithms_lock = threading.Lock()
+        # Orders the service's transitions: ingest, a repartition, the lazy
+        # union and fallback builds, and a shard generation swap.  Ingest
+        # also holds every engine's rewarm lock from the append through the
+        # journal write to the epoch publish, so a query that needs the new
+        # state waits for all of it.
+        self._rewarm_lock = threading.RLock()
+        # The service epoch the attached snapshot files reproduce for
+        # process workers (None: nothing attached), how they booted, and
+        # their page-advice policies.
+        self._snapshot_epoch: Optional[int] = None
+        self._snapshot_mmap_requested = False
+        self._snapshot_mmap = False
+        self._snapshot_mmap_reasons: List[str] = []
+        self._snapshot_boot = None
+        self._residency = None  # what the residency property reports
+        self._policies: Tuple[object, ...] = ()
+        self._residency_retired = 0
+        # Where ingest journals its deltas, and the epoch the journal chain
+        # ends at (None: not journaling).
+        self._journal_base: Optional[str] = None
+        self._journal_epoch: Optional[int] = None
 
-        Counterpart of :meth:`_cache_lookup`: results shipped back from a
-        worker process would otherwise die with its pool, making repeat
-        batches recompute everything.  Skips, cut-offs and hits are never
-        stored (same rules as :meth:`submit`).
+    def _new_engine(self, graph: TemporalGraph) -> _Engine:
+        return _Engine(graph, self._cache_size)
+
+    # ------------------------------------------------------------------
+    # alternate constructors (the GraphStore layer)
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_store(cls, store: "GraphStore", **kwargs) -> "TspgService":
+        """Build a service over the warmed graph a :class:`GraphStore` loads."""
+        return cls(store.load(), **kwargs)
+
+    @classmethod
+    def from_snapshot(
+        cls,
+        path,
+        *,
+        mmap: bool = False,
+        interval=None,
+        residency=False,
+        **kwargs,
+    ) -> "TspgService":
+        """Boot a service from a binary index snapshot in O(read).
+
+        The snapshot (written by :func:`repro.store.save_snapshot` or the
+        ``tspg warm`` command) already contains every warmed index, so no
+        edge is re-inserted or re-sorted; construction cost is dominated by
+        reading and decoding the file.  Raises
+        :class:`~repro.store.SnapshotError` on a corrupt or incompatible
+        file.
+
+        ``mmap=True`` requests the zero-copy columnar boot (snapshot
+        format v4): the file is mapped instead of decompressed and the
+        view columns serve straight out of the page cache, so boot cost
+        and resident memory scale with the pages queries actually touch.
+        Pre-v4 snapshots degrade to the eager boot with the reasons
+        recorded on :meth:`mmap_fallback_reasons` — a readable snapshot
+        always boots.
+
+        The snapshot path is remembered: it is what the
+        ``executor="processes"`` batch backend hands to its pool workers so
+        each can boot an identical service in O(read) — with ``mmap``
+        active, workers map the very same file, sharing its page-cache
+        pages instead of re-unpickling a private copy per process — and
+        where :meth:`ingest` journals its deltas.  The association is
+        epoch-guarded — mutating the graph outside :meth:`ingest`
+        disables the process backend (workers would boot a stale graph)
+        until a fresh snapshot is attached.
+
+        ``interval`` restricts the boot to that (inclusive) time range's
+        edges — combined with ``mmap`` this is the extent-local boot that
+        maps only the range's rows (see :func:`repro.store.boot_snapshot`).
+        Queries whose window lies inside the interval answer bit-identically
+        to an unrestricted boot.
+
+        ``residency=True`` attaches a :class:`~repro.store.ResidencyPolicy`
+        driving ``madvise`` page advice over the boot's mappings:
+        ``MADV_SEQUENTIAL`` for the warm scan, ``MADV_RANDOM`` once
+        serving starts, and :meth:`evict_cold_pages` for the serve loop's
+        periodic ``MADV_DONTNEED``.  A pre-built policy may be passed
+        instead of ``True``.  Advice degrades to a recorded no-op where
+        unsupported — it never changes results, only paging behaviour.
         """
-        outcome = item.outcome
-        if outcome is None or outcome.timed_out or item.cache_hit or item.skipped:
-            return
-        self._cache.put(self._cache_key(item.query, resolved), outcome)
+        from ..store.graph_store import SnapshotGraphStore  # deferred: cycle
+        from ..store.residency import ResidencyPolicy  # deferred: cycle
 
-    def _active_pool(self) -> Optional[WorkerPool]:
-        """The attached persistent pool, if it can still serve."""
-        return _usable_pool(self._pool)
+        policy = None
+        if residency:
+            policy = (
+                residency
+                if isinstance(residency, ResidencyPolicy)
+                else ResidencyPolicy()
+            )
+        store = SnapshotGraphStore(
+            path, mmap=mmap, interval=interval, residency=policy
+        )
+        graph = store.load()
+        if policy is not None:
+            policy.advise_warm()  # sequential read-ahead for the warm scan
+        service = cls(graph, **kwargs)
+        if policy is not None:
+            policy.advise_serve()  # point queries from here on
+        for engine in service._topology.engines:
+            if engine.graph is graph:  # not a projection of it
+                engine.snapshot_path = store.path
+                engine.snapshot_interval = interval
+        service._snapshot_epoch = service._journal_epoch = graph.epoch
+        service._journal_base = store.path
+        service._snapshot_mmap_requested = store.mmap_requested
+        service._snapshot_mmap = store.mmap_active
+        service._snapshot_mmap_reasons = (
+            store.mmap_fallback_reasons() if mmap else []
+        )
+        service._residency = policy
+        service._policies = () if policy is None else (policy,)
+        service._snapshot_boot = store.last_boot
+        return service
+
+    # ------------------------------------------------------------------
+    # routing hooks: the flat service is the one-shard case
+    # ------------------------------------------------------------------
+    def _build_topology(self) -> _Topology:
+        """The topology for the source graph's current epoch.
+
+        The flat service keeps its one engine, which rewarms itself; a
+        router repartitions.
+        """
+        return replace(self._topology, epoch=self._graph.epoch)
+
+    def _current_topology(self) -> _Topology:
+        """A self-consistent topology, rebuilt once after a mutation.
+
+        Only a source graph that moved past the published epoch (a
+        mutation outside :meth:`ingest`) triggers a rebuild.  A router
+        booted from shard snapshots has no source graph until the union is
+        asked for; its published topology is always current.
+        """
+        topology = self._topology
+        graph = self._graph
+        if graph is None or graph.epoch == topology.epoch:
+            return topology
+        with self._rewarm_lock:
+            topology = self._topology
+            if self._graph.epoch != topology.epoch:
+                topology = self._build_topology()
+                self._topology = topology
+            return topology
+
+    @staticmethod
+    def _route_in(topology: _Topology, interval) -> int:
+        """Index of the engine that answers ``interval`` (flat: the one)."""
+        return 0
+
+    def _engine_in(
+        self, topology: _Topology, index: int, build: bool = True
+    ) -> Optional[_Engine]:
+        """The engine behind route ``index``."""
+        return topology.engines[index]
+
+    def _built_engines(self) -> List[_Engine]:
+        """Every engine built so far (what the stats aggregate over)."""
+        return list(self._current_topology().engines)
+
+    def _new_report(
+        self, algorithm: str, items: List[BatchItem], workers: int, groups
+    ) -> BatchReport:
+        return BatchReport(algorithm=algorithm, items=items, num_workers=workers)
+
+    def _append(self, edges) -> Tuple[EdgeDelta, _Topology]:
+        """Apply an ingest batch; return its delta and the topology to publish."""
+        delta = self._graph.append_edges(edges)
+        return delta, self._build_topology()
+
+    # ------------------------------------------------------------------
+    # accessors
+    # ------------------------------------------------------------------
+    @property
+    def graph(self) -> TemporalGraph:
+        """The graph this service answers queries about.
+
+        A router booted by
+        :meth:`~repro.service.ShardedTspgService.from_shard_snapshots` has
+        none until first asked; this accessor then materialises it as the
+        union of the shard graphs.
+        """
+        if self._graph is None:
+            with self._rewarm_lock:
+                if self._graph is None:
+                    self._graph = self._materialize_union()
+        return self._graph
+
+    def has_vertex(self, vertex: Vertex) -> bool:
+        """Whether ``vertex`` exists in the served graph — union-free.
+
+        Callers that only need a membership probe (the CLI's vertex-label
+        coercion) use this instead of :attr:`graph`: a router booted from
+        shard snapshots answers from its shard graphs without
+        materialising their union.
+        """
+        graph = self._graph
+        if graph is not None:
+            return graph.has_vertex(vertex)
+        return self._has_vertex_union_free(vertex)
+
+    @property
+    def epoch(self) -> int:
+        """Mutation epoch of the served graph (union-free).
+
+        The serving tier stamps this onto every query response
+        (``epoch_before`` / ``epoch_after``) so network clients can replay
+        answers against a serial oracle while ingest runs concurrently.
+        """
+        graph = self._graph
+        if graph is not None:
+            return graph.epoch
+        return self._topology.epoch
+
+    @property
+    def default_algorithm(self) -> str:
+        """Name of the algorithm used when none is given."""
+        return self._default_algorithm
+
+    @property
+    def index_stats(self) -> Dict[str, int]:
+        """Warmed-index sizes, summed over the built engines."""
+        totals: Dict[str, int] = {}
+        for engine in self._built_engines():
+            for key, value in engine.index_stats.items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+    def cache_stats(self) -> CacheStats:
+        """Result-cache counters, summed over the built engines."""
+        totals = CacheStats()
+        for engine in self._built_engines():
+            stats = engine._cache.stats()
+            totals.hits += stats.hits
+            totals.misses += stats.misses
+            totals.evictions += stats.evictions
+            totals.size += stats.size
+            totals.max_size += stats.max_size
+        return totals
+
+    @property
+    def warmed_epoch(self) -> int:
+        """Graph epoch the warmed indices describe.
+
+        A router's shard engines warm their own projections; this is the
+        oldest of their epochs.
+        """
+        return min(
+            (engine.warmed_epoch for engine in self._built_engines()),
+            default=self.epoch,
+        )
+
+    def clear_cache(self) -> None:
+        """Drop all memoized results."""
+        for engine in self._built_engines():
+            engine.clear_cache()
+
+    @property
+    def pool(self) -> Optional[WorkerPool]:
+        """The attached persistent worker pool, if any."""
+        return self._pool
+
+    def attach_pool(self, pool: Optional[WorkerPool]) -> None:
+        """Attach (or with ``None`` detach) a persistent worker pool.
+
+        The pool's lifecycle stays the caller's: the service never closes
+        it, and several services may share one pool (worker-side booted
+        services are cached per snapshot path, so shards of different
+        routers coexist in the same workers).
+        """
+        self._pool = pool
+
+    def _resolve(self, algorithm: Optional[AlgorithmSpec]) -> TspgAlgorithm:
+        """Return a shared algorithm instance for a name (or pass one through)."""
+        if isinstance(algorithm, TspgAlgorithm):
+            return algorithm
+        name = algorithm or self._default_algorithm
+        instance = self._algorithms.get(name)
+        if instance is None:
+            with self._algorithms_lock:
+                instance = self._algorithms.get(name)
+                if instance is None:
+                    options = self._algorithm_options.get(name, {})
+                    instance = get_algorithm(name, **options)
+                    self._algorithms[name] = instance
+        return instance
+
+    # ------------------------------------------------------------------
+    # single queries
+    # ------------------------------------------------------------------
+    def has_cached(self, query: TspgQuery, algorithm: Optional[str] = None) -> bool:
+        """Whether :meth:`submit` would answer ``query`` from a cache now.
+
+        A non-blocking probe for an event loop: it takes no lock and
+        changes nothing — no rewarm or repartition, no algorithm instance
+        or fallback built, no hit or miss counted, no LRU move.  It
+        answers ``False`` whenever ``submit`` would first have to do any
+        of those.  ``True`` is a hint, not a reservation: an ingest
+        landing right after the probe turns the lookup into a miss, which
+        ``submit`` then answers as usual.
+        """
+        topology = self._topology
+        graph = self._graph
+        if graph is not None and graph.epoch != topology.epoch:
+            return False
+        instance = self._algorithms.get(algorithm or self._default_algorithm)
+        if instance is None:
+            return False
+        engine = self._engine_in(
+            topology, self._route_in(topology, query.interval), build=False
+        )
+        return engine is not None and engine.has_cached(query, instance)
+
+    def submit(
+        self,
+        query: TspgQuery,
+        algorithm: Optional[AlgorithmSpec] = None,
+        *,
+        use_cache: bool = True,
+        deadline: Optional[Deadline] = None,
+    ) -> AlgorithmResult:
+        """Answer one query on its engine, consulting and filling its cache.
+
+        On a cache hit the returned :class:`AlgorithmResult` shares the
+        (immutable) ``result`` and ``space_cost`` of the original run but
+        reports the *lookup* time as ``elapsed_seconds`` and carries
+        ``extras["cache_hit"] = True``.  If the graph was mutated since the
+        last query, the indices are transparently rewarmed and stale cached
+        results dropped first.
+
+        ``deadline`` is the cooperative per-query cut-off, forwarded into
+        the algorithm (see :meth:`TspgAlgorithm.run`): an
+        expired-on-arrival query returns a ``timed_out`` result before any
+        phase — or even the cache — is touched, and an in-flight one cuts
+        itself off at the algorithm's documented check points.  A
+        ``timed_out`` outcome is never memoized.
+        """
+        topology = self._current_topology()
+        engine = self._engine_in(topology, self._route_in(topology, query.interval))
+        return engine.submit(query, self._resolve(algorithm), use_cache, deadline)
+
+    def query(
+        self,
+        source: Vertex,
+        target: Vertex,
+        interval,
+        algorithm: Optional[AlgorithmSpec] = None,
+        *,
+        use_cache: bool = True,
+        deadline: Optional[Deadline] = None,
+    ) -> AlgorithmResult:
+        """Convenience wrapper building the :class:`TspgQuery` for the caller."""
+        return self.submit(
+            TspgQuery(source=source, target=target, interval=interval),
+            algorithm,
+            use_cache=use_cache,
+            deadline=deadline,
+        )
+
+    # ------------------------------------------------------------------
+    # live ingest
+    # ------------------------------------------------------------------
+    def ingest(self, edges) -> EdgeDelta:
+        """Append edges through the journaled delta path and serve on.
+
+        The live-ingest entry point.  A flat service applies ``edges`` via
+        :meth:`TemporalGraph.append_edges` (an mmap-booted graph stays lazy
+        and its columnar view is *extended*, not rebuilt); a router applies
+        each edge to every shard whose extent covers its timestamp.  When
+        the service was booted from (or saved to) files, the delta is then
+        recorded in their journal — the snapshot's ``*.tspgjournal``
+        sidecar, or a shard set's ``ingest.tspgjournal`` — so a reboot
+        replays it.  Caches invalidate delta-aware.  Returns the applied
+        :class:`~repro.graph.temporal_graph.EdgeDelta`.
+
+        The append, the journal write and the epoch publish all happen
+        under the lock a query takes to rewarm, so no answer carries an
+        ingested edge under the pre-ingest epoch.  A flat snapshot's
+        journal is replayed by every boot of the file, so the
+        ``executor="processes"`` backend stays enabled across journaled
+        ingests instead of degrading to threads.
+        """
+        from ..store.journal import append_journal_delta  # deferred: cycle
+
+        with self._rewarm_lock, ExitStack() as held:
+            for engine in self._built_engines():
+                held.enter_context(engine._rewarm_lock)
+            delta, topology = self._append(edges)
+            if delta and self._journal_epoch == delta.old_epoch:
+                # Journal only while the files plus the journal still
+                # reproduce the live service; a mutation outside ingest
+                # broke that chain (and already disabled the process
+                # backend).
+                append_journal_delta(self._journal_base, delta)
+                self._journal_epoch = delta.new_epoch
+                if self._WORKERS_REPLAY_JOURNAL:
+                    self._snapshot_epoch = delta.new_epoch
+            self._topology = topology
+        for engine in topology.engines:
+            # The engine over the source graph itself (a flat service's
+            # one engine) rewarms now; shard projections on their next query.
+            if engine.graph is self._graph:
+                engine.ensure_current()
+        return delta
+
+    # ------------------------------------------------------------------
+    # batches
+    # ------------------------------------------------------------------
+    def run_batch(
+        self,
+        queries: Union[Sequence[TspgQuery], QueryWorkload],
+        algorithm: Optional[AlgorithmSpec] = None,
+        *,
+        max_workers: Optional[int] = None,
+        use_cache: bool = True,
+        time_budget_seconds: Optional[float] = None,
+        deadline: Optional[Deadline] = None,
+        executor: Optional[str] = None,
+    ) -> BatchReport:
+        """Answer a batch of queries, optionally in parallel.
+
+        The batch is grouped by routed engine; the groups run concurrently
+        (bounded by ``max_workers``, which each group shares in proportion
+        to its size) and every item lands back in submission order.  A
+        router returns a :class:`~repro.service.ShardedBatchReport`.
+
+        Parameters
+        ----------
+        queries:
+            The batch; a :class:`QueryWorkload` is accepted directly.
+        max_workers:
+            Worker-pool width; ``1`` (the default from the constructor)
+            executes serially in submission order.
+        time_budget_seconds:
+            Wall-clock budget for the whole batch.  Queries that have not
+            *started* when the budget expires are reported as skipped
+            (``BatchItem.skipped``) and the report is flagged ``timed_out`` —
+            the batch analogue of the paper's 12-hour "INF" cut-off.  The
+            budget also travels into every query, group and worker process
+            as one absolute :class:`~repro.core.deadline.Deadline`, so an
+            in-flight query cuts itself off promptly (a ``timed_out``
+            outcome) instead of occupying its worker past the budget.
+        deadline:
+            An explicit absolute cut-off, for callers that already hold a
+            :class:`Deadline` (the serve loop's per-request deadlines).
+            When both this and ``time_budget_seconds`` are given the
+            stricter instant wins.
+        executor:
+            ``"threads"`` (default) or ``"processes"``.  The process backend
+            fans contiguous chunks of each engine's group out to a
+            ``ProcessPoolExecutor`` whose workers boot from that engine's
+            snapshot file — true multi-core parallelism for the GIL-bound
+            hot path.  It degrades to threads when no current snapshot is
+            attached, the algorithm is an unregistered instance, or the
+            batch is serial (``max_workers=1`` or ≤1 query); a router's
+            fallback group always runs on threads.
+            :attr:`BatchReport.executor` records the backend actually used.
+
+        Returns
+        -------
+        BatchReport
+            Per-query outcomes aligned with the input order plus wall-clock
+            and throughput aggregates.  Results are identical regardless of
+            worker count and backend: every query runs against the same
+            immutable warmed graph (or a snapshot-booted copy of it), and
+            result objects are frozen.
+        """
+        query_list = list(queries)
+        topology = self._current_topology()
+        resolved = self._resolve(algorithm)
+        workers = max_workers if max_workers is not None else self._max_workers
+        if workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        executor_kind = _validate_executor(
+            executor if executor is not None else self._default_executor
+        )
+        budget_deadline = Deadline.from_budget(time_budget_seconds)
+        if budget_deadline is not None:
+            deadline = budget_deadline.earlier(deadline)
+        groups: Dict[int, List[int]] = {}
+        for position, query in enumerate(query_list):
+            groups.setdefault(
+                self._route_in(topology, query.interval), []
+            ).append(position)
+        report = self._new_report(
+            resolved.name, [BatchItem(query=query) for query in query_list],
+            workers, groups,
+        )
+        started = time.perf_counter()
+        ordered = sorted(groups.items())
+        # Each group gets its share of the worker budget (one worker
+        # minimum): the outer threads only block on their group's inner
+        # pool, so live workers stay ≈ the requested width while a
+        # dominant group keeps its share of the parallelism.
+        widths = {
+            index: max(1, (workers * len(positions)) // len(query_list))
+            for index, positions in ordered
+        }
+        chunks: List[Tuple[_Engine, List[int]]] = []
+        if (
+            executor_kind == "processes"
+            and workers > 1
+            and len(query_list) > 1
+            and not isinstance(algorithm, TspgAlgorithm)
+            and self._snapshots_current(topology)
+        ):
+            # The parent's caches stay authoritative: hits are answered here
+            # and worker outcomes stored back on merge.  Past the deadline
+            # not even a hit is served (as in submit), so the refusals the
+            # workers produce do not depend on what happens to be cached.
+            peek = use_cache and not (deadline is not None and deadline.expired())
+            for index, positions in ordered:
+                if index == FALLBACK_SHARD:
+                    continue  # no snapshot file: it stays on threads
+                engine = topology.engines[index]
+                engine.ensure_current()
+                if peek:
+                    positions = [
+                        position
+                        for position in positions
+                        if not engine.cache_lookup(report.items[position], resolved)
+                    ]
+                chunks.extend(
+                    (engine, [positions[offset] for offset in chunk])
+                    for chunk in _chunk_positions(len(positions), widths[index])
+                    if chunk
+                )
+            ordered = [group for group in ordered if group[0] == FALLBACK_SHARD]
+        # Chunks go to the process pool from *this* thread, before any
+        # fan-out thread exists (workers fork at first submit; forking a
+        # process that is already running threads is fragile).
+        batch_pool: Optional[ProcessPoolExecutor] = None
+        persistent: Optional[WorkerPool] = None
+        harvest = Future.result
+        if chunks:
+            report.executor = "processes"
+            if self._pool is not None and not self._pool.closed:
+                persistent = self._pool
+                submit, harvest = persistent.submit, persistent.harvest
+            else:
+                batch_pool = ProcessPoolExecutor(
+                    max_workers=min(workers, len(chunks))
+                )
+                submit = batch_pool.submit
+        # The budget crosses as an absolute instant: a chunk may sit queued
+        # behind a full pool, and a duration captured now would let it
+        # overshoot the batch budget once it starts.
+        deadline_at = deadline.at_monotonic if deadline is not None else None
+
+        def run_group(group: Tuple[int, List[int]]) -> bool:
+            # Every group shares the batch-wide absolute deadline; one that
+            # starts late finds less of it left, one past it skips outright.
+            index, positions = group
+            part = BatchReport(
+                algorithm=report.algorithm,
+                items=[report.items[position] for position in positions],
+            )
+            self._engine_in(topology, index).run_batch(
+                part, resolved, widths[index], use_cache, deadline
+            )
+            return part.timed_out
+
+        tasks: List[Tuple[_Engine, List[int], Future]] = []
+        try:
+            for engine, chunk in chunks:
+                future = submit(
+                    _snapshot_worker_run_batch,
+                    engine.snapshot_path,
+                    [query_list[position] for position in chunk],
+                    algorithm,
+                    default_algorithm=self._default_algorithm,
+                    algorithm_options=self._algorithm_options,
+                    use_cache=use_cache,
+                    deadline_at=deadline_at,
+                    snapshot_epoch=engine.graph.epoch,
+                    snapshot_mmap=self._snapshot_mmap,
+                    snapshot_interval=engine.snapshot_interval,
+                    snapshot_residency=bool(self._policies),
+                )
+                tasks.append((engine, chunk, future))
+            if len(ordered) <= 1 or workers == 1:
+                cut_off = [run_group(group) for group in ordered]
+            else:
+                with ThreadPoolExecutor(
+                    max_workers=min(workers, len(ordered)),
+                    thread_name_prefix="tspg-shard",
+                ) as fan_out:
+                    cut_off = list(fan_out.map(run_group, ordered))
+            report.timed_out = report.timed_out or any(cut_off)
+            for engine, chunk, future in tasks:
+                sub_report = harvest(future)  # re-raises worker exceptions
+                report.timed_out = report.timed_out or sub_report.timed_out
+                for position, item in zip(chunk, sub_report.items):
+                    report.items[position] = item
+                    if use_cache:
+                        engine.cache_store(item, resolved)
+        finally:
+            if batch_pool is not None:
+                # cancel_futures is a no-op on the success path (every
+                # future already resolved); on an exception it stops queued
+                # chunks from computing results that would only be
+                # discarded.  A persistent pool is never shut down here —
+                # keeping its workers (and their booted services) alive
+                # across batches is its whole point.
+                batch_pool.shutdown(cancel_futures=True)
+            elif persistent is not None:
+                # The persistent-pool analogue of cancel_futures: an aborted
+                # merge must not leave this batch's queued chunks occupying
+                # the shared workers (no-op for resolved futures).
+                for _engine, _chunk, future in tasks:
+                    future.cancel()
+                persistent.note_batch()
+        if deadline is not None and deadline.expired() and report.num_timed_out:
+            # Queries the deadline cut off mid-flight are budget expiry too,
+            # exactly like the skipped-before-start case.
+            report.timed_out = True
+        report.wall_seconds = time.perf_counter() - started
+        return report
+
+    def _snapshots_current(self, topology: _Topology) -> bool:
+        """Whether every engine's snapshot file reproduces ``topology``."""
+        return self._snapshot_epoch == topology.epoch and all(
+            engine.snapshot_path is not None for engine in topology.engines
+        )
 
     def process_fallback_reasons(
         self,
@@ -1132,33 +1438,46 @@ class TspgService:
         """Why a ``processes`` batch request would degrade to threads.
 
         Returns human-readable reasons, empty when the process backend
-        would engage.  The CLI renders these in its explanatory note; the
-        degrade itself stays silent on the API (the report's
-        :attr:`BatchReport.executor` field records what actually ran).
+        would engage (a router's fallback group always runs on threads).
+        The CLI renders these in its explanatory note; the degrade itself
+        stays silent on the API (the report's :attr:`BatchReport.executor`
+        field records what actually ran).
         """
         workers = max_workers if max_workers is not None else self._max_workers
-        reasons = _common_fallback_reasons(workers, algorithm)
-        if self._snapshot_path is None:
+        reasons: List[str] = []
+        if workers == 1:
+            reasons.append("max_workers=1 requests a serial run")
+        if isinstance(algorithm, TspgAlgorithm):
             reasons.append(
-                "no snapshot is attached (boot via TspgService.from_snapshot "
-                "or 'tspg warm') so workers have nothing to boot from"
+                "the algorithm is a configured instance, not a registry "
+                "name, and cannot be shipped to worker processes"
             )
-        elif self._snapshot_epoch != self._graph.epoch:
-            reasons.append(
-                "the graph mutated after the snapshot was taken (stale "
-                "epoch); re-warm to re-attach"
-            )
+        if self._snapshot_epoch is None:
+            reasons.append(self._NO_SNAPSHOT_REASON)
+        elif not self._snapshots_current(self._current_topology()):
+            reasons.append(self._STALE_SNAPSHOT_REASON)
         return reasons
 
+    # ------------------------------------------------------------------
+    # snapshot boot: mmap and page residency
+    # ------------------------------------------------------------------
     @property
     def snapshot_mmap_active(self) -> bool:
-        """Whether this service booted over an mmap-backed snapshot."""
+        """Whether the service (every shard, on a router) booted over mmap."""
         return self._snapshot_mmap
 
-    @property
-    def residency(self):
-        """The attached :class:`~repro.store.ResidencyPolicy`, or ``None``."""
-        return self._residency
+    def mmap_fallback_reasons(self) -> List[str]:
+        """Why the boot is not mmap-backed (empty when it is).
+
+        Mirrors :meth:`process_fallback_reasons`: human-readable reasons
+        the CLI renders, never an exception.  When ``mmap=True`` was
+        passed but the boot degraded to eager, each degradation is listed
+        (e.g. a pre-v4 snapshot, labelled with its shard on a router);
+        when mmap was never requested the single reason says so.
+        """
+        if not self._snapshot_mmap_requested:
+            return ["mmap boot was not requested (pass mmap=True / --mmap)"]
+        return list(self._snapshot_mmap_reasons)
 
     @property
     def snapshot_boot(self):
@@ -1170,11 +1489,29 @@ class TspgService:
         """
         return self._snapshot_boot
 
+    @property
+    def residency(self):
+        """The attached page-advice policy.
+
+        One :class:`~repro.store.ResidencyPolicy` (or ``None``) on a flat
+        service; a router's per-shard tuple (empty without residency).
+        """
+        return self._residency
+
     def residency_stats(self) -> Optional[Dict[str, object]]:
-        """Page-advice counters, or ``None`` when no policy is attached."""
-        if self._residency is None:
+        """Page-advice counters, or ``None`` when no policy is attached.
+
+        A router merges its shard policies (see
+        :meth:`~repro.store.ResidencyPolicy.merged_with`) and counts the
+        mappings retired with superseded generations.
+        """
+        if not self._policies:
             return None
-        stats = self._residency.stats()
+        first, *rest = self._policies
+        stats = first.merged_with(rest)
+        stats["retirements"] = (
+            int(stats.get("retirements", 0)) + self._residency_retired
+        )
         boot = self._snapshot_boot
         if boot is not None:
             stats["mapped_column_bytes"] = boot.mapped_column_bytes
@@ -1187,127 +1524,8 @@ class TspgService:
 
         The ``tspg serve`` loop calls this periodically so a long-running
         server's resident set tracks the recent query mix instead of
-        accreting every page ever touched.  A no-op (returning 0) without a
-        policy or on platforms without madvise support.
+        accreting every page ever touched; evicted pages re-fault from the
+        files on the next access.  A no-op (returning 0) without a policy
+        or on platforms without madvise support.
         """
-        if self._residency is None:
-            return 0
-        return self._residency.evict_cold()
-
-    def mmap_fallback_reasons(self) -> List[str]:
-        """Why the boot is not mmap-backed (empty when it is).
-
-        Mirrors :meth:`process_fallback_reasons`: human-readable reasons
-        the CLI renders, never an exception.  When ``mmap=True`` was
-        passed to :meth:`from_snapshot` but the boot degraded to eager,
-        each degradation is listed (e.g. a pre-v4 snapshot); when mmap was
-        never requested the single reason says so.
-        """
-        if not self._snapshot_mmap_requested:
-            return ["mmap boot was not requested (pass mmap=True / --mmap)"]
-        return list(self._snapshot_mmap_reasons)
-
-    def _run_batch_processes(
-        self,
-        report: BatchReport,
-        algorithm: Optional[AlgorithmSpec],
-        resolved: TspgAlgorithm,
-        workers: int,
-        use_cache: bool,
-        deadline: Optional[Deadline],
-    ) -> None:
-        """Fan contiguous chunks of the batch out to snapshot-booted processes.
-
-        Each worker boots a :class:`TspgService` from :attr:`_snapshot_path`
-        (cached per worker process), answers its chunk serially, and ships
-        the sub-report back; chunks are merged in submission order, so the
-        merged report is bit-identical to a serial run.  The parent's result
-        cache stays authoritative: hits are answered here before anything is
-        shipped, and worker outcomes are stored back on return, so repeat
-        batches keep their dictionary-lookup cost.  Worker exceptions
-        re-raise here via ``Future.result()``.
-
-        With a persistent :class:`WorkerPool` attached the chunks are
-        submitted to its long-lived workers (whose booted services survive
-        from previous batches) and nothing is torn down afterwards;
-        otherwise a per-batch ``ProcessPoolExecutor`` is built and shut
-        down around the fan-out, as before.
-        """
-        name = algorithm if isinstance(algorithm, str) else None
-        pending = list(range(len(report.items)))
-        # Mirror submit()'s admission contract: past the deadline not even
-        # a cache hit is served, so the refusal a worker will produce does
-        # not depend on what happens to be cached (and the report matches
-        # the thread/serial backends for identical input).
-        if use_cache and not (deadline is not None and deadline.expired()):
-            pending = [
-                position
-                for position in pending
-                if not self._cache_lookup(report.items[position], resolved)
-            ]
-        if not pending:
-            # Everything was answered from the cache — no worker ran, so
-            # the report keeps the default backend label.
-            return
-        report.executor = "processes"
-        deadline_at = deadline.at_monotonic if deadline is not None else None
-        chunks = [
-            [pending[offset] for offset in chunk]
-            for chunk in _chunk_positions(len(pending), workers)
-        ]
-        persistent = self._active_pool()
-        batch_pool: Optional[ProcessPoolExecutor] = None
-        if persistent is None:
-            batch_pool = ProcessPoolExecutor(max_workers=len(chunks))
-            submit = batch_pool.submit
-            harvest = Future.result
-        else:
-            submit = persistent.submit
-            harvest = persistent.harvest
-        submitted: List[Tuple[List[int], Future]] = []
-        try:
-            for chunk in chunks:
-                submitted.append(
-                    (
-                        chunk,
-                        submit(
-                            _snapshot_worker_run_batch,
-                            self._snapshot_path,
-                            [report.items[position].query for position in chunk],
-                            name,
-                            default_algorithm=self._default_algorithm,
-                            algorithm_options=self._algorithm_options,
-                            use_cache=use_cache,
-                            deadline_at=deadline_at,
-                            snapshot_epoch=self._snapshot_epoch,
-                            snapshot_mmap=self._snapshot_mmap,
-                            snapshot_interval=self._snapshot_interval,
-                            snapshot_residency=self._residency is not None,
-                        ),
-                    )
-                )
-            for chunk, future in submitted:
-                sub_report = harvest(future)  # re-raises worker exceptions
-                report.timed_out = report.timed_out or sub_report.timed_out
-                for position, item in zip(chunk, sub_report.items):
-                    report.items[position] = item
-                    if use_cache:
-                        self._cache_store(item, resolved)
-        finally:
-            if batch_pool is not None:
-                # cancel_futures is a no-op on the success path (every
-                # future already resolved); on an exception it stops queued
-                # chunks from computing results that would only be
-                # discarded.  A persistent pool is never shut down here —
-                # keeping its workers (and their booted services) alive
-                # across batches is its whole point.
-                batch_pool.shutdown(cancel_futures=True)
-            elif persistent is not None:
-                # The persistent-pool analogue of cancel_futures: when an
-                # exception aborts the merge, queued chunks of this batch
-                # must not keep occupying the shared workers just to have
-                # their results discarded.  cancel() is a no-op for
-                # resolved futures, so the success path is unaffected.
-                for _chunk, future in submitted:
-                    future.cancel()
-                persistent.note_batch()
+        return sum(policy.evict_cold() for policy in self._policies)

@@ -346,8 +346,8 @@ def write_legacy_snapshot(
     """Write a pre-v4 (single zlib-pickle payload) snapshot to ``path``.
 
     Produces byte layouts identical to what the v1/v2/v3 writers emitted —
-    the cross-version compatibility tests and the exp15 eager-boot baseline
-    use this so old-format files don't have to be vendored as fixtures.
+    the cross-version compatibility tests use this so old-format files
+    don't have to be vendored as fixtures.
     """
     if version not in (1, 2, 3):
         raise ValueError(f"legacy snapshot versions are 1..3, got {version}")

@@ -12,6 +12,7 @@ ingest → journal → generation-swap re-warm lifecycle.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import threading
@@ -448,6 +449,66 @@ class TestServiceIngest:
 # ----------------------------------------------------------------------
 # Residency retirement on generation swap
 # ----------------------------------------------------------------------
+def _d1_snapshot_boot(tmp_path):
+    path = str(tmp_path / "d1.tspgsnap")
+    save_snapshot(load_dataset("D1"), path)
+    return TspgService.from_snapshot(path, cache_size=0)
+
+
+def _d1_shard_set_boot(tmp_path):
+    path = str(tmp_path / "shards")
+    ShardedTspgService(load_dataset("D1"), 2, overlap=10).save_shards(path)
+    return ShardedTspgService.from_shard_snapshots(path, cache_size=0)
+
+
+@pytest.mark.parametrize(
+    "boot", [_d1_snapshot_boot, _d1_shard_set_boot], ids=["snapshot", "shard-set"]
+)
+def test_a_query_racing_the_journal_write_answers_at_its_stamped_epoch(
+    tmp_path, monkeypatch, boot
+):
+    # A query that arrives after an ingest applied its rows but before
+    # the journal write must not carry an ingested edge under the
+    # pre-ingest epoch: the append, the journal write and the epoch
+    # publish happen under the lock the query takes to rewarm.
+    import repro.store.journal as journal_mod
+
+    service = boot(tmp_path)
+    core = RequestCore(service)
+    request = json.dumps({
+        "source": 17, "target": 37, "begin": 100, "end": 100,
+        "include_edges": True,
+    })
+    replies = []
+    racer = threading.Thread(
+        target=lambda: replies.append(core.handle_line(request)[0])
+    )
+    real_append = journal_mod.append_journal_delta
+
+    def racing_append(base, delta):
+        racer.start()
+        racer.join(timeout=0.5)  # the query gets its chance first
+        return real_append(base, delta)
+
+    monkeypatch.setattr(journal_mod, "append_journal_delta", racing_append)
+    row = (17, 37, 100)
+    delta = service.ingest([row])
+    racer.join()
+    (reply,) = replies
+    assert reply["ok"], reply
+    before = load_dataset("D1")
+    after = before.copy()
+    after.append_edges([row])
+    graphs = {delta.old_epoch: before, delta.new_epoch: after}
+    stamped = range(reply["epoch_before"], reply["epoch_after"] + 1)
+    assert set(stamped) <= set(graphs), reply
+    served = frozenset(tuple(edge) for edge in reply["edges"])
+    assert any(
+        served == answers(graphs[epoch], 17, 37, (100, 100))[1]
+        for epoch in stamped
+    ), reply
+
+
 class TestResidencyRetirement:
     def test_retire_all_counts_and_clears(self):
         policy = ResidencyPolicy()
@@ -630,6 +691,22 @@ class TestRouterIngest:
         assert not os.path.exists(
             os.path.join(shard_dir, "ingest.tspgjournal")
         )
+
+    def test_a_mutation_outside_ingest_stops_journaling(self, tmp_path):
+        # As on a flat snapshot: once the source graph moved outside
+        # ingest, the set journal can no longer reproduce it, so ingest
+        # stops journaling and the set keeps booting at generation N.
+        graph = sample_graph()
+        shard_dir = str(tmp_path / "shards")
+        router = ShardedTspgService(graph, 3)
+        router.save_shards(shard_dir)
+        graph.add_edge("s", "t", 4)  # outside ingest
+        router.ingest([("t", "z", 9)])
+        router.ingest([("z", "q", 30)])
+        assert not os.path.exists(os.path.join(shard_dir, "ingest.tspgjournal"))
+        rebooted = ShardedTspgService.from_shard_snapshots(shard_dir)
+        assert rebooted.epoch == ShardSnapshotSet(shard_dir).manifest().epoch
+        assert answers(rebooted.graph) == answers(sample_graph())
 
     def test_rewarm_without_an_attached_set_raises(self):
         router = ShardedTspgService(sample_graph(), 2)

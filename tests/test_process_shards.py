@@ -75,8 +75,8 @@ def _star_queries(count: int):
 # ----------------------------------------------------------------------
 class TestExceptionVsTimeout:
     def _run_direct(self, budget):
-        """Drive _run_batch_parallel with a report we keep a handle on."""
-        service = TspgService(_star_graph(4))
+        """Drive the engine's _run_batch_parallel with a report we keep a handle on."""
+        (engine,) = TspgService(_star_graph(4))._topology.engines
         report = BatchReport(
             algorithm="Failing",
             items=[BatchItem(query=query) for query in _star_queries(4)],
@@ -84,7 +84,7 @@ class TestExceptionVsTimeout:
         )
         deadline = None if budget is None else Deadline.after(budget)
         with pytest.raises(RuntimeError, match="worker blew up"):
-            service._run_batch_parallel(
+            engine._run_batch_parallel(
                 report, FailingAlgorithm(), 2, False, deadline
             )
         return report
@@ -150,7 +150,7 @@ class TestShardedEmptyBatchValidation:
         graph, _ = _random_case(seed=33)
         router = ShardedTspgService(graph, 2)
         router.run_batch([], "VUG")
-        assert router._fallback_service is None
+        assert router._fallback is None
 
 
 # ----------------------------------------------------------------------
@@ -429,17 +429,27 @@ class TestProcessBackend:
         assert report.executor == "threads"
         assert report.num_completed == len(queries)
 
-    def test_workers_one_stays_serial_even_with_snapshots(self, tmp_path):
-        # --workers 1 means serial on both services; forking a pool for a
-        # serial request would only add boot cost.
+    @pytest.mark.parametrize("shape", ["flat", "router"])
+    @pytest.mark.parametrize("max_workers, num_queries", [(1, 4), (2, 1)])
+    def test_workers_one_stays_serial_even_with_snapshots(
+        self, tmp_path, max_workers, num_queries, shape
+    ):
+        # --workers 1, or a batch of one query, means serial on both
+        # shapes; forking a pool for a serial request would only add boot
+        # cost.
         graph, queries = _random_case(seed=57, num_queries=4)
-        router = ShardedTspgService(graph, 2, overlap=8)
-        router.save_shards(tmp_path / "shards")
-        report = router.run_batch(
-            queries, max_workers=1, use_cache=False, executor="processes"
+        if shape == "flat":
+            save_snapshot(graph, tmp_path / "g.tspgsnap")
+            service = TspgService.from_snapshot(tmp_path / "g.tspgsnap")
+        else:
+            service = ShardedTspgService(graph, 2, overlap=8)
+            service.save_shards(tmp_path / "shards")
+        report = service.run_batch(
+            queries[:num_queries], max_workers=max_workers, use_cache=False,
+            executor="processes",
         )
         assert report.executor == "threads"
-        assert report.num_completed == len(queries)
+        assert report.num_completed == num_queries
 
     def test_pre_v3_snapshots_do_not_leak_stale_tie_order(self, tmp_path):
         # A snapshot written by an older build may carry hash-seed-dependent

@@ -142,15 +142,6 @@ class TestSubmit:
         assert "cache_hit" not in again.extras
         assert service.cache_stats().size == 0
 
-    def test_refresh_indices_deprecated_but_still_drops_results(self, paper_query):
-        graph, source, target, interval = paper_query
-        service = TspgService(graph)
-        service.query(source, target, interval)
-        assert service.cache_stats().size == 1
-        with pytest.deprecated_call():
-            service.refresh_indices()
-        assert service.cache_stats().size == 0
-
     def test_algorithm_instances_are_shared(self, paper_query):
         graph, source, target, interval = paper_query
         service = TspgService(graph)
@@ -255,10 +246,11 @@ class TestEpochTracking:
         graph, source, target, interval = paper_query
         service = TspgService(graph)
         algorithm = service._resolve("VUG")
-        key_before = service._cache_key(TspgQuery(source, target, interval), algorithm)
+        (engine,) = service._topology.engines
+        key_before = engine._cache_key(TspgQuery(source, target, interval), algorithm)
         graph.add_edge("brand-new-vertex", source, interval.begin)
         service.query(source, target, interval)  # triggers the rewarm
-        key_after = service._cache_key(TspgQuery(source, target, interval), algorithm)
+        key_after = engine._cache_key(TspgQuery(source, target, interval), algorithm)
         assert key_before != key_after
 
 
@@ -451,12 +443,8 @@ class TestCacheProbe:
         assert (after.hits, after.misses, after.size) == (
             before.hits, before.misses, before.size,
         )
-        if isinstance(probed, ShardedTspgService):
-            services = probed._all_services()
-        else:
-            services = [probed]
-        for service in services:
-            assert "VUG-noTight" not in service._algorithms
+        # Every engine of a service shares the service's algorithm instances.
+        assert "VUG-noTight" not in probed._algorithms
 
     def test_flat_probe_is_false_while_the_graph_is_ahead_of_the_warm(self):
         service = TspgService(_probe_graph())

@@ -243,13 +243,6 @@ class TestEdgeTuplesSequence:
         graph.add_edge("q", "r", 2)
         assert graph.edge_tuples() is not first  # invalidated by mutation
 
-    def test_deprecated_set_alias(self):
-        graph = _random_graph()
-        with pytest.deprecated_call():
-            old_shape = graph.edge_tuple_set()
-        assert old_shape == set(graph.edge_tuples())
-        assert isinstance(old_shape, set)
-
     def test_tie_order_is_a_function_of_the_edge_set(self):
         # Regression: the backing used to sort the edge *set* keyed on
         # timestamp only, so equal-timestamp tie order leaked the set's
