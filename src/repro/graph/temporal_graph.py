@@ -73,9 +73,9 @@ class EdgeDelta:
     entries whose query window intersects ``[min_timestamp, max_timestamp]``.
 
     ``append_only`` is ``True`` when every new row sorts at or after the
-    last existing row — the fast path where epoch N's buffers are reused
-    as a frozen prefix.  An empty delta (every staged edge was a
-    duplicate) has ``rows == ()`` and ``old_epoch == new_epoch``.
+    last existing row — the fast path where epoch N's columns are copied
+    once and extended, never re-sorted.  An empty delta (every staged edge
+    was a duplicate) has ``rows == ()`` and ``old_epoch == new_epoch``.
     """
 
     __slots__ = (
@@ -150,7 +150,6 @@ class LazyGraphBoot:
         "timestamps",
         "epoch",
         "num_edges",
-        "warm_stats",
         "load_adjacency",
         "_vertex_set",
     )
@@ -162,14 +161,12 @@ class LazyGraphBoot:
         timestamps: List[Timestamp],
         epoch: int,
         num_edges: int,
-        warm_stats: Dict[str, int],
         load_adjacency,
     ) -> None:
         self.view = view
         self.timestamps = timestamps
         self.epoch = epoch
         self.num_edges = num_edges
-        self.warm_stats = warm_stats
         self.load_adjacency = load_adjacency
         self._vertex_set: Optional[Set[Vertex]] = None
 
@@ -379,13 +376,13 @@ class TemporalGraph:
         adjacency/edge structures hydrate lazily on first touch.
 
         Used by the mmap snapshot boot (format v4): the view's columns are
-        :class:`~repro.graph.columns.MmapColumn` slices of the mapped file,
-        so nothing beyond the small metadata section is resident until a
-        consumer actually walks the graph.  The distinct-timestamp cache and
-        the epoch come from the metadata, so :meth:`timestamps`,
-        :attr:`epoch`, :attr:`num_vertices`, :attr:`num_edges`,
-        :meth:`vertices`, :meth:`has_vertex`, :meth:`view` and
-        :meth:`warm_indices` all answer without hydrating anything.
+        ``memoryview`` slices of the mapped file, so nothing beyond the
+        small metadata section is resident until a consumer actually walks
+        the graph.  The distinct-timestamp cache and the epoch come from the
+        metadata, so :meth:`timestamps`, :attr:`epoch`, :attr:`num_vertices`,
+        :attr:`num_edges`, :meth:`vertices`, :meth:`has_vertex`,
+        :meth:`view` and :meth:`warm_indices` all answer without hydrating
+        anything.
         """
         graph = cls()
         graph._out_data = None
@@ -541,12 +538,12 @@ class TemporalGraph:
           timestamps are extended in place (merged for out-of-order rows),
           never discarded;
         * a cached :class:`GraphView` is replaced by
-          :meth:`GraphView.extended_with` (append-mostly rows reuse the old
-          column buffers as a frozen prefix);
+          :meth:`GraphView.extended_with` (append-mostly rows copy the old
+          column bytes once and splice the CSR, never re-sorting);
         * on a lazily-booted (mmap) graph, an append-only delta does **not**
           hydrate: the delta is folded into the boot state (the adjacency
-          loader replays it on eventual first touch) and the mapped columns
-          stay the frozen prefix of the extended view.  Out-of-order rows
+          loader replays it on eventual first touch) and the extended view
+          copies the mapped columns into private memory.  Out-of-order rows
           degrade to full hydration + merge.
 
         Validation matches :meth:`add_edges`: exact duplicates are skipped,
@@ -741,10 +738,11 @@ class TemporalGraph:
     def _apply_append_lazy(self, delta: EdgeDelta) -> None:
         """Fold an append-only ``delta`` into the boot state — no hydration.
 
-        The mapped columns become the frozen prefix of the extended view,
-        and the adjacency loader is wrapped so an *eventual* first touch
-        replays the delta after unpickling the base section.  Whatever has
-        already hydrated (either tier) is extended in place.
+        The extended view copies the mapped edge columns into private
+        memory (the file is never written), and the adjacency loader is
+        wrapped so an *eventual* first touch replays the delta after
+        unpickling the base section.  Whatever has already hydrated (either
+        tier) is extended in place.
         """
         boot = self._lazy_boot
         new_view = self._view_cache.extended_with(delta)
@@ -775,7 +773,6 @@ class TemporalGraph:
             timestamps=self._merged_timestamps(delta),
             epoch=delta.new_epoch,
             num_edges=delta.new_num_edges,
-            warm_stats=boot.warm_stats,
             load_adjacency=load_adjacency,
         )
         self._lazy_boot = new_boot
@@ -1007,11 +1004,17 @@ class TemporalGraph:
         index it serves either lives in the mapped file (the columnar view,
         the CSR-aligned timestamp columns) or hydrates lazily on first
         touch, and eagerly building them here would defeat the boot's
-        whole point.  The returned counts were captured at save time and
-        describe the persisted (fully warmed) state.
+        whole point.  The returned counts are derived from the graph's
+        current state without hydrating anything, and equal what an eager
+        warm of the same state reports.
         """
         if self._lazy_boot is not None:
-            return dict(self._lazy_boot.warm_stats)
+            return {
+                "sorted_edges": self.num_edges,
+                "distinct_timestamps": len(self.timestamps()),
+                "vertex_timestamp_views": 2 * self.num_vertices,
+                "view_edges": self.view().num_edges,
+            }
         num_sorted = len(self._sorted_tuple_backing())
         timestamps = self.timestamps()
         for vertex in self._out:

@@ -7,10 +7,12 @@ insertion and cache invalidation for subgraphs that exist only for the
 duration of one query.  The two classes here remove that cost:
 
 * :class:`GraphView` — a frozen, CSR-style *columnar* projection of a parent
-  graph: vertex-id interning plus parallel ``src``/``dst``/``ts`` arrays (the
-  :mod:`array` module, timestamp-sorted) and offset-indexed per-vertex
-  out/in edge slices with aligned timestamp/endpoint columns.  Built once
-  per graph epoch, shared by every query, persisted by snapshots.
+  graph: vertex-id interning plus parallel, timestamp-sorted
+  ``src``/``dst``/``ts`` columns and offset-indexed per-vertex out/in edge
+  slices with aligned timestamp/endpoint columns.  Every column is a
+  builtin int64 buffer (an ``array('q')``, or a ``memoryview`` of a mapped
+  snapshot; see :mod:`repro.graph.columns`).  Built once per graph epoch,
+  shared by every query, persisted by snapshots.
 * :class:`SubgraphView` — an *edge-mask* view over a :class:`GraphView`: a
   byte mask plus the ascending list of surviving edge indices (located
   inside an interval slice found by bisect) select the surviving edges
@@ -31,15 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .columns import (
-    INDEX_TYPECODE,
-    IndexColumn,
-    MmapColumn,
-    as_index_column,
-    extended_column,
-    index_column,
-    zeros_column,
-)
+from .columns import extended_column, index_column, plain_column, zeros_column
 from .edge import TemporalEdge, TimeInterval, Timestamp, Vertex, as_interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -47,12 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 EdgeTuple = Tuple[Vertex, Vertex, Timestamp]
 NeighborEntry = Tuple[Vertex, Timestamp]
-
-#: Array typecode for interned vertex ids, timestamps and edge indices.
-#: Kept as an alias of :data:`repro.graph.columns.INDEX_TYPECODE` — the
-#: buffer-backed :class:`IndexColumn` is the single storage type shared by
-#: the view, the snapshot codec and the query kernels.
-_IDX = INDEX_TYPECODE
 
 
 class GraphView:
@@ -192,11 +180,11 @@ class GraphView:
     def columns(self) -> Dict[str, object]:
         """Export the columnar state for persistence (adopted, not copied).
 
-        Everything here is either a list of vertex labels or an
-        :class:`array.array` of integers — compact to pickle and cheap to
-        adopt back via :meth:`from_columns` without re-interning or
-        re-sorting anything.  The CSR-aligned ``out_ts``/… columns are lazy
-        derivatives and are deliberately *not* persisted.
+        Everything here is either a list of vertex labels or an int64
+        column (see :mod:`repro.graph.columns`) — cheap to adopt back via
+        :meth:`from_columns` without re-interning or re-sorting anything.
+        The CSR-aligned ``out_ts``/… columns are lazy derivatives and are
+        deliberately *not* persisted.
         """
         return {
             "labels": self.labels,
@@ -213,19 +201,20 @@ class GraphView:
     def from_columns(cls, columns: Dict[str, object], epoch: int) -> "GraphView":
         """Rebuild a view from :meth:`columns` output (snapshot boot path).
 
-        Only the ``index_of`` dict is reconstructed (O(V)); every array is
-        adopted as-is, so booting a snapshot is view-servable without paying
-        any per-edge Python cost.
+        Only the ``index_of`` dict is reconstructed (O(V)); every plain
+        ``array('q')`` is adopted as-is (a pre-v4 ``IndexColumn`` is copied
+        once into one), so booting a snapshot is view-servable without
+        paying any per-edge Python cost.
         """
         return cls(
             list(columns["labels"]),
-            as_index_column(columns["src"]),
-            as_index_column(columns["dst"]),
-            as_index_column(columns["ts"]),
-            as_index_column(columns["out_offsets"]),
-            as_index_column(columns["out_edges"]),
-            as_index_column(columns["in_offsets"]),
-            as_index_column(columns["in_edges"]),
+            plain_column(columns["src"]),
+            plain_column(columns["dst"]),
+            plain_column(columns["ts"]),
+            plain_column(columns["out_offsets"]),
+            plain_column(columns["out_edges"]),
+            plain_column(columns["in_offsets"]),
+            plain_column(columns["in_edges"]),
             epoch=int(epoch),
         )
 
@@ -239,14 +228,13 @@ class GraphView:
         *new* view is returned.
 
         **Append-mostly fast path** (``delta.append_only``): the delta's
-        rows sort at or after the last existing row, so the old
-        ``src``/``dst``/``ts`` columns are reused as a frozen prefix
-        (zero-copy :class:`~repro.graph.columns.ChainedColumn` over
-        mmap-backed columns, one C-speed concat otherwise) and the CSR
-        arrays are *spliced* — untouched per-vertex runs are bulk-copied
-        between the O(delta) insertion points, never re-sorted or
-        re-counted.  New vertices intern after the existing labels, so
-        every old id stays valid.
+        rows sort at or after the last existing row, so each new
+        ``src``/``dst``/``ts`` column is one copy of the old bytes plus the
+        tail (a mapped column is copied into private memory, never
+        written), and the CSR arrays are *spliced* — untouched per-vertex
+        runs are bulk-copied between the O(delta) insertion points, never
+        re-sorted or re-counted.  New vertices intern after the existing
+        labels, so every old id stays valid.
 
         **Out-of-order fallback**: rows landing before the last existing
         timestamp cannot be appended without breaking the sorted-``ts``
@@ -392,15 +380,10 @@ def _csr(column: array, num_vertices: int, num_edges: int) -> Tuple[array, array
     return offsets, edges
 
 
-def _append_run(dest: IndexColumn, column, start: int, stop: int) -> None:
+def _append_run(dest: array, column, start: int, stop: int) -> None:
     """Bulk-append ``column[start:stop]`` to ``dest`` (one memcpy per run)."""
-    if start >= stop:
-        return
-    piece = column[start:stop]
-    if isinstance(piece, MmapColumn):
-        dest.frombytes(piece.tobytes())
-    else:
-        dest.extend(piece)
+    if start < stop:
+        dest.frombytes(memoryview(column)[start:stop].cast("B"))
 
 
 def _csr_extended(

@@ -33,7 +33,7 @@ sections, alignment padding), so ``file size == 42 + payload length``
 exactly; the header CRC field covers the section-table block and each
 section carries its own CRC.  The raw extents are what make the format
 mmap-able: :func:`load_snapshot` with ``mmap=True`` maps the file and hands
-:class:`~repro.graph.columns.MmapColumn` views of the extents to a
+``memoryview`` slices of the extents, cast to int64, to a
 :class:`~repro.graph.views.GraphView`, deferring the pickled adjacency
 section until a consumer actually walks the Python-side graph — boot cost
 and resident memory stay O(metadata), not O(E).
@@ -63,7 +63,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..graph.columns import ChainedColumn, INDEX_TYPECODE, IndexColumn, MmapColumn
+from ..graph.columns import INDEX_TYPECODE, IndexColumn
 from ..graph.edge import as_interval
 from ..graph.temporal_graph import LazyGraphBoot, TemporalGraph
 from ..graph.views import GraphView, _csr
@@ -215,25 +215,21 @@ class SnapshotBoot:
 # encoding
 # ----------------------------------------------------------------------
 def _extent_bytes(column) -> bytes:
-    """Raw little-endian int64 bytes of a column (any supported storage)."""
-    if isinstance(column, MmapColumn):
-        return column.tobytes()  # mapped extents are little-endian already
-    if isinstance(column, ChainedColumn):
-        if sys.byteorder == "little":
-            return column.tobytes()
-        column = column.materialize()
-    if not (isinstance(column, array) and column.typecode == INDEX_TYPECODE):
-        column = array(INDEX_TYPECODE, column)
+    """Raw little-endian int64 bytes of a view column.
+
+    Big-endian hosts never map (see :func:`_boot_snapshot_file`), so there
+    every column is a native ``array('q')`` and only needs swapping.
+    """
     if sys.byteorder == "little":
         return column.tobytes()
-    swapped = array(INDEX_TYPECODE, column.tobytes())
+    swapped = array(INDEX_TYPECODE, column)
     swapped.byteswap()
     return swapped.tobytes()
 
 
-def _extent_column(data) -> IndexColumn:
-    """Adopt raw little-endian int64 bytes as an :class:`IndexColumn`."""
-    column = IndexColumn(INDEX_TYPECODE, bytes(data))
+def _extent_column(data: bytes) -> array:
+    """Adopt raw little-endian int64 bytes as an ``array('q')``."""
+    column = array(INDEX_TYPECODE, data)
     if sys.byteorder != "little":
         column.byteswap()
     return column
@@ -354,6 +350,11 @@ def write_legacy_snapshot(
     state = graph.warmed_state()
     if version == 1:
         state.pop("view", None)  # v1 predates the columnar view arrays
+    elif version == 3:  # v3 writers pickled every view column as an IndexColumn
+        view = state["view"]
+        for name, column in view.items():
+            if name != "labels":
+                view[name] = IndexColumn(INDEX_TYPECODE, column)
     payload = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
     info = SnapshotInfo(
         version=version,
@@ -793,18 +794,11 @@ def _boot_v4_mmap(
             span_offset, span_length = _column_payload_span(sections)
             residency.register(mapped, span_offset, span_length)
         meta = _decode_section(buf, sections["meta"], path)
-        columns = {
-            name: MmapColumn(
-                buf[
-                    sections[name].offset
-                    - HEADER_SIZE : sections[name].offset
-                    - HEADER_SIZE
-                    + sections[name].length
-                ],
-                keepalive=mapped,
-            )
-            for name in V4_COLUMN_SECTIONS
-        }
+        columns = {}
+        for name in V4_COLUMN_SECTIONS:
+            start = sections[name].offset - HEADER_SIZE
+            end = start + sections[name].length
+            columns[name] = buf[start:end].cast(INDEX_TYPECODE)
         labels = list(meta["labels"])
         if len(labels) != n_vertices:
             raise SnapshotError(
@@ -830,7 +824,6 @@ def _boot_v4_mmap(
             timestamps=timestamps,
             epoch=meta_epoch,
             num_edges=n_edges,
-            warm_stats=dict(meta.get("warm_stats") or {}),
             load_adjacency=load_adjacency,
         )
         return TemporalGraph.from_lazy_boot(boot), _total_column_bytes(sections)
@@ -898,25 +891,24 @@ def _bisect_rows(
     return row_lo, lo
 
 
-def _map_rows(
-    fileno: int, start: int, length: int
-) -> Tuple[MmapColumn, int]:
-    """Map ``length`` bytes at file offset ``start`` as an offset column view.
+def _map_rows(fileno: int, start: int, length: int) -> Tuple[memoryview, int]:
+    """Map ``length`` bytes at file offset ``start`` as an int64 column.
 
     The mapping offset is aligned down to ``mmap.ALLOCATIONGRANULARITY`` (the
     OS requires it) and the column is the exact ``[start, start + length)``
     sub-view, so alignment slop costs at most one extra page of address
-    space.  Returns ``(column, mapped_bytes)``.
+    space.  The view's ``obj`` is the mapping, which it keeps open.
+    Returns ``(column, mapped_bytes)``.
     """
     if length <= 0:
-        return MmapColumn(memoryview(b"")), 0
+        return memoryview(b"").cast(INDEX_TYPECODE), 0
     granularity = _mmap.ALLOCATIONGRANULARITY
     aligned = (start // granularity) * granularity
     delta = start - aligned
     mapped = _mmap.mmap(
         fileno, delta + length, access=_mmap.ACCESS_READ, offset=aligned
     )
-    column = MmapColumn(memoryview(mapped)[delta : delta + length], keepalive=mapped)
+    column = memoryview(mapped)[delta : delta + length].cast(INDEX_TYPECODE)
     return column, delta + length
 
 
@@ -945,7 +937,7 @@ def _boot_v4_extent(
     edge rows: three page-aligned mappings (``src``/``dst``/``ts`` row
     ranges) instead of eleven whole-column extents.  CSR adjacency is
     rebuilt over the rows — O(rows + V), proportional to the extent, and
-    backed by private :class:`IndexColumn` storage rather than mapped pages.
+    backed by private ``array('q')`` storage rather than mapped pages.
     Queries whose window lies inside ``interval`` see exactly the rows they
     would have seen on the full boot (the window slice of a restricted
     column equals the restricted slice of the full column), so results are
@@ -973,7 +965,7 @@ def _boot_v4_extent(
                 f"{path}: cannot decode snapshot section 'meta': {exc}"
             ) from exc
         rows = row_hi - row_lo
-        columns: Dict[str, MmapColumn] = {}
+        columns: Dict[str, memoryview] = {}
         mapped_bytes = 0
         for name in ("view.src", "view.dst", "view.ts"):
             record = sections[name]
@@ -982,8 +974,8 @@ def _boot_v4_extent(
             )
             columns[name] = column
             mapped_bytes += nbytes
-            if residency is not None and column._keepalive is not None:
-                residency.register(column._keepalive)
+            if residency is not None and nbytes:
+                residency.register(column.obj)
     try:
         labels = list(meta["labels"])
         if len(labels) != n_vertices:
@@ -1037,7 +1029,6 @@ def _boot_v4_extent(
             timestamps=timestamps,
             epoch=meta_epoch,
             num_edges=rows,
-            warm_stats=dict(meta.get("warm_stats") or {}),
             load_adjacency=load_adjacency,
         )
         graph = TemporalGraph.from_lazy_boot(boot)
@@ -1126,12 +1117,12 @@ def _boot_snapshot_file(
     """Load the snapshot *file* at ``path`` — journal replay lives one level up.
 
     With ``mmap=True`` and a v4 file, the returned graph's columnar view
-    reads straight out of the page cache (see :class:`MmapColumn`) and the
-    Python-side adjacency hydrates lazily.  Pre-v4 files — and platforms
-    whose native byte order can't alias the little-endian extents — degrade
-    to the eager boot, with the reason recorded on the returned
-    :class:`SnapshotBoot` rather than raised: a readable snapshot always
-    boots.
+    reads straight out of the page cache (its columns are ``memoryview``
+    slices of the mapping) and the Python-side adjacency hydrates lazily.
+    Pre-v4 files — and platforms whose native byte order can't alias the
+    little-endian extents — degrade to the eager boot, with the reason
+    recorded on the returned :class:`SnapshotBoot` rather than raised: a
+    readable snapshot always boots.
 
     ``interval`` restricts the boot to the edges whose timestamp lies in
     the (inclusive) interval, preserving the full vertex set.  Combined

@@ -3,7 +3,7 @@
 Covers the epoch-delta append path end to end — the structured
 :class:`~repro.graph.temporal_graph.EdgeDelta` mutation record, the
 incremental :meth:`GraphView.extended_with` extension (append-only
-zero-copy fast path and out-of-order fallback), the CRC-checked epoch
+fast path and out-of-order fallback), the CRC-checked epoch
 journal sidecar (:mod:`repro.store.journal`) with its replay/stale/ahead
 boot rules, copy-on-write of mmap boots under both mutator families, the
 service's delta-aware cache invalidation, and the sharded router's
@@ -21,9 +21,9 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.datasets.registry import load_dataset
-from repro.graph.columns import ChainedColumn
 from repro.graph.generators import uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.views import GraphView
 from repro.queries.query import TspgQuery
 from repro.service import RequestCore, ShardedTspgService, TspgService
 from repro.store import (
@@ -139,15 +139,26 @@ class TestViewExtension:
         assert view.epoch == graph.epoch
         assert old_view.num_edges + 1 == view.num_edges
 
-    def test_mmap_extension_chains_the_mapped_columns(self, tmp_path):
-        path = str(tmp_path / "chain.tspgsnap")
+    def test_mmap_append_extends_without_rebuilding_or_touching_the_mapped_view(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "extend.tspgsnap")
         save_snapshot(sample_graph(), path)
         boot = boot_snapshot(path, mmap=True)
         if not boot.graph.is_lazily_booted:
             pytest.skip("zero-copy boot unavailable on this platform")
-        boot.graph.append_edges([("t", "z", 9)])
+        mapped = boot.graph.view()
+        old_len = mapped.num_edges
+
+        def no_rebuild(self, delta):
+            raise AssertionError("an append-only delta rebuilt the view")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GraphView, "_rebuilt_with", no_rebuild)
+            boot.graph.append_edges([("t", "z", 9)])
+        assert type(mapped.ts) is memoryview and len(mapped.ts) == old_len
         view = boot.graph.view()
-        assert isinstance(view.ts, ChainedColumn)
+        assert view.num_edges == old_len + 1
         assert list(view.ts)[-1] == 9
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

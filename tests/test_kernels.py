@@ -33,9 +33,9 @@ import pytest
 from repro.core.polarity import compute_polarity_id_arrays, compute_polarity_times
 from repro.core.quick_ubg import quick_mask_kernel
 from repro.core.vug import VUG
-from repro.graph.columns import ChainedColumn, MmapColumn
 from repro.graph.generators import bursty_email_graph, uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.views import GraphView
 from repro.store import boot_snapshot, save_snapshot
 
 
@@ -80,12 +80,12 @@ def _lemma1_mask(view, arrival, departure):
 
 
 @pytest.fixture(params=["eager", "mmap", "appended"])
-def served(request, graph, tmp_path):
+def served(request, graph, tmp_path, monkeypatch):
     """``(graph, view)`` in one of three storage shapes.
 
-    The kernels read ``out_edges``/``out_ts``, which are ``MmapColumn``s on
-    an mmap boot and are spliced by ``_csr_extended`` after an append-only
-    ingest.
+    The kernels read ``out_edges``/``out_ts``, which are ``memoryview``s of
+    the mapped file on an mmap boot and are spliced by ``_csr_extended``
+    after an append-only ingest.
     """
     if request.param == "eager":
         return graph, graph.view()
@@ -96,7 +96,7 @@ def served(request, graph, tmp_path):
         pytest.skip("zero-copy boot unavailable on this platform")
     if request.param == "mmap":
         view = booted.view()
-        assert isinstance(view.out_edges, MmapColumn)
+        assert type(view.out_edges) is memoryview
         return booted, view
     tail = booted.time_interval().end
     rng = random.Random(17)
@@ -106,10 +106,17 @@ def served(request, graph, tmp_path):
         u, v = rng.sample(vertices, 2)
         rows.append((u, v, tail + rng.randint(0, 6)))
     rows.sort(key=lambda row: row[2])
-    assert booted.append_edges(rows).append_only
-    view = booted.view()
-    assert isinstance(view.ts, ChainedColumn)  # extended, not rebuilt
-    return booted, view
+    mapped = booted.view()
+    old_len = mapped.num_edges
+
+    def no_rebuild(self, delta):
+        raise AssertionError("an append-only delta rebuilt the view")
+
+    with monkeypatch.context() as patch:  # extended, not rebuilt
+        patch.setattr(GraphView, "_rebuilt_with", no_rebuild)
+        assert booted.append_edges(rows).append_only
+    assert type(mapped.ts) is memoryview and len(mapped.ts) == old_len
+    return booted, booted.view()
 
 
 def _served_queries(graph):

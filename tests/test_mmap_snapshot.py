@@ -1,6 +1,6 @@
 """Snapshot format v4: mmap-backed columnar boot, compat and durability.
 
-Covers the v4 layout end to end — :class:`MmapColumn`, the lazy
+Covers the v4 layout end to end — the mapped int64 columns, the lazy
 :class:`TemporalGraph` boot, cross-version compatibility (v1/v2/v3 still
 load; ``mmap=True`` on them degrades cleanly with a recorded reason),
 per-section corruption detection, write durability (fsync + no temp
@@ -11,10 +11,11 @@ service and sharded-router layers.
 import os
 import struct
 import zlib
+from array import array
 
 import pytest
 
-from repro.graph.columns import IndexColumn, MmapColumn, as_index_column
+from repro.datasets.registry import load_dataset
 from repro.graph.generators import synth_scale_edges
 from repro.graph.temporal_graph import TemporalGraph
 from repro.service import ShardedTspgService, TspgService
@@ -48,85 +49,6 @@ def scale_graph(num_edges=3000):
     graph = TemporalGraph(vertices=range(400))
     graph.add_edges(synth_scale_edges(400, num_edges, num_timestamps=80, seed=11))
     return graph
-
-
-# ----------------------------------------------------------------------
-# MmapColumn
-# ----------------------------------------------------------------------
-class TestMmapColumn:
-    def column(self, values):
-        raw = IndexColumn("q", values).tobytes()
-        return MmapColumn(memoryview(raw)), values
-
-    def test_buffer_duck_type(self):
-        column, values = self.column([5, -3, 0, 1 << 40])
-        assert len(column) == len(values)
-        assert list(column) == values
-        assert column[1] == -3
-        assert column[-1] == 1 << 40
-        assert column.tolist() == values
-        assert (1 << 40) in column
-        assert 99 not in column
-
-    def test_slice_stays_zero_copy(self):
-        column, values = self.column([1, 2, 3, 4, 5])
-        sliced = column[1:4]
-        assert isinstance(sliced, MmapColumn)
-        assert sliced.tolist() == values[1:4]
-
-    def test_equality_against_array_and_list(self):
-        column, values = self.column([7, 8, 9])
-        assert column == IndexColumn("q", values)
-        assert column == values
-        other, _ = self.column([7, 8, 9])
-        assert column == other
-        assert column != [7, 8]
-
-    def test_materialize_detaches_from_buffer(self):
-        column, values = self.column([4, 5, 6])
-        materialized = column.materialize()
-        assert isinstance(materialized, IndexColumn)
-        assert list(materialized) == values
-        assert as_index_column(column) == materialized
-
-    def test_step_slices(self):
-        column, values = self.column([0, 1, 2, 3, 4, 5, 6, 7])
-        for step_slice in (
-            slice(None, None, 2),
-            slice(1, 7, 3),
-            slice(None, None, -1),
-            slice(6, 1, -2),
-        ):
-            sliced = column[step_slice]
-            assert isinstance(sliced, MmapColumn)
-            assert sliced.tolist() == values[step_slice]
-
-    def test_negative_indices(self):
-        column, values = self.column([10, 20, 30, 40])
-        assert column[-1] == values[-1]
-        assert column[-4] == values[-4]
-        assert column[-3:-1].tolist() == values[-3:-1]
-        with pytest.raises(IndexError):
-            column[-5]
-
-    def test_empty_and_out_of_range_slices(self):
-        column, values = self.column([1, 2, 3])
-        for empty in (column[3:], column[2:1], column[5:9], column[0:0]):
-            assert isinstance(empty, MmapColumn)
-            assert len(empty) == 0
-            assert empty.tolist() == []
-        assert column[:99].tolist() == values
-        with pytest.raises(IndexError):
-            column[3]
-
-    def test_offset_views_equal_materialized_slices(self):
-        column, values = self.column(list(range(16)))
-        for window in (slice(0, 16), slice(3, 11), slice(8, 8), slice(12, 16)):
-            offset_view = column[window]
-            materialized = column.materialize()[window]
-            assert offset_view == materialized
-            assert offset_view.tolist() == list(materialized)
-            assert offset_view.nbytes == 8 * len(offset_view)
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +122,104 @@ class TestV4MmapBoot:
         for base, item in zip(baseline.items, report.items):
             assert base.outcome.result.vertices == item.outcome.result.vertices
             assert base.outcome.result.edges == item.outcome.result.edges
+
+
+# ----------------------------------------------------------------------
+# every view column is a builtin int64 buffer
+# ----------------------------------------------------------------------
+VIEW_COLUMNS = (
+    "src", "dst", "ts", "out_offsets", "out_edges", "in_offsets", "in_edges",
+    "out_ts", "out_dst", "in_ts", "in_src",
+)
+
+#: Two rows past D1's span (which ends at t=151), naming existing vertices.
+D1_TAIL_ROWS = [(0, 5, 10**6), (1, 2, 10**6 + 1)]
+
+
+@pytest.fixture(scope="module")
+def d1_snapshot(tmp_path_factory):
+    graph = load_dataset("D1")
+    path = str(tmp_path_factory.mktemp("d1") / "d1.tspgsnap")
+    save_snapshot(graph, path)
+    return graph, path
+
+
+def _appended(graph):
+    graph.append_edges(D1_TAIL_ROWS)
+    return graph
+
+
+def _legacy(graph, path, version):
+    write_legacy_snapshot(graph, path, version=version)
+    if version == 3:
+        raw = open(path, "rb").read()
+        payload = zlib.decompress(raw[HEADER_SIZE:])
+        assert b"repro.graph.columns" in payload and b"IndexColumn" in payload
+    return load_snapshot(path)
+
+
+D1_BOOTS = {
+    "built": lambda graph, path, tmp: graph,
+    "eager": lambda graph, path, tmp: boot_snapshot(path).graph,
+    "mmap": lambda graph, path, tmp: boot_snapshot(path, mmap=True).graph,
+    "mmap-interval": lambda graph, path, tmp: boot_snapshot(
+        path, mmap=True, interval=(10, 40)
+    ).graph,
+    "v1": lambda graph, path, tmp: _legacy(graph, tmp / "v1.tspgsnap", 1),
+    "v2": lambda graph, path, tmp: _legacy(graph, tmp / "v2.tspgsnap", 2),
+    "v3": lambda graph, path, tmp: _legacy(graph, tmp / "v3.tspgsnap", 3),
+    "eager-appended": lambda graph, path, tmp: _appended(load_snapshot(path)),
+    "mmap-appended": lambda graph, path, tmp: _appended(
+        load_snapshot(path, mmap=True)
+    ),
+}
+
+
+class TestPlainColumns:
+    @pytest.mark.parametrize("boot", sorted(D1_BOOTS))
+    def test_every_view_column_is_a_builtin_int64_buffer(
+        self, d1_snapshot, tmp_path, boot
+    ):
+        graph, path = d1_snapshot
+        booted = D1_BOOTS[boot](graph.copy(), path, tmp_path)
+        view = booted.view()
+        for name in VIEW_COLUMNS:
+            column = getattr(view, name)
+            assert (type(column) is array and column.typecode == "q") or (
+                type(column) is memoryview and column.format == "q"
+            ), (name, type(column))
+        if boot in ("mmap", "mmap-interval"):
+            assert booted.is_lazily_booted
+            for name in ("src", "dst", "ts"):
+                assert type(getattr(view, name)) is memoryview, name
+        expected = graph.copy()
+        if boot == "mmap-interval":
+            expected = boot_snapshot(path, interval=(10, 40)).graph
+        if "appended" in boot:
+            _appended(expected)
+        assert booted == expected
+
+
+# ----------------------------------------------------------------------
+# a lazy boot reports the index counts of its current state
+# ----------------------------------------------------------------------
+class TestLazyWarmStats:
+    @pytest.mark.parametrize(
+        "interval", [None, (10, 40)], ids=["whole-file", "interval"]
+    )
+    def test_lazy_warm_counts_match_an_eager_boot_across_an_append(
+        self, d1_snapshot, interval
+    ):
+        _, path = d1_snapshot
+        eager = boot_snapshot(path, interval=interval).graph
+        mapped = boot_snapshot(path, mmap=True, interval=interval).graph
+        assert mapped.is_lazily_booted and not eager.is_lazily_booted
+        assert mapped.warm_indices() == eager.warm_indices()
+        for graph in (eager, mapped):
+            graph.append_edges(D1_TAIL_ROWS)
+        assert mapped.warm_indices() == eager.warm_indices()
+        assert mapped.is_lazily_booted
+        assert snapshot_bytes(mapped) == snapshot_bytes(eager)
 
 
 # ----------------------------------------------------------------------
