@@ -36,6 +36,8 @@ class VUGAlgorithm(TspgAlgorithm):
             use_lemma10=use_lemma10,
             zero_materialization=zero_materialization,
         )
+        # The reference pipeline's QuickUBG and TightUBG do not poll.
+        self.bounded_by_deadline = zero_materialization
 
     def compute(
         self,

@@ -46,6 +46,12 @@ class TspgAlgorithm(abc.ABC):
     #: Human-readable name matching the paper's nomenclature (e.g. ``"VUG"``).
     name: str = "abstract"
 
+    #: Whether every phase of :meth:`compute` polls its deadline at a fixed
+    #: interval, so a run stops within one polling interval of it.  The TCP
+    #: server computes a miss on its event loop only with such an
+    #: algorithm (see :meth:`repro.service.TspgService.ready_within`).
+    bounded_by_deadline: bool = False
+
     @abc.abstractmethod
     def compute(
         self,
@@ -94,8 +100,10 @@ class TspgAlgorithm(abc.ABC):
         deadline has *already* expired returns an empty ``timed_out``
         result immediately — no phase of any algorithm runs — and an
         in-flight query is cut off at the implementation's documented check
-        points (for VUG: the phase boundaries and every EEV search
-        expansion).  Queries that finish in budget return bit-identical
+        points (for VUG: the phase boundaries, every
+        :data:`~repro.core.deadline.POLL_INTERVAL` iterations of every
+        kernel loop and every EEV search expansion, so it stops within one
+        polling interval).  Queries that finish in budget return bit-identical
         results with and without a deadline; a ``timed_out`` result is
         never memoized by the service layer.
         """

@@ -22,12 +22,14 @@ Design notes
   process boundary unchanged for the *local* worker pools this library
   runs — deadlines are not meaningful across machines or reboots.
 * **Cooperative, not preemptive.**  Python threads cannot be interrupted;
-  instead the expensive phases poll :meth:`Deadline.expired` at documented
-  points (the VUG phase boundaries, and every node expansion inside EEV's
-  bidirectional search).  The cut-off *slack* — how far past the deadline a
-  query can run — is therefore bounded by the longest stretch of work
-  between two checks: one QuickUBG or TightUBG phase of a single query, or
-  one edge expansion of the EEV search.
+  instead VUG polls :meth:`Deadline.expired` at documented points: the
+  phase boundaries, every :data:`POLL_INTERVAL` iterations of every kernel
+  loop (both id-space polarity sweeps, the Lemma 1 mask, both TCV scans
+  and the tight mask, through :func:`poll`), and every node expansion
+  inside EEV's bidirectional search.  The cut-off *slack* — how far past
+  the deadline a query can run — is therefore bounded by the longest
+  stretch of work between two checks: one polling interval of one kernel
+  loop, or one edge expansion of the EEV search.
 * **Checks are read-only.**  Polling a deadline never mutates anything, so
   results of queries that finish in budget are bit-identical with and
   without a deadline attached.
@@ -42,6 +44,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Optional
+
+#: Kernel loop iterations between two polls of a query's deadline.  Every
+#: VUG phase therefore stops within one such stretch of one of its loops.
+POLL_INTERVAL = 256
 
 
 @dataclass(frozen=True)
@@ -104,3 +110,33 @@ class Deadline:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Deadline(in {self.at_monotonic - time.monotonic():+.3f}s)"
+
+
+class DeadlineExpired(RuntimeError):
+    """Raised inside a VUG phase once the query's deadline has passed.
+
+    :meth:`repro.core.vug.VUG.run` catches it and returns its timed-out
+    report, keeping the upper bounds of the phases that finished.
+    """
+
+
+def poll(deadline: Optional[Deadline]) -> int:
+    """One cooperative poll inside a kernel loop.
+
+    Raises :class:`DeadlineExpired` once ``deadline`` has passed (never
+    for ``None``) and otherwise returns :data:`POLL_INTERVAL`, the number
+    of iterations until the loop polls again.  A polled loop counts down::
+
+        ticks = POLL_INTERVAL
+        for item in work:
+            ticks -= 1
+            if not ticks:
+                ticks = poll(deadline)
+            ...
+
+    which costs one decrement per iteration and one clock read per
+    interval.
+    """
+    if deadline is not None and deadline.expired():
+        raise DeadlineExpired("deadline expired inside a VUG kernel loop")
+    return POLL_INTERVAL

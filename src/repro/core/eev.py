@@ -31,11 +31,11 @@ from ..graph.edge import TemporalEdge, TimeInterval, Timestamp, Vertex, as_inter
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import SubgraphView
 from ..paths.temporal_path import TemporalPath
-from .deadline import Deadline
+from .deadline import Deadline, DeadlineExpired
 from .result import PathGraph
 
 
-class EEVDeadlineExpired(RuntimeError):
+class EEVDeadlineExpired(DeadlineExpired):
     """Raised by :func:`escaped_edges_verification` when its deadline expires.
 
     The cooperative cut-off signal of the EEV phase: the caller (VUG's

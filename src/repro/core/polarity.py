@@ -21,11 +21,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView
+from .deadline import POLL_INTERVAL, Deadline, poll
 
 INFINITY = float("inf")
 NEG_INFINITY = float("-inf")
@@ -84,6 +85,7 @@ def compute_polarity_id_arrays(
     source: Vertex,
     target: Vertex,
     interval,
+    deadline: Optional[Deadline] = None,
 ) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
     """Algorithm 3 over the frozen CSR view, in interned-id space.
 
@@ -104,17 +106,27 @@ def compute_polarity_id_arrays(
     out-CSR position with ``τ > max(A(u), τb - 1)`` — where ``u``'s Lemma 1
     candidates begin.  Vertices absent from it have none, so
     :func:`~repro.core.quick_ubg.quick_mask_kernel` reads only these runs.
+
+    Both sweeps poll ``deadline`` every
+    :data:`~repro.core.deadline.POLL_INTERVAL` iterations of each of their
+    loops and raise :class:`~repro.core.deadline.DeadlineExpired` past it.
     """
     window = as_interval(interval)
     source_id = view.index_of.get(source)
     target_id = view.index_of.get(target)
-    arrival, frontier = _sweep_arrival_ids(view, source_id, target_id, window)
-    departure = _sweep_departure_ids(view, source_id, target_id, window)
+    arrival, frontier = _sweep_arrival_ids(
+        view, source_id, target_id, window, deadline
+    )
+    departure = _sweep_departure_ids(view, source_id, target_id, window, deadline)
     return arrival, departure, frontier
 
 
 def _sweep_arrival_ids(
-    view: GraphView, source_id, target_id, window: TimeInterval
+    view: GraphView,
+    source_id,
+    target_id,
+    window: TimeInterval,
+    deadline: Optional[Deadline] = None,
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Id-space forward sweep (mirror of :func:`_sweep_earliest_arrival`).
 
@@ -134,7 +146,13 @@ def _sweep_arrival_ids(
     offsets, out_ts, out_dst = view.out_offsets, view.out_ts, view.out_dst
     window_end = window.end
     floor = window.begin - 1
+    # Both loops count down to the next poll: a queue of vertices with
+    # nothing left to relax is as long a stretch as one long run.
+    ticks = POLL_INTERVAL
     while queue:
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         u = queue.popleft()
         queued.discard(u)
         current = arrival[u]
@@ -146,6 +164,9 @@ def _sweep_arrival_ids(
             continue
         processed_from[u] = start
         for position in range(start, stop):
+            ticks -= 1
+            if not ticks:
+                ticks = poll(deadline)
             timestamp = out_ts[position]
             if timestamp > window_end:
                 break
@@ -163,7 +184,11 @@ def _sweep_arrival_ids(
 
 
 def _sweep_departure_ids(
-    view: GraphView, source_id, target_id, window: TimeInterval
+    view: GraphView,
+    source_id,
+    target_id,
+    window: TimeInterval,
+    deadline: Optional[Deadline] = None,
 ) -> Dict[int, int]:
     """Id-space backward sweep (mirror of :func:`_sweep_latest_departure`).
 
@@ -180,7 +205,11 @@ def _sweep_departure_ids(
     offsets, in_ts, in_src = view.in_offsets, view.in_ts, view.in_src
     window_begin = window.begin
     ceiling = window.end + 1
+    ticks = POLL_INTERVAL
     while queue:
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         u = queue.popleft()
         queued.discard(u)
         current = departure[u]
@@ -192,6 +221,9 @@ def _sweep_departure_ids(
             continue
         processed_to[u] = stop
         for position in range(start, stop):
+            ticks -= 1
+            if not ticks:
+                ticks = poll(deadline)
             timestamp = in_ts[position]
             if timestamp < window_begin:
                 continue

@@ -30,6 +30,7 @@ from typing import Dict, Optional, Set, Union
 from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView, SubgraphView
+from .deadline import POLL_INTERVAL, Deadline, poll
 from .polarity import INFINITY, NEG_INFINITY, PolarityTimes, compute_polarity_times
 
 GraphLike = Union[TemporalGraph, GraphView]
@@ -129,6 +130,7 @@ def quick_mask_kernel(
     departure: Dict[int, int],
     window,
     frontier: Optional[Dict[int, int]] = None,
+    deadline: Optional[Deadline] = None,
 ) -> SubgraphView:
     """The Lemma 1 edge mask over interned columns (Algorithm 2).
 
@@ -143,7 +145,9 @@ def quick_mask_kernel(
     ``[τb, τe]``.  The cost is the out-edges of reached vertices after
     their arrival time plus a sort of the survivors into the ascending
     order :class:`SubgraphView` expects; in-window edges out of unreached
-    vertices are never read.
+    vertices are never read.  Both loops poll ``deadline`` every
+    :data:`~repro.core.deadline.POLL_INTERVAL` iterations and raise
+    :class:`~repro.core.deadline.DeadlineExpired` past it.
     """
     window = as_interval(window)
     if frontier is None:
@@ -155,10 +159,17 @@ def quick_mask_kernel(
     append = indices.append
     vids: Set[int] = set()
     add_vid = vids.add
+    ticks = POLL_INTERVAL
     for u, start in frontier.items():
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         stop = bisect_right(out_ts, window_end, start, offsets[u + 1])
         kept = len(indices)
         for position in range(start, stop):
+            ticks -= 1
+            if not ticks:
+                ticks = poll(deadline)
             v = out_dst[position]
             if v in departure and out_ts[position] < departure[v]:
                 append(out_edges[position])

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graph.edge import TimeInterval, Timestamp, Vertex, as_interval
+from .deadline import POLL_INTERVAL, Deadline, poll
 
 Entry = Tuple[Timestamp, FrozenSet[Vertex]]
 
@@ -123,16 +124,19 @@ def compute_time_stream_common_vertices(
     source: Vertex,
     target: Vertex,
     interval,
+    deadline: Optional[Deadline] = None,
 ) -> TimeStreamCommonVertices:
     """Algorithm 4: compute ``TCV_·(s, ·)`` and ``TCV_·(·, t)`` over ``Gq``.
 
     ``quick_graph`` may be a :class:`TemporalGraph` or an edge-mask
     :class:`~repro.graph.views.SubgraphView` — both scans consume only the
-    timestamp-sorted ``edge_tuples`` sequence.
+    timestamp-sorted ``edge_tuples`` sequence.  Both scans poll
+    ``deadline`` every :data:`~repro.core.deadline.POLL_INTERVAL` edges
+    and raise :class:`~repro.core.deadline.DeadlineExpired` past it.
     """
     window = as_interval(interval)
-    source_index = _compute_source_side(quick_graph, source, target)
-    target_index = _compute_target_side(quick_graph, source, target)
+    source_index = _compute_source_side(quick_graph, source, target, deadline)
+    target_index = _compute_target_side(quick_graph, source, target, deadline)
     return TimeStreamCommonVertices(
         source_index=source_index,
         target_index=target_index,
@@ -141,15 +145,19 @@ def compute_time_stream_common_vertices(
 
 
 def _compute_source_side(
-    quick_graph, source: Vertex, target: Vertex
+    quick_graph, source: Vertex, target: Vertex, deadline: Optional[Deadline]
 ) -> TCVIndex:
     """Forward scan computing ``TCV_·(s, u)`` for every vertex ``u``."""
     index = TCVIndex(anchor=source, side="source")
     completed: set = set()
+    ticks = POLL_INTERVAL
     # Plain-tuple iteration over the timestamp-sorted sequence: works
     # identically for a TemporalGraph and an edge-mask SubgraphView, and
     # allocates no TemporalEdge objects on the hot path.
     for v, u, timestamp in quick_graph.edge_tuples():
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         if u == target or u == source or u in completed:
             # Algorithm 4 line 8: no entries are maintained for t, and
             # completed vertices already degenerated to {u} (Lemma 7).
@@ -179,15 +187,19 @@ def _compute_source_side(
 
 
 def _compute_target_side(
-    quick_graph, source: Vertex, target: Vertex
+    quick_graph, source: Vertex, target: Vertex, deadline: Optional[Deadline]
 ) -> TCVIndex:
     """Backward scan computing ``TCV_·(u, t)`` for every vertex ``u``."""
     index = TCVIndex(anchor=target, side="target")
     completed: set = set()
+    ticks = POLL_INTERVAL
     # Entries are produced in descending timestamp order; collect per vertex
     # and reverse at the end so the stored lists are ascending for lookups.
     descending: Dict[Vertex, List[Entry]] = {}
     for u, v, timestamp in reversed(quick_graph.edge_tuples()):
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         if u == source or u == target or u in completed:
             continue
         stored_v = descending.get(v)

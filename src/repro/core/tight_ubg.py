@@ -30,6 +30,7 @@ from typing import Optional, Set, Tuple, Union
 from ..graph.edge import Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import SubgraphView
+from .deadline import POLL_INTERVAL, Deadline, poll
 from .tcv import TimeStreamCommonVertices, compute_time_stream_common_vertices
 
 QuickGraph = Union[TemporalGraph, SubgraphView]
@@ -41,6 +42,7 @@ def tight_upper_bound_graph(
     target: Vertex,
     interval,
     tcv: Optional[TimeStreamCommonVertices] = None,
+    deadline: Optional[Deadline] = None,
 ) -> QuickGraph:
     """Compute the tight upper-bound graph ``Gt`` (Algorithm 5).
 
@@ -54,6 +56,11 @@ def tight_upper_bound_graph(
     tcv:
         Pre-computed time-stream common vertices; computed here (Algorithm 4)
         when omitted.
+    deadline:
+        Polled every :data:`~repro.core.deadline.POLL_INTERVAL` edges of the
+        mask refinement (and of the TCV scans when they run here);
+        :class:`~repro.core.deadline.DeadlineExpired` is raised past it.
+        The materializing scan of a graph input does not poll.
 
     Returns
     -------
@@ -63,16 +70,22 @@ def tight_upper_bound_graph(
     """
     window = as_interval(interval)
     if tcv is None:
-        tcv = compute_time_stream_common_vertices(quick_graph, source, target, window)
+        tcv = compute_time_stream_common_vertices(
+            quick_graph, source, target, window, deadline=deadline
+        )
     if isinstance(quick_graph, SubgraphView):
-        return _tight_mask(quick_graph, source, target, tcv)
+        return _tight_mask(quick_graph, source, target, tcv, deadline)
     return tight_upper_bound_graph_materializing(
         quick_graph, source, target, window, tcv=tcv
     )
 
 
 def _tight_mask(
-    quick: SubgraphView, source: Vertex, target: Vertex, tcv: TimeStreamCommonVertices
+    quick: SubgraphView,
+    source: Vertex,
+    target: Vertex,
+    tcv: TimeStreamCommonVertices,
+    deadline: Optional[Deadline],
 ) -> SubgraphView:
     """Refine the quick mask with the Lemma 9 filter (no edge copies)."""
     base = quick.base
@@ -81,7 +94,11 @@ def _tight_mask(
     target_id = base.index_of.get(target, -1)
     indices: list = []
     vids: Set[int] = set()
+    ticks = POLL_INTERVAL
     for index in quick.iter_indices():
+        ticks -= 1
+        if not ticks:
+            ticks = poll(deadline)
         u = src[index]
         v = dst[index]
         if u != source_id and v != target_id:

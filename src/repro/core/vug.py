@@ -36,8 +36,8 @@ from typing import Optional
 
 from ..graph.edge import Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
-from .deadline import Deadline
-from .eev import EEVDeadlineExpired, EEVStatistics, escaped_edges_verification
+from .deadline import Deadline, DeadlineExpired, poll
+from .eev import EEVStatistics, escaped_edges_verification
 from .polarity import compute_polarity_id_arrays, compute_polarity_times
 from .quick_ubg import quick_mask_kernel, quick_upper_bound_graph_materializing
 from .result import PathGraph, PhaseTimings, VUGReport
@@ -93,71 +93,75 @@ class VUG:
 
         ``deadline`` is the cooperative per-query cut-off.  It is polled at
         the three phase boundaries (before QuickUBG, before TightUBG,
-        before EEV) and — because EEV's search loop is where unbounded work
-        lives — at every escaped-edge search and node expansion inside EEV.
-        On expiry the report comes back with ``timed_out=True``, the empty
-        result and the phase timings accumulated so far; the cut-off slack
-        is bounded by one uninterruptible stretch of work (a single
-        QuickUBG or TightUBG phase, or one EEV edge expansion).  A query
-        that finishes in budget is bit-identical to a deadline-free run.
+        before EEV), every :data:`~repro.core.deadline.POLL_INTERVAL`
+        iterations of every kernel loop (both polarity sweeps, the Lemma 1
+        mask, both TCV scans and the tight mask) and at every escaped-edge
+        search and node expansion inside EEV.  On expiry the report comes
+        back with ``timed_out=True``, the empty result, the upper bounds of
+        the phases that finished and the phase timings accumulated so far
+        (the cut-off phase's up to the poll that caught it).  The cut-off
+        slack is therefore one polling interval of one kernel loop or one
+        EEV edge expansion, never a whole phase.  The reference pipeline
+        (``zero_materialization=False``) polls only at the phase boundaries
+        and in the TCV scans and EEV.  A query that finishes in budget is
+        bit-identical to a deadline-free run.
         """
         window = as_interval(interval)
         timings = PhaseTimings()
         if deadline is not None and deadline.expired():
             return self._timed_out_report(source, target, window, timings)
-        tight_phase = (
-            tight_upper_bound_graph
-            if self.zero_materialization
-            else tight_upper_bound_graph_materializing
-        )
-
-        # Phase 1: quick upper-bound graph (temporal constraint).
-        started = time.perf_counter()
-        if self.zero_materialization:
-            # Kernels over the frozen columnar view: the polarity sweeps run
-            # in interned-id space on the CSR-aligned timestamp columns and
-            # the Lemma 1 test produces an edge mask — nothing is
-            # materialized anywhere in this pipeline.  The mask reads only
-            # the out-edges of vertices the forward sweep reached, after
-            # their arrival time, then sorts the survivors.
-            view = graph.view()
-            arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
-                view, source, target, window
-            )
-            quick = quick_mask_kernel(
-                view, arrival_ids, departure_ids, window, frontier
-            )
-        else:
-            polarity = compute_polarity_times(graph, source, target, window)
-            quick = quick_upper_bound_graph_materializing(
-                graph, source, target, window, polarity=polarity
-            )
-        timings.quick_ubg = time.perf_counter() - started
-        if deadline is not None and deadline.expired():
-            return self._timed_out_report(
-                source, target, window, timings, upper_bound_quick=quick
-            )
-
-        # Phase 2: tight upper-bound graph (simple-path constraint).
-        started = time.perf_counter()
-        if self.use_tight_upper_bound:
-            tcv = compute_time_stream_common_vertices(quick, source, target, window)
-            tight = tight_phase(quick, source, target, window, tcv=tcv)
-            tcv_space = tcv.space_cost()
-        else:
-            tight = quick
-            tcv_space = 0
-        timings.tight_ubg = time.perf_counter() - started
-        if deadline is not None and deadline.expired():
-            return self._timed_out_report(
-                source, target, window, timings,
-                upper_bound_quick=quick, upper_bound_tight=tight,
-                tcv_space=tcv_space,
-            )
-
-        # Phase 3: escaped edges verification (exact result).
+        quick = tight = None
+        tcv_space = 0
+        phase = "quick_ubg"
         started = time.perf_counter()
         try:
+            # Phase 1: quick upper-bound graph (temporal constraint).
+            if self.zero_materialization:
+                # Kernels over the frozen columnar view: the polarity sweeps
+                # run in interned-id space on the CSR-aligned timestamp
+                # columns and the Lemma 1 test produces an edge mask —
+                # nothing is materialized anywhere in this pipeline.  The
+                # mask reads only the out-edges of vertices the forward
+                # sweep reached, after their arrival time, then sorts the
+                # survivors.
+                view = graph.view()
+                arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
+                    view, source, target, window, deadline=deadline
+                )
+                quick = quick_mask_kernel(
+                    view, arrival_ids, departure_ids, window, frontier,
+                    deadline=deadline,
+                )
+            else:
+                polarity = compute_polarity_times(graph, source, target, window)
+                quick = quick_upper_bound_graph_materializing(
+                    graph, source, target, window, polarity=polarity
+                )
+            timings.quick_ubg = time.perf_counter() - started
+            poll(deadline)
+
+            # Phase 2: tight upper-bound graph (simple-path constraint).
+            phase, started = "tight_ubg", time.perf_counter()
+            if self.use_tight_upper_bound:
+                tcv = compute_time_stream_common_vertices(
+                    quick, source, target, window, deadline=deadline
+                )
+                tcv_space = tcv.space_cost()
+                if self.zero_materialization:
+                    tight = tight_upper_bound_graph(
+                        quick, source, target, window, tcv=tcv, deadline=deadline
+                    )
+                else:
+                    tight = tight_upper_bound_graph_materializing(
+                        quick, source, target, window, tcv=tcv
+                    )
+            else:
+                tight = quick
+            timings.tight_ubg = time.perf_counter() - started
+            poll(deadline)
+
+            # Phase 3: escaped edges verification (exact result).
+            phase, started = "eev", time.perf_counter()
             eev_output = escaped_edges_verification(
                 tight,
                 source,
@@ -167,14 +171,14 @@ class VUG:
                 collect_statistics=self.collect_eev_statistics,
                 deadline=deadline,
             )
-        except EEVDeadlineExpired:
             timings.eev = time.perf_counter() - started
+        except DeadlineExpired:
+            setattr(timings, phase, time.perf_counter() - started)
             return self._timed_out_report(
                 source, target, window, timings,
                 upper_bound_quick=quick, upper_bound_tight=tight,
                 tcv_space=tcv_space,
             )
-        timings.eev = time.perf_counter() - started
 
         statistics: Optional[EEVStatistics] = None
         if self.collect_eev_statistics:

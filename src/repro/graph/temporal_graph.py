@@ -1046,6 +1046,16 @@ class TemporalGraph:
             self._view_cache = GraphView.from_graph(self)
         return self._view_cache
 
+    def view_is_built(self) -> bool:
+        """Whether a query over :meth:`view` would build nothing first.
+
+        True when the view exists and so do its CSR-aligned columns, which
+        the first query after an append derives again.  Reads two
+        attributes and builds nothing, so an event loop may ask.
+        """
+        view = self._view_cache
+        return view is not None and view.aligned_columns_built
+
     # Range queries over the sorted adjacency lists -----------------------
     def out_neighbors_after(
         self, vertex: Vertex, timestamp: Timestamp, strict: bool = True

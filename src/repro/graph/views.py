@@ -152,6 +152,11 @@ class GraphView:
         self.in_ts  # noqa: B018 — builds the cached pair
         return self._in_aligned[1]
 
+    @property
+    def aligned_columns_built(self) -> bool:
+        """Whether the lazy CSR-aligned columns exist (reading builds nothing)."""
+        return self._out_aligned is not None and self._in_aligned is not None
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------

@@ -21,9 +21,14 @@ own protocol implementation:
   firehose client blocks only its own reader), a global in-flight bound
   refuses excess load outright, and a round-robin fair scheduler hands
   worker slots out per-client so one busy connection cannot starve the
-  rest.  A query whose answer is already cached is answered on the event
-  loop itself — cheaper than the hand-off to a worker thread — and every
-  other request runs on the worker pool.  Each client's replies are
+  rest.  A query is decoded once, on the event loop, and answered there
+  when the service's readiness verdict finds nothing pending for its
+  engine and the answer cached or the engine's last miss no longer than
+  one interpreter switch interval — cheaper than the hand-off to a worker
+  thread.  Such a miss runs under a slice of that length; one the slice
+  cuts off is *handed off* and finished on the worker pool, repeating up
+  to one slice of work.  Every other request runs on the worker pool.
+  Each client's replies are
   written, in request order, by that connection's one processor
   coroutine with ``drain()`` — a slow consumer stalls only its own
   writes, never the accept loop or other clients.
@@ -57,11 +62,13 @@ import itertools
 import json
 import math
 import socket
+import sys
 import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..algorithms import available_algorithms
 from ..core.deadline import Deadline
@@ -72,6 +79,7 @@ __all__ = [
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_MAX_LINE_BYTES",
     "DEFAULT_MAX_PENDING_PER_CLIENT",
+    "Handoff",
     "LatencyHistogram",
     "RequestCore",
     "ServerStats",
@@ -300,6 +308,9 @@ class ServerStats:
         self.refused_deadline = 0
         self.refused_overload = 0
         self.protocol_errors = 0
+        #: Queries the event loop started and a worker finished (their
+        #: inline slice cut them off).
+        self.handed_off = 0
         self._histograms: Dict[str, LatencyHistogram] = {}
 
     def note_connection_opened(self) -> None:
@@ -321,6 +332,10 @@ class ServerStats:
     def note_protocol_error(self) -> None:
         with self._lock:
             self.protocol_errors += 1
+
+    def note_handoff(self) -> None:
+        with self._lock:
+            self.handed_off += 1
 
     def note_response(self) -> None:
         with self._lock:
@@ -349,6 +364,7 @@ class ServerStats:
                 "refused_deadline": self.refused_deadline,
                 "refused_overload": self.refused_overload,
                 "protocol_errors": self.protocol_errors,
+                "handed_off": self.handed_off,
             }
         payload["latency_ms"] = {
             operation: histogram.summary()
@@ -360,6 +376,24 @@ class ServerStats:
 # ----------------------------------------------------------------------
 # the shared request core
 # ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Handoff:
+    """A query its inline slice cut off: :meth:`RequestCore.finish` ends it.
+
+    Carries what the first run already settled — the decoded query, the
+    request's own deadline, the epoch stamped before the run and the
+    instant :meth:`RequestCore.respond` started — so the worker that
+    finishes the query neither decodes nor looks it up again.
+    """
+
+    request: dict
+    query: TspgQuery
+    algorithm: Optional[str]
+    deadline: Optional[Deadline]
+    epoch_before: int
+    started: float
 
 
 class RequestCore:
@@ -417,25 +451,28 @@ class RequestCore:
             ),
         )
 
-    def answerable_from_cache(self, request: dict) -> bool:
-        """Whether ``request`` is a query the service holds a cached answer for.
+    def triage(
+        self, request: dict, slice_seconds: float
+    ) -> Tuple[Optional[TspgQuery], bool]:
+        """Decode a ``query`` op once and say whether an event loop may answer it.
 
-        True only for a well-formed ``query`` op with a known algorithm
-        whose answer the service's lock-free :meth:`has_cached` probe
-        finds.  It parses the query but neither calls :meth:`respond` nor
-        touches the cache's counters or LRU order, and never raises: a
-        malformed request answers ``False`` and :meth:`respond` reports it.
+        Returns ``(query, inline)``.  ``query`` is the decoded query of a
+        well-formed ``query`` op with a known algorithm, and ``None`` for
+        anything else (:meth:`respond` decodes and reports those).
+        ``inline`` is the service's lock-free readiness verdict
+        (:meth:`~repro.service.TspgService.ready_within`) for a run of
+        ``slice_seconds``.  Never raises, takes no lock and counts nothing.
         """
         if request_op(request) != "query":
-            return False
+            return None, False
         algorithm = request.get("algorithm")
         if algorithm is not None and algorithm not in available_algorithms():
-            return False
+            return None, False
         try:
             query = self.parse_query(request)
         except (KeyError, TypeError, ValueError):
-            return False
-        return self.service.has_cached(query, algorithm)
+            return None, False
+        return query, self.service.ready_within(query, algorithm, slice_seconds)
 
     # ------------------------------------------------------------------
     # the line-level protocol (stdio drives this directly)
@@ -465,12 +502,46 @@ class RequestCore:
             return self.deadline_refusal(request), False
         return self.respond(request, deadline), False
 
-    def respond(self, request: dict, deadline: Optional[Deadline] = None) -> dict:
-        """Handle one decoded request, translating errors per the contract."""
+    def respond(
+        self,
+        request: dict,
+        deadline: Optional[Deadline] = None,
+        *,
+        query: Optional[TspgQuery] = None,
+        slice_seconds: Optional[float] = None,
+    ) -> Union[dict, Handoff]:
+        """Handle one decoded request, translating errors per the contract.
+
+        ``query`` is the request's query when the caller already decoded
+        it (:meth:`triage`).  With ``slice_seconds`` a query's miss runs
+        under a slice of that length (see
+        :meth:`~repro.service.TspgService.submit`); when the slice cuts
+        it off before ``deadline`` expires, the answer is a
+        :class:`Handoff` that :meth:`finish` completes, and nothing is
+        recorded for the request until then.  Runs once per request.
+        """
+        return self._translated(
+            self.handle, request,
+            deadline=deadline, query=query, slice_seconds=slice_seconds,
+        )
+
+    def finish(self, handoff: Handoff) -> dict:
+        """Complete a query its slice cut off (run it on a worker thread).
+
+        Runs the query to the end under the request's own deadline,
+        without a second decode, cache lookup or :meth:`respond` call,
+        memoizes the answer and records the request once, with its
+        latency counted from the start of :meth:`respond`.  Errors are
+        translated as in :meth:`respond`.
+        """
+        return self._translated(self._finish_query, handoff)
+
+    def _translated(self, step: Callable[..., object], *args, **kwargs):
+        """Run ``step``, answering the serving error contract's errors."""
         from ..store import SnapshotError  # deferred: service <-> store cycle
 
         try:
-            return self.handle(request, deadline=deadline)
+            return step(*args, **kwargs)
         except WorkerPoolError as exc:
             # A worker died mid-batch.  The pool has already discarded its
             # broken worker set and will fork a fresh one on the next
@@ -487,7 +558,14 @@ class RequestCore:
     # ------------------------------------------------------------------
     # op dispatch
     # ------------------------------------------------------------------
-    def handle(self, request: dict, *, deadline: Optional[Deadline] = None) -> dict:
+    def handle(
+        self,
+        request: dict,
+        *,
+        deadline: Optional[Deadline] = None,
+        query: Optional[TspgQuery] = None,
+        slice_seconds: Optional[float] = None,
+    ) -> Union[dict, Handoff]:
         """Answer one decoded JSONL request (raises on protocol errors)."""
         started = time.perf_counter()
         operation = request_op(request)
@@ -498,7 +576,11 @@ class RequestCore:
                 f"{', '.join(available_algorithms())}"
             )
         if operation == "query":
-            response = self._handle_query(request, algorithm, deadline)
+            response = self._handle_query(
+                request, algorithm, deadline, query, slice_seconds, started
+            )
+            if isinstance(response, Handoff):
+                return response
         elif operation == "batch":
             response = self._handle_batch(request, algorithm, deadline)
         elif operation == "ingest":
@@ -510,6 +592,11 @@ class RequestCore:
                 f"unknown op {operation!r} "
                 "(expected query, batch, ingest, stats or quit)"
             )
+        self._note_handled(operation, started)
+        return response
+
+    def _note_handled(self, operation: str, started: float) -> None:
+        """Record one answered request (and run the periodic eviction)."""
         self.stats.note_op(operation, (time.perf_counter() - started) * 1000.0)
         if self.evict_every:
             with self._evict_lock:
@@ -521,20 +608,69 @@ class RequestCore:
                 # re-fault from the snapshot file, so this trades a little
                 # tail latency for bounded memory.
                 self.service.evict_cold_pages()
-        return response
 
     def _handle_query(
-        self, request: dict, algorithm: Optional[str], deadline: Optional[Deadline]
-    ) -> dict:
-        query = self.parse_query(request)
+        self,
+        request: dict,
+        algorithm: Optional[str],
+        deadline: Optional[Deadline],
+        query: Optional[TspgQuery],
+        slice_seconds: Optional[float],
+        started: float,
+    ) -> Union[dict, Handoff]:
+        if query is None:
+            query = self.parse_query(request)
         if deadline is None:
             deadline = arrival_deadline(request)
         # Epoch stamps bracket the answer so a network client can replay
         # it against a serial oracle: the result is bit-identical to the
         # graph at *some* epoch in [epoch_before, epoch_after].
         epoch_before = self.service.epoch
-        outcome = self.service.submit(query, algorithm, deadline=deadline)
-        epoch_after = self.service.epoch
+        outcome = self._submit(
+            query, algorithm,
+            # An inline query found its engine settled when it was triaged.
+            slice_seconds is not None
+            or self.service.ready_within(query, algorithm, math.inf),
+            deadline=deadline, slice_seconds=slice_seconds,
+        )
+        if (
+            slice_seconds is not None
+            and outcome.timed_out
+            and (deadline is None or not deadline.expired())
+        ):
+            # Cut off by its slice, not by its deadline: a worker finishes it.
+            return Handoff(request, query, algorithm, deadline, epoch_before, started)
+        return self._query_response(request, outcome, epoch_before)
+
+    def _finish_query(self, handoff: Handoff) -> dict:
+        outcome = self._submit(
+            handoff.query, handoff.algorithm, True,
+            deadline=handoff.deadline, lookup=False,
+        )
+        response = self._query_response(
+            handoff.request, outcome, handoff.epoch_before
+        )
+        self._note_handled("query", handoff.started)
+        return response
+
+    def _submit(
+        self, query: TspgQuery, algorithm: Optional[str], settled: bool, **options
+    ):
+        """``service.submit``, recording how long a miss held this thread.
+
+        Only a miss whose engine was ``settled`` — nothing pending, so it
+        built no algorithm instance, rewarm or view column first — is
+        recorded: one-off work says nothing about the engine's next miss.
+        A run its slice or deadline cut off records the time it held the
+        thread, which is at least that slice.
+        """
+        began = time.perf_counter()
+        outcome = self.service.submit(query, algorithm, **options)
+        if settled and not outcome.extras.get("cache_hit"):
+            self.service.record_miss(query, time.perf_counter() - began)
+        return outcome
+
+    def _query_response(self, request: dict, outcome, epoch_before: int) -> dict:
         response = {
             "ok": True,
             "op": "query",
@@ -545,7 +681,7 @@ class RequestCore:
             "timed_out": outcome.timed_out,
             "cache_hit": bool(outcome.extras.get("cache_hit")),
             "epoch_before": epoch_before,
-            "epoch_after": epoch_after,
+            "epoch_after": self.service.epoch,
         }
         if request.get("include_edges"):
             # Deterministic order so two replays of the same answer are
@@ -822,14 +958,24 @@ class TspgServer:
     feeds a bounded pending queue (blocking the reader — TCP backpressure
     — when the client outruns the server), and a *processor* coroutine
     dequeues, passes admission control, runs the request and writes the
-    response.  A query whose answer is cached runs on the event loop
-    (then yields it, so a backlog of hits takes turns with other
-    sessions); everything else runs on a bounded thread pool.  Replies
-    the reader makes itself (framing errors, bad budgets, overload
-    refusals) queue behind the requests before them.  Admission control:
+    response.  A query leaves the loop only when it has to: the loop
+    answers it itself when :meth:`RequestCore.triage` finds its engine
+    ready (nothing to build; the answer cached, or the last miss no
+    longer than ``sys.getswitchinterval()``), running a miss under a
+    slice of one switch interval — already the longest a busy worker
+    thread keeps the loop from stamping arrivals — and then yields the
+    loop, so a backlog takes turns with other sessions.  A query the
+    slice cuts off before its own deadline is handed off
+    (``stats.server.handed_off``): :meth:`RequestCore.finish` completes
+    it on the bounded thread pool, from the start, without a second
+    decode, lookup or :meth:`RequestCore.respond`.  Queries that are not
+    ready, batches, ingests and ``stats`` run on the pool.  Replies the
+    reader makes itself (framing errors, bad budgets, overload refusals)
+    queue behind the requests before them.  Admission control:
 
     - a request with a deadline that has already expired, or that expires
-      while waiting for a worker slot, is refused before any work runs;
+      while waiting for a worker slot, is refused before any work runs
+      (a handed-off query included);
     - when ``queue_depth`` reaches ``max_inflight`` new requests are
       refused immediately (``retryable: true``);
     - worker slots rotate round-robin across connections
@@ -1052,33 +1198,44 @@ class TspgServer:
     async def _admit_and_run(
         self, session: _Session, request: dict, deadline: Optional[Deadline]
     ) -> dict:
-        remaining = None
         if deadline is not None:
-            remaining = deadline.remaining() - self._admission_margin
-            if remaining <= 0:
+            if deadline.remaining() - self._admission_margin <= 0:
                 self.stats.note_refusal("deadline")
                 return self._core.deadline_refusal(request)
-        if self._core.answerable_from_cache(request):
-            # A cache hit costs less than the hand-off to a worker thread
-            # would, so it runs right here on the loop.
+        # A busy worker thread already keeps the loop from stamping
+        # arrivals for up to one switch interval; an inline run is held to
+        # the same bound.
+        slice_seconds = sys.getswitchinterval()
+        query, inline = self._core.triage(request, slice_seconds)
+        if inline:
             self._inflight += 1
             try:
-                response = self._core.respond(request, deadline)
+                answer = self._core.respond(
+                    request, deadline, query=query, slice_seconds=slice_seconds
+                )
             finally:
                 self._inflight -= 1
-            # Yield once: a session with a backlog of hits must let the
-            # other sessions' requests in between its own.
-            await asyncio.sleep(0)
-            return response
+            if not isinstance(answer, Handoff):
+                # Yield once: a session with a backlog of inline answers
+                # must let the other sessions' requests in between its own.
+                await asyncio.sleep(0)
+                return answer
+            self.stats.note_handoff()
+            work = functools.partial(self._core.finish, answer)
+        else:
+            work = functools.partial(
+                self._core.respond, request, deadline, query=query
+            )
         # A free slot nobody is waiting for is taken without wait_for,
         # which would wrap the acquire in a new Task and a timer.
         if not self._scheduler.try_acquire():
-            if remaining is None:
+            if deadline is None:
                 await self._scheduler.acquire(session.key)
             else:
                 try:
                     await asyncio.wait_for(
-                        self._scheduler.acquire(session.key), timeout=remaining
+                        self._scheduler.acquire(session.key),
+                        timeout=deadline.remaining() - self._admission_margin,
                     )
                 except asyncio.TimeoutError:
                     self.stats.note_refusal("deadline")
@@ -1086,8 +1243,7 @@ class TspgServer:
         self._inflight += 1
         try:
             return await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                functools.partial(self._core.respond, request, deadline),
+                self._executor, work
             )
         finally:
             self._inflight -= 1

@@ -381,8 +381,9 @@ class _Engine:
     An engine has three jobs.  It *warms* its graph's indices, rewarming
     once per graph epoch with delta-aware cache invalidation.  It
     *caches* results in an LRU whose keys embed the warmed epoch, and
-    answers the lock-free :meth:`has_cached` probe.  It *runs* one query,
-    or a batch serially or on threads.  The owning service resolves
+    answers the lock-free :meth:`ready_within` verdict.  It *runs* one
+    query, or a batch serially or on threads, and keeps the time its
+    caller recorded for its last miss.  The owning service resolves
     algorithm names and hands instances in.  ``snapshot_path`` and
     ``snapshot_interval`` name the file (and time extent) a process worker
     boots an identical engine from; ``None`` when there is none.
@@ -407,6 +408,9 @@ class _Engine:
         self.warmed_epoch: int = graph.epoch
         self.snapshot_path: Optional[str] = None
         self.snapshot_interval = None
+        #: Seconds the last recorded miss held its caller's thread (0.0
+        #: until one is recorded); see :meth:`TspgService.record_miss`.
+        self.last_miss_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # warm
@@ -497,11 +501,20 @@ class _Engine:
             self.warmed_epoch,
         )
 
-    def has_cached(self, query: TspgQuery, algorithm: TspgAlgorithm) -> bool:
-        """Lock-free, side-effect-free: see :meth:`TspgService.has_cached`."""
-        if self.graph.epoch != self.warmed_epoch:
+    def ready_within(
+        self, query: TspgQuery, algorithm: TspgAlgorithm, seconds: float
+    ) -> bool:
+        """Lock-free, side-effect-free: see :meth:`TspgService.ready_within`."""
+        graph = self.graph
+        if graph.epoch != self.warmed_epoch:
             return False
-        return self._unpinned_key(query, algorithm) in self._cache
+        if self._unpinned_key(query, algorithm) in self._cache:
+            return True
+        return (
+            algorithm.bounded_by_deadline
+            and self.last_miss_seconds < seconds
+            and graph.view_is_built()
+        )
 
     def _lookup(self, key: CacheKey) -> Optional[AlgorithmResult]:
         """The cached outcome for ``key`` as a hit, timed as the lookup."""
@@ -554,6 +567,8 @@ class _Engine:
         algorithm: TspgAlgorithm,
         use_cache: bool = True,
         deadline: Optional[Deadline] = None,
+        slice_seconds: Optional[float] = None,
+        lookup: bool = True,
     ) -> AlgorithmResult:
         """Answer one query (see :meth:`TspgService.submit`)."""
         self.ensure_current()
@@ -567,13 +582,19 @@ class _Engine:
             )
         key: Optional[CacheKey] = None
         if use_cache:
+            # The key is taken before the run: it embeds the epoch the run
+            # starts from, so a rewarm racing the run cannot re-label it.
             key = self._cache_key(query, algorithm)
-            hit = self._lookup(key)
-            if hit is not None:
-                return hit
+            if lookup:
+                hit = self._lookup(key)
+                if hit is not None:
+                    return hit
+        run_deadline = deadline
+        if slice_seconds is not None:
+            run_deadline = Deadline.after(slice_seconds).earlier(deadline)
         outcome = algorithm.run(
             self.graph, query.source, query.target, query.interval,
-            deadline=deadline,
+            deadline=run_deadline,
         )
         # Never memoize a cut-off run: a timed-out (possibly partial) result
         # would be served for every future repeat of the query.
@@ -1095,16 +1116,30 @@ class TspgService:
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
-    def has_cached(self, query: TspgQuery, algorithm: Optional[str] = None) -> bool:
-        """Whether :meth:`submit` would answer ``query`` from a cache now.
+    def ready_within(
+        self,
+        query: TspgQuery,
+        algorithm: Optional[str] = None,
+        seconds: float = 0.0,
+    ) -> bool:
+        """Whether :meth:`submit` would answer ``query`` now, within ``seconds``.
 
-        A non-blocking probe for an event loop: it takes no lock and
-        changes nothing — no rewarm or repartition, no algorithm instance
-        or fallback built, no hit or miss counted, no LRU move.  It
-        answers ``False`` whenever ``submit`` would first have to do any
-        of those.  ``True`` is a hint, not a reservation: an ingest
-        landing right after the probe turns the lookup into a miss, which
-        ``submit`` then answers as usual.
+        The readiness verdict an event loop asks before it answers a query
+        itself.  ``True`` only when nothing is pending for the routed
+        engine — no rewarm or repartition, no algorithm instance or
+        fallback engine to build — and the engine either holds the answer
+        or is ready to compute it quickly: the algorithm polls its
+        deadline in every phase (``bounded_by_deadline``), the graph's
+        view needs no column built (:meth:`TemporalGraph.view_is_built`),
+        and the engine's last recorded miss (:meth:`record_miss`) took
+        less than ``seconds`` — an engine with none recorded yet qualifies.
+        With the default ``seconds=0`` it answers whether the answer is
+        cached.
+
+        A non-blocking probe: it takes no lock and changes nothing — no
+        hit or miss counted, no LRU move.  ``True`` is a hint, not a
+        reservation: an ingest landing right after the probe turns a
+        lookup into a miss, which ``submit`` then answers as usual.
         """
         topology = self._topology
         graph = self._graph
@@ -1116,7 +1151,24 @@ class TspgService:
         engine = self._engine_in(
             topology, self._route_in(topology, query.interval), build=False
         )
-        return engine is not None and engine.has_cached(query, instance)
+        return engine is not None and engine.ready_within(query, instance, seconds)
+
+    def record_miss(self, query: TspgQuery, seconds: float) -> None:
+        """Note that answering a miss on ``query`` held its caller ``seconds``.
+
+        :meth:`ready_within` compares the routed engine's last such time
+        with its bound.  The caller times its whole :meth:`submit` call,
+        so whatever held its thread counts; a run that was cut off held it
+        at least as long as the slice or deadline that stopped it.
+        Lock-free: one attribute write on the routed engine, and nothing
+        is built when that engine does not exist yet.
+        """
+        topology = self._topology
+        engine = self._engine_in(
+            topology, self._route_in(topology, query.interval), build=False
+        )
+        if engine is not None:
+            engine.last_miss_seconds = seconds
 
     def submit(
         self,
@@ -1125,6 +1177,8 @@ class TspgService:
         *,
         use_cache: bool = True,
         deadline: Optional[Deadline] = None,
+        slice_seconds: Optional[float] = None,
+        lookup: bool = True,
     ) -> AlgorithmResult:
         """Answer one query on its engine, consulting and filling its cache.
 
@@ -1141,10 +1195,21 @@ class TspgService:
         phase — or even the cache — is touched, and an in-flight one cuts
         itself off at the algorithm's documented check points.  A
         ``timed_out`` outcome is never memoized.
+
+        ``slice_seconds`` bounds a miss's run without bounding the query:
+        the algorithm runs under a deadline ``slice_seconds`` from the
+        start of the run, or under ``deadline`` if that comes first, so a
+        run the slice cuts off comes back ``timed_out`` while ``deadline``
+        is still open.  ``lookup=False`` skips the cache lookup but still
+        memoizes the result: it finishes a query whose lookup already
+        missed without counting a second miss.
         """
         topology = self._current_topology()
         engine = self._engine_in(topology, self._route_in(topology, query.interval))
-        return engine.submit(query, self._resolve(algorithm), use_cache, deadline)
+        return engine.submit(
+            query, self._resolve(algorithm), use_cache, deadline,
+            slice_seconds, lookup,
+        )
 
     def query(
         self,

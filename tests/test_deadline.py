@@ -7,6 +7,10 @@ Covers the deadline satellite of the serving-pool PR:
 * a mid-EEV expiry stops promptly (the escaped-edge loop and the searcher
   both poll), and a batch whose budget expires mid-flight lands within the
   documented slack;
+* every kernel loop of QuickUBG and TightUBG polls once per
+  ``POLL_INTERVAL`` iterations, so each phase stops within one polling
+  interval and ``VUG.run`` keeps the upper bounds of the phases that
+  finished — down to a tenth of a full-span ``synth-scale`` query;
 * queries that finish in budget are bit-identical with and without a
   deadline, for every registry algorithm;
 * ``timed_out`` outcomes are never memoized, and the deadline crosses the
@@ -15,16 +19,31 @@ Covers the deadline satellite of the serving-pool PR:
 
 from __future__ import annotations
 
+import math
 import pickle
+import statistics
 import time
 
 import pytest
 
 from repro.algorithms import available_algorithms, get_algorithm
 from repro.baselines.interface import AlgorithmResult, TspgAlgorithm
-from repro.core import Deadline, EEVDeadlineExpired
+from repro.core import Deadline, EEVDeadlineExpired, vug
+from repro.core.deadline import POLL_INTERVAL, DeadlineExpired
 from repro.core.eev import BidirectionalSearcher, escaped_edges_verification
+from repro.core.polarity import (
+    _sweep_arrival_ids,
+    _sweep_departure_ids,
+    compute_polarity_id_arrays,
+)
+from repro.core.quick_ubg import quick_mask_kernel
 from repro.core.result import PathGraph
+from repro.core.tcv import (
+    _compute_source_side,
+    _compute_target_side,
+    compute_time_stream_common_vertices,
+)
+from repro.core.tight_ubg import tight_upper_bound_graph
 from repro.core.vug import VUG
 from repro.graph.edge import TemporalEdge, TimeInterval
 from repro.graph.generators import uniform_random_temporal_graph
@@ -208,6 +227,165 @@ class TestMidEEVExpiry:
             item.skipped or (item.outcome is not None and item.outcome.timed_out)
             for item in report.items
         )
+
+
+def _layered_graph() -> TemporalGraph:
+    """s → a_i (1) → b_j (2) → t (3): every loop runs past one interval.
+
+    ``WIDTH²`` middle edges exceed :data:`POLL_INTERVAL`, and all of them
+    lie on a temporal simple path, so both sweeps, the Lemma 1 mask, both
+    TCV scans and the tight mask each iterate more than one polling
+    interval.
+    """
+    width = math.isqrt(POLL_INTERVAL) + 2
+    edges = [("s", f"a{i}", 1) for i in range(width)]
+    edges += [(f"a{i}", f"b{j}", 2) for i in range(width) for j in range(width)]
+    edges += [(f"b{j}", "t", 3) for j in range(width)]
+    return TemporalGraph(edges=edges)
+
+
+class PollCounter:
+    """A deadline stand-in: counts polls, expires after ``allowed`` of them."""
+
+    def __init__(self, allowed: float = math.inf) -> None:
+        self.allowed = allowed
+        self.polls = 0
+
+    def expired(self) -> bool:
+        self.polls += 1
+        return self.polls > self.allowed
+
+
+class Tripwire:
+    """A deadline stand-in that expires once :attr:`tripped` is set."""
+
+    tripped = False
+
+    def expired(self) -> bool:
+        return self.tripped
+
+
+def _kernel_calls():
+    """``name -> run(deadline)`` for each polled loop, on the layered graph."""
+    graph = _layered_graph()
+    view = graph.view()
+    window = TimeInterval(1, 3)
+    s_id, t_id = view.index_of["s"], view.index_of["t"]
+    arrival, departure, frontier = compute_polarity_id_arrays(view, "s", "t", window)
+    quick = quick_mask_kernel(view, arrival, departure, window, frontier)
+    tcv = compute_time_stream_common_vertices(quick, "s", "t", window)
+    assert quick.num_edges > POLL_INTERVAL
+    return {
+        "forward polarity sweep": lambda d: _sweep_arrival_ids(
+            view, s_id, t_id, window, d
+        ),
+        "backward polarity sweep": lambda d: _sweep_departure_ids(
+            view, s_id, t_id, window, d
+        ),
+        "Lemma 1 mask": lambda d: quick_mask_kernel(
+            view, arrival, departure, window, frontier, deadline=d
+        ),
+        "source TCV scan": lambda d: _compute_source_side(quick, "s", "t", d),
+        "target TCV scan": lambda d: _compute_target_side(quick, "s", "t", d),
+        "tight mask": lambda d: tight_upper_bound_graph(
+            quick, "s", "t", window, tcv=tcv, deadline=d
+        ),
+    }
+
+
+KERNELS = sorted(_kernel_calls())
+
+
+class TestKernelPolls:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_each_loop_stops_at_its_first_poll_past_the_deadline(self, kernel):
+        run = _kernel_calls()[kernel]
+        counter = PollCounter()
+        run(counter)  # never expires: the loop runs to the end
+        assert counter.polls >= 1  # it is longer than one polling interval
+        expired = PollCounter(allowed=0)
+        with pytest.raises(DeadlineExpired):
+            run(expired)
+        assert expired.polls == 1
+        with pytest.raises(DeadlineExpired):
+            run(Deadline.after(-1.0))
+
+    @pytest.mark.parametrize(
+        "phase_function, keeps_quick, keeps_tight",
+        [
+            ("compute_polarity_id_arrays", False, False),
+            ("quick_mask_kernel", False, False),
+            ("compute_time_stream_common_vertices", True, False),
+            ("tight_upper_bound_graph", True, False),
+        ],
+    )
+    def test_vug_keeps_the_upper_bounds_of_the_phases_that_finished(
+        self, monkeypatch, phase_function, keeps_quick, keeps_tight
+    ):
+        graph = _layered_graph()
+        complete = VUG().run(graph, "s", "t", (1, 3))
+        tripwire = Tripwire()
+        original = getattr(vug, phase_function)
+
+        def tripped(*args, **kwargs):
+            # The deadline passes as the phase starts; its first poll
+            # inside the kernel loop must catch it.
+            tripwire.tripped = True
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vug, phase_function, tripped)
+        report = VUG().run(graph, "s", "t", (1, 3), deadline=tripwire)
+        assert report.timed_out is True
+        assert report.result.is_empty
+        if keeps_quick:
+            assert report.upper_bound_quick == complete.upper_bound_quick
+            assert report.timings.tight_ubg > 0.0
+        else:
+            assert report.upper_bound_quick is None
+            assert report.timings.quick_ubg > 0.0
+        assert (report.upper_bound_tight is not None) == keeps_tight
+        assert report.timings.eev == 0.0
+
+
+class TestCutOffsAtScale:
+    """Full-span hub-to-hub ``synth-scale`` queries, where QuickUBG dominates."""
+
+    @staticmethod
+    def _elapsed(graph, source, target, deadline=None):
+        started = time.perf_counter()
+        report = VUG().run(
+            graph, source, target, graph.time_interval(), deadline=deadline
+        )
+        return time.perf_counter() - started, report
+
+    @pytest.mark.parametrize("source, target", [(0, 1), (2, 3)])
+    def test_a_tenth_of_the_run_time_cuts_it_off_within_twice_that(
+        self, synth_scale_graph, source, target
+    ):
+        unbudgeted = min(
+            self._elapsed(synth_scale_graph, source, target)[0] for _ in range(3)
+        )
+        budget = unbudgeted / 10
+        elapsed = []
+        for _ in range(3):
+            seconds, report = self._elapsed(
+                synth_scale_graph, source, target, Deadline.after(budget)
+            )
+            assert report.timed_out and report.result.is_empty
+            elapsed.append(seconds)
+        # The median of three, so one scheduler hiccup cannot decide it.
+        assert statistics.median(elapsed) < 2 * budget, (unbudgeted, elapsed)
+
+    def test_polls_leave_an_in_budget_answer_bit_identical(self, synth_scale_graph):
+        counter = PollCounter()
+        _, plain = self._elapsed(synth_scale_graph, 2, 3)
+        _, polled = self._elapsed(synth_scale_graph, 2, 3, counter)
+        assert counter.polls > 3  # the kernels polled, beyond the boundaries
+        assert not polled.timed_out
+        assert polled.result.edges == plain.result.edges
+        assert polled.result.vertices == plain.result.vertices
+        assert polled.upper_bound_quick == plain.upper_bound_quick
+        assert polled.upper_bound_tight == plain.upper_bound_tight
 
 
 class TestInBudgetBitIdentity:

@@ -8,6 +8,7 @@ target breaks the build instead of silently 404ing for readers.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -89,3 +90,74 @@ def test_roadmap_stays_a_planning_doc():
         "ROADMAP's Architecture section is growing back into a reference "
         "document; move the prose into docs/ and keep pointers here"
     )
+
+
+#: Markdown files whose pytest node references must resolve.  CHANGES.md
+#: is history: it names tests as they were when each change landed.
+NODE_CHECKED_DOCS = ("README.md", "ROADMAP.md") + tuple(
+    str(path.relative_to(REPO_ROOT))
+    for path in sorted((REPO_ROOT / "docs").glob("*.md"))
+)
+
+#: Fenced code blocks, inline code spans (a run of backticks closed by a
+#: run of the same length), and the two node forms written inside either:
+#: ``tests/<file>.py::[Class::]name`` and ``TestClass::test_name``.
+_FENCED = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_INLINE = re.compile(r"(?<!`)(`+)(?!`)(.+?)(?<!`)\1(?!`)", re.DOTALL)
+_FILE_NODE = re.compile(r"(tests/[\w/]+\.py)((?:::\w+)+)")
+_CLASS_NODE = re.compile(r"(?<![\w:/.])(Test\w+)::(test_\w+)")
+
+
+@pytest.fixture(scope="module")
+def defined_tests():
+    """``{file: {class or "": set of function names}}`` for every test file."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions = {}
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {"": {node.name for node in tree.body if isinstance(node, functions)}}
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scopes[node.name] = {
+                    item.name for item in node.body if isinstance(item, functions)
+                }
+        definitions[str(path.relative_to(REPO_ROOT))] = scopes
+    return definitions
+
+
+def _code_spans(text):
+    """Every fenced block and inline code span of a markdown ``text``."""
+    fenced = _FENCED.findall(text)
+    inline = [code for _, code in _INLINE.findall(_FENCED.sub("", text))]
+    return fenced + inline
+
+
+def _unresolved_nodes(text, definitions):
+    """The pytest node references in ``text`` that name nothing."""
+    missing = []
+    for span in _code_spans(text):
+        for file_name, tail in _FILE_NODE.findall(span):
+            parts = tail.split("::")[1:]
+            scopes = definitions.get(file_name)
+            if scopes is None:
+                missing.append(file_name + tail)
+            elif len(parts) == 1:
+                if parts[0] not in scopes and parts[0] not in scopes[""]:
+                    missing.append(file_name + tail)
+            elif parts[1] not in scopes.get(parts[0], ()):
+                missing.append(file_name + tail)
+        for class_name, function in _CLASS_NODE.findall(span):
+            if not any(
+                function in scopes.get(class_name, ())
+                for scopes in definitions.values()
+            ):
+                missing.append(f"{class_name}::{function}")
+    return missing
+
+
+@pytest.mark.parametrize("name", NODE_CHECKED_DOCS)
+def test_pytest_node_references_resolve(name, defined_tests):
+    """Every backticked ``tests/…::…`` or ``TestClass::test_…`` names a test."""
+    text = (REPO_ROOT / name).read_text(encoding="utf-8")
+    missing = _unresolved_nodes(text, defined_tests)
+    assert not missing, f"{name}: references to tests that do not exist: {missing}"

@@ -9,9 +9,11 @@ Four layers of coverage, all over a *real* socket (no transport mocks):
 * **Admission control** — refuse-before-work on arrival-stamped
   deadlines, prompt refusals while the pool is saturated, the global
   in-flight bound, and round-robin fairness across clients.
-* **The loop path** — cached queries are answered on the event-loop
-  thread, still refused past their deadline, and a backlog of hits takes
-  turns with other clients.
+* **The loop path** — once nothing is pending for its engine, a query
+  is answered on the event-loop thread (a cache hit, or a miss under one
+  switch-interval slice); a query the slice cuts off is finished once on
+  a worker; cached queries are still refused past their deadline, and a
+  backlog of hits takes turns with other clients.
 * **Concurrency stress** — concurrent query clients race a writer client
   issuing ``ingest`` ops; every answer must be bit-identical to a serial
   replay of the ingest sequence at some epoch inside the answer's stamped
@@ -29,8 +31,10 @@ import time
 import pytest
 
 from repro.algorithms import get_algorithm
+from repro.core.vug import VUG
 from repro.datasets.registry import get_dataset
 from repro.graph.temporal_graph import TemporalGraph
+from repro.queries.query import TspgQuery
 from repro.queries.workload import generate_workload
 from repro.service import (
     RequestCore,
@@ -40,6 +44,7 @@ from repro.service import (
 )
 from repro.service.server import (
     LatencyHistogram,
+    ServerStats,
     _FairScheduler,
     parse_request_line,
 )
@@ -91,7 +96,7 @@ class ThreadRecordingService(TspgService):
 
 
 class SlowHitService(TspgService):
-    """A service whose submit takes ``delay`` seconds on cache hits only.
+    """A service whose submit takes ``delay`` seconds more on cache hits.
 
     Hits run on the event loop, so this is a backlog of hits that blocks
     the loop for a predictable window per request.
@@ -102,9 +107,10 @@ class SlowHitService(TspgService):
         self._delay = delay
 
     def submit(self, query, algorithm=None, **kwargs):
-        if self.has_cached(query, algorithm):
+        outcome = super().submit(query, algorithm, **kwargs)
+        if outcome.extras.get("cache_hit"):
             time.sleep(self._delay)
-        return super().submit(query, algorithm, **kwargs)
+        return outcome
 
 
 QUERY = {"source": "s", "target": "t", "begin": 2, "end": 7}
@@ -464,22 +470,112 @@ class TestAdmissionControl:
 
 
 # ----------------------------------------------------------------------
-# cached queries answer on the event loop
+# queries answer on the event loop once nothing is pending
 # ----------------------------------------------------------------------
 
 
 class TestLoopPath:
-    def test_a_cache_hit_runs_on_the_loop_and_a_miss_on_a_worker(self):
+    def test_queries_run_on_the_loop_once_nothing_is_pending_for_their_engine(self):
         service = ThreadRecordingService(small_graph())
         with boot(service) as st:
             with TspgClient(st.address) as client:
+                # Builds the VUG instance, so it runs on a worker.
+                client.request(dict(QUERY, end=6))
                 request = dict(QUERY, include_edges=True)
                 miss = client.request(request)
                 hit = client.request(request)
+                # An algorithm instance nobody has built yet.
+                client.request(dict(QUERY, algorithm="VUG-noTight"))
+                # The ingest extends the view: the next query derives its
+                # CSR-aligned columns again, so it goes to a worker too.
+                client.request({"op": "ingest", "edges": [["s", "t", 5]]})
+                after_ingest = client.request(request)
+                client.request(dict(QUERY, begin=3))
+                # A mutation outside ingest: the engine must rewarm first.
+                service.graph.append_edges([("s", "b", 6)])
+                client.request(dict(QUERY, begin=1))
+                stats = client.request({"op": "stats"})["server"]
         assert miss["cache_hit"] is False and hit["cache_hit"] is True
         assert hit["edges"] == miss["edges"] and miss["edges"]
-        assert service.threads[0].startswith("tspg-serve_")
-        assert service.threads[1] == "tspg-server"  # the event-loop thread
+        assert after_ingest["cache_hit"] is False
+        ran_on = [
+            "worker" if name.startswith("tspg-serve_") else name
+            for name in service.threads
+        ]
+        # tspg-server is the event-loop thread.
+        assert ran_on == [
+            "worker", "tspg-server", "tspg-server", "worker", "worker",
+            "tspg-server", "worker",
+        ]
+        assert stats["handed_off"] == 0
+
+    def test_after_a_slow_miss_the_next_one_runs_on_a_worker(self):
+        service = ThreadRecordingService(small_graph())
+        with boot(service) as st:
+            with TspgClient(st.address) as client:
+                client.request(dict(QUERY, end=6))  # builds the VUG instance
+                # As if the engine's last miss had held its thread for 1 s.
+                service.record_miss(TspgQuery("s", "t", (2, 7)), 1.0)
+                client.request(dict(QUERY, begin=1))  # quick, on a worker
+                client.request(dict(QUERY, begin=3))
+        ran_on = [
+            "worker" if name.startswith("tspg-serve_") else name
+            for name in service.threads
+        ]
+        assert ran_on == ["worker", "worker", "tspg-server"]
+
+    def test_a_query_that_outlives_its_slice_is_finished_once_on_a_worker(
+        self, synth_scale_graph
+    ):
+        graph = synth_scale_graph
+        span = graph.time_interval()
+        # Full span, hub to hub: ~22 ms of VUG and 25 answer edges.
+        full = {
+            "source": 2, "target": 3, "begin": span.begin, "end": span.end,
+            "include_edges": True,
+        }
+        expected = VUG().run(graph, 2, 3, span).result
+        quick = {"source": 2, "target": 3, "begin": span.end - 1, "end": span.end}
+        service = ThreadRecordingService(graph)
+        interval = sys.getswitchinterval()
+        with boot(service) as st:
+            with TspgClient(st.address) as client, TspgClient(st.address) as other:
+                client.request(quick)  # builds the VUG instance on a worker
+                # 1 ms slices, and a busy worker hands the GIL back to the
+                # loop within 1 ms, so the loop's responsiveness shows.
+                slice_seconds = 0.001
+                sys.setswitchinterval(slice_seconds)
+                try:
+                    client.send(full)
+                    started = time.monotonic()
+                    assert other.request(quick)["cache_hit"] is True
+                    waited = time.monotonic() - started
+                    answer = client.recv()
+                finally:
+                    sys.setswitchinterval(interval)
+                stats = client.request({"op": "stats"})
+        # While the worker runs the full query, the cached one waits for at
+        # most the slice in flight, plus one switch interval for each of
+        # the loop's blocking calls (poll, read, write) at which the worker
+        # may take the GIL, plus 8 ms of scheduling noise: ~12 ms against
+        # the ~22 ms the full query would hold a loop that ran it whole.
+        assert waited < slice_seconds + 3 * slice_seconds + 0.008
+        assert answer["ok"] and answer["timed_out"] is False
+        assert answer["edges"] == [list(edge) for edge in expected.ordered_edges]
+        assert answer["num_edges"] == expected.num_edges == 25
+        server = stats["server"]
+        assert server["handed_off"] == 1
+        # quick, full and the cached repeat: each counted once.
+        assert server["requests_admitted"] == 3
+        assert server["latency_ms"]["query"]["count"] == 3
+        assert (stats["cache"]["misses"], stats["cache"]["hits"]) == (2, 1)
+        ran_on = [
+            "worker" if name.startswith("tspg-serve_") else name
+            for name in service.threads
+        ]
+        # The full query: one slice on the loop, then the rest on a worker.
+        assert ran_on[:2] == ["worker", "tspg-server"]
+        assert sorted(ran_on[2:]) == ["tspg-server", "worker"]
 
     def test_an_expired_deadline_is_refused_even_when_cached(self):
         with boot() as st:
@@ -634,6 +730,35 @@ class TestConcurrentIngestOracle:
                 f"serial replay prefix"
             )
         return records
+
+
+class TestHandoffStress:
+    def test_handed_off_answers_match_a_serial_replay_at_their_epoch(
+        self, monkeypatch
+    ):
+        # Engines that never record a miss always count as quick, so under
+        # 10 µs slices nearly every miss starts on the loop, is cut off and
+        # is finished on a worker while the writer ingests.
+        monkeypatch.setattr(
+            TspgService, "record_miss", lambda self, query, seconds: None
+        )
+        handoffs = []
+        note_handoff = ServerStats.note_handoff
+
+        def counting(stats):
+            handoffs.append(1)
+            note_handoff(stats)
+
+        monkeypatch.setattr(ServerStats, "note_handoff", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            records = TestConcurrentIngestOracle()._check_against_serial_replay(
+                cache_size=0
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(handoffs) > len(records) // 2
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -391,7 +392,7 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# the lock-free cache probe (what the event loop asks before a hit)
+# the lock-free readiness verdict (what the event loop asks first)
 # ----------------------------------------------------------------------
 def _probe_graph() -> TemporalGraph:
     return uniform_random_temporal_graph(
@@ -415,30 +416,32 @@ SPANNING_QUERY = TspgQuery(0, 5, (1, 30))
 
 
 class TestCacheProbe:
+    """``ready_within`` with its default ``seconds=0``: is the answer cached?"""
+
     def test_false_before_the_first_submit_true_after(self, probed):
-        assert not probed.has_cached(SHARD_QUERY)
+        assert not probed.ready_within(SHARD_QUERY)
         probed.submit(SHARD_QUERY)
-        assert probed.has_cached(SHARD_QUERY)
-        assert probed.has_cached(SHARD_QUERY, "VUG")
+        assert probed.ready_within(SHARD_QUERY)
+        assert probed.ready_within(SHARD_QUERY, "VUG")
         # Another algorithm (never built) and an unknown name find nothing.
-        assert not probed.has_cached(SHARD_QUERY, "VUG-noTight")
-        assert not probed.has_cached(SHARD_QUERY, "no-such-algorithm")
-        assert not probed.has_cached(TspgQuery(5, 0, (1, 6)))
+        assert not probed.ready_within(SHARD_QUERY, "VUG-noTight")
+        assert not probed.ready_within(SHARD_QUERY, "no-such-algorithm")
+        assert not probed.ready_within(TspgQuery(5, 0, (1, 6)))
 
     def test_false_after_an_ingest_until_the_next_query(self, probed):
         probed.submit(SHARD_QUERY)
         probed.ingest([(100, 101, 3)])  # inside the query window
-        assert not probed.has_cached(SHARD_QUERY)
+        assert not probed.ready_within(SHARD_QUERY)
         assert probed.submit(SHARD_QUERY).extras.get("cache_hit") is None
-        assert probed.has_cached(SHARD_QUERY)
+        assert probed.ready_within(SHARD_QUERY)
 
     def test_probing_counts_nothing_and_builds_nothing(self, probed):
         probed.submit(SHARD_QUERY)
         before = probed.cache_stats()
         for _ in range(3):
-            assert probed.has_cached(SHARD_QUERY)
-            assert not probed.has_cached(TspgQuery(1, 2, (1, 6)))
-            assert not probed.has_cached(SHARD_QUERY, "VUG-noTight")
+            assert probed.ready_within(SHARD_QUERY)
+            assert not probed.ready_within(TspgQuery(1, 2, (1, 6)))
+            assert not probed.ready_within(SHARD_QUERY, "VUG-noTight")
         after = probed.cache_stats()
         assert (after.hits, after.misses, after.size) == (
             before.hits, before.misses, before.size,
@@ -452,32 +455,86 @@ class TestCacheProbe:
         service.graph.append_edges([(100, 101, 29)])  # outside the window
         # submit would rewarm first, so the probe declines even though
         # the entry survives that rewarm.
-        assert not service.has_cached(SHARD_QUERY)
+        assert not service.ready_within(SHARD_QUERY)
         assert service.warmed_epoch != service.graph.epoch
         assert service.submit(SHARD_QUERY).extras.get("cache_hit") is True
-        assert service.has_cached(SHARD_QUERY)
+        assert service.ready_within(SHARD_QUERY)
 
     def test_probing_keeps_lru_order(self):
         service = TspgService(_probe_graph(), cache_size=2)
         first, second = SHARD_QUERY, TspgQuery(1, 2, (1, 6))
         service.submit(first)
         service.submit(second)
-        assert service.has_cached(first)  # a get() here would refresh it
+        assert service.ready_within(first)  # a get() here would refresh it
         service.submit(TspgQuery(2, 3, (1, 6)))  # evicts the LRU entry
-        assert not service.has_cached(first)
-        assert service.has_cached(second)
+        assert not service.ready_within(first)
+        assert service.ready_within(second)
 
     def test_router_probe_never_builds_the_fallback(self, tmp_path):
         path = str(tmp_path / "shards")
         ShardedTspgService(_probe_graph(), 3, overlap=1).save_shards(path)
         router = ShardedTspgService.from_shard_snapshots(path, mmap=True)
         assert router.route(SPANNING_QUERY.interval) == FALLBACK_SHARD
-        assert not router.has_cached(SPANNING_QUERY)
+        assert not router.ready_within(SPANNING_QUERY)
         assert router.describe()[-1]["built"] is False
         assert router._graph is None  # nor materialised the union
         router.submit(SPANNING_QUERY)
         assert router.describe()[-1]["built"] is True
-        assert router.has_cached(SPANNING_QUERY)
+        assert router.ready_within(SPANNING_QUERY)
+
+    def test_a_miss_is_ready_after_a_quick_one_on_its_engine(self, probed):
+        other = TspgQuery(1, 2, (1, 6))  # same engine as SHARD_QUERY
+        probed.submit(SHARD_QUERY)
+        # No miss recorded yet: nothing says the engine's next one is slow.
+        assert probed.ready_within(other, seconds=0.001)
+        probed.record_miss(SHARD_QUERY, 0.002)
+        assert probed.ready_within(other, seconds=0.005)
+        assert not probed.ready_within(other, seconds=0.001)
+        # A slow miss sends the next one elsewhere; a quick one brings it back.
+        probed.record_miss(SHARD_QUERY, 0.02)
+        assert not probed.ready_within(other, seconds=0.005)
+        assert probed.ready_within(other, seconds=math.inf)
+        assert probed.ready_within(SHARD_QUERY)  # still cached
+        probed.record_miss(other, 0.001)
+        assert probed.ready_within(other, seconds=0.005)
+
+    def test_a_miss_waits_for_the_view_columns_an_ingest_dropped(self, probed):
+        other = TspgQuery(1, 2, (1, 6))
+        probed.submit(SHARD_QUERY)
+        assert probed.ready_within(other, seconds=1.0)
+        # Inside shard 0's extent, outside both query windows: the cached
+        # answer survives the rewarm, but the view was extended.
+        probed.ingest([(100, 101, 8)])
+        assert probed.submit(SHARD_QUERY).extras.get("cache_hit") is True
+        engine = probed._engine_in(
+            probed._topology, probed._route_in(probed._topology, other.interval)
+        )
+        assert not engine.graph.view_is_built()
+        assert probed.ready_within(SHARD_QUERY)
+        assert not probed.ready_within(other, seconds=1.0)
+        assert not engine.graph.view_is_built()  # asking built nothing
+        probed.submit(TspgQuery(2, 3, (1, 6)))  # a miss derives the columns
+        assert engine.graph.view_is_built()
+        assert probed.ready_within(other, seconds=1.0)
+
+    def test_only_misses_of_a_deadline_bounded_algorithm_are_ready(self):
+        service = TspgService(_probe_graph())
+        service.submit(SHARD_QUERY, "VUG-materializing")
+        other = TspgQuery(1, 2, (1, 6))
+        assert service.ready_within(SHARD_QUERY, "VUG-materializing")
+        assert not service.ready_within(other, "VUG-materializing", seconds=1.0)
+        service.submit(SHARD_QUERY)
+        assert service.ready_within(other, "VUG", seconds=1.0)
+
+    def test_recording_a_miss_never_builds_the_fallback(self, tmp_path):
+        path = str(tmp_path / "shards")
+        ShardedTspgService(_probe_graph(), 3, overlap=1).save_shards(path)
+        router = ShardedTspgService.from_shard_snapshots(path, mmap=True)
+        router.submit(SHARD_QUERY)
+        router.record_miss(SPANNING_QUERY, 0.001)
+        assert not router.ready_within(SPANNING_QUERY, seconds=1.0)
+        assert router.describe()[-1]["built"] is False
+        assert router._graph is None
 
 
 # ----------------------------------------------------------------------
