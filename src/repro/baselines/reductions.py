@@ -36,6 +36,19 @@ from ..paths.reachability import (
 )
 
 
+def _window_rows(graph: TemporalGraph, window):
+    """The ``(u, v, τ)`` rows of ``graph`` inside ``window``, temporally sorted.
+
+    Scans every edge of the graph's view (the O(m) pass the reductions'
+    cost model counts) and reads vertex labels only for rows in the window.
+    """
+    view = graph.view()
+    labels = view.labels
+    for source, target, timestamp in zip(view.src, view.dst, view.ts):
+        if window.contains(timestamp):
+            yield labels[source], labels[target], timestamp
+
+
 def dt_tsg_reduction(
     graph: TemporalGraph, source: Vertex, target: Vertex, interval
 ) -> TemporalGraph:
@@ -56,9 +69,7 @@ def es_tsg_reduction(
     arrival = earliest_arrival_times(graph, source, window, strict=False, forbidden=target)
     departure = latest_departure_times(graph, target, window, strict=False, forbidden=source)
     reduced = TemporalGraph()
-    for u, v, timestamp in graph.edge_tuples():
-        if not window.contains(timestamp):
-            continue
+    for u, v, timestamp in _window_rows(graph, window):
         if arrival.get(u, INFINITY) <= timestamp <= departure.get(v, NEG_INFINITY):
             reduced.add_edge(u, v, timestamp)
     return reduced
@@ -77,9 +88,7 @@ def tg_tsg_reduction(
     arrival = _dijkstra_earliest_arrival(graph, source, target, window)
     departure = _dijkstra_latest_departure(graph, source, target, window)
     reduced = TemporalGraph()
-    for u, v, timestamp in graph.edge_tuples():
-        if not window.contains(timestamp):
-            continue
+    for u, v, timestamp in _window_rows(graph, window):
         if arrival.get(u, INFINITY) < timestamp < departure.get(v, NEG_INFINITY):
             reduced.add_edge(u, v, timestamp)
     return reduced

@@ -14,7 +14,7 @@ main operations:
 * ``warm``        — build every index of a graph and save a binary snapshot
   (or, with ``--shards N``, a directory of per-shard snapshots + manifest);
   accepts the streaming ``synth-scale`` generator with size overrides;
-* ``inspect``     — decode a snapshot's header and v4 section table without
+* ``inspect``     — decode a snapshot's header and v4/v5 section table without
   touching any payload byte;
 * ``datasets``    — list the synthetic dataset analogues and their statistics
   (plus the ``synth-scale`` streaming generator's parameters, never loaded);
@@ -22,7 +22,7 @@ main operations:
   a service experiment (exp9, exp12, exp13);
 * ``case-study``  — reproduce the SFMTA transit case study (Fig. 13).
 
-``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the v4
+``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the v4/v5
 columnar boot then maps the file zero-copy instead of decoding it (pre-v4
 files degrade to the eager boot with a printed note).  ``--residency``
 additionally drives ``madvise`` page advice over the mappings (see
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mmap", action="store_true",
-        help="boot --snapshot / --shard-snapshots via the mmap-backed v4 "
+        help="boot --snapshot / --shard-snapshots via the mmap-backed v4/v5 "
         "columnar path (zero-copy; pre-v4 files degrade to the eager boot "
         "with a note)",
     )
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=1024, help="LRU capacity (0 disables)")
     serve.add_argument(
         "--mmap", action="store_true",
-        help="boot --snapshot / --shard-snapshots via the mmap-backed v4 "
+        help="boot --snapshot / --shard-snapshots via the mmap-backed v4/v5 "
         "columnar path (zero-copy; pre-v4 files degrade to the eager boot "
         "with a note)",
     )

@@ -5,23 +5,24 @@ Layering and access conventions
 
 The substrate has two tiers:
 
-* **Mutable storage** — :class:`TemporalGraph`: sorted adjacency, the
-  temporally sorted edge sequence, distinct-timestamp views, and a
-  monotonically increasing mutation ``epoch`` that downstream layers stamp
-  their derived state with.
+* **Mutable graphs** — :class:`TemporalGraph`: a frozen ``GraphView`` that
+  holds every edge, a buffer of rows the legacy mutators staged since the
+  last read, the distinct timestamps, and a monotonically increasing
+  mutation ``epoch`` that downstream layers stamp their derived state with.
 * **Frozen read views** — :class:`~repro.graph.views.GraphView` (the CSR
-  columnar projection of a graph, obtained via :meth:`TemporalGraph.view`,
-  cached per epoch) and :class:`~repro.graph.views.SubgraphView` (an edge
-  mask over a ``GraphView`` that filters without copying edge storage).
+  columnar store of a graph's edges, obtained via
+  :meth:`TemporalGraph.view`, one per epoch) and
+  :class:`~repro.graph.views.SubgraphView` (an edge mask over a
+  ``GraphView`` that filters without copying edge storage).
   The VUG hot path exchanges these views end to end; they implement the
   read API of a graph.
 
 Two conventions keep the copy discipline auditable across the codebase:
 
 * ``*_view`` accessors (``out_neighbors_view``/``in_neighbors_view`` on
-  both tiers) are the documented zero-copy escape hatch: they return
-  internal or cached sequences that callers must **not** mutate.  All other
-  accessors return copies.
+  both tiers) return sequences that callers must **not** mutate (cached
+  ones on a ``SubgraphView``; a graph reads its CSR slices into a fresh
+  list either way).  All other accessors return copies.
 * ``.materialize()`` is the single boundary where a frozen view becomes a
   mutable :class:`TemporalGraph` again (paying the per-edge build cost once,
   through the bulk ``add_edges`` fast path).  Library code only crosses it

@@ -2,7 +2,7 @@
 
 Every interned integer column of a :class:`~repro.graph.views.GraphView` is
 a builtin int64 buffer: an ``array('q')`` in private memory, or, on an mmap
-boot of a v4 snapshot, a ``memoryview`` of the mapped extent cast to
+boot of a v4 or v5 snapshot, a ``memoryview`` of the mapped extent cast to
 ``"q"``.  Both index, slice, iterate and ``bisect`` in C, so the query
 kernels never call back into Python to read a column.  Code that builds a
 column builds an ``array``; a built view never mutates its columns, so a
@@ -10,8 +10,8 @@ mapped column is never written and its pages stay shared with the file.
 
 :class:`IndexColumn` survives only as a name: snapshot formats v1–v3
 pickled their view columns as instances of it, so unpickling an old file
-needs the class to exist.  :func:`plain_column` adopts such a column as a
-plain ``array('q')``.
+needs the class to exist.  Loaders rebuild such a file from its sorted edge
+list and never read those columns.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ class IndexColumn(array):
     """The class pre-v4 snapshot payloads pickle their view columns as.
 
     Nothing builds one except the v3 writer of
-    :func:`~repro.store.snapshot.write_legacy_snapshot`; loaders adopt
-    unpickled ones with :func:`plain_column`.
+    :func:`~repro.store.snapshot.write_legacy_snapshot`.
     """
 
     __slots__ = ()
@@ -42,17 +41,6 @@ def index_column(initializer: Union[bytes, Iterable[int]] = b"") -> array:
 def zeros_column(length: int) -> array:
     """An ``array('q')`` column of ``length`` zeroed slots."""
     return array(INDEX_TYPECODE, bytes(8 * length))
-
-
-def plain_column(column) -> array:
-    """Adopt an unpickled column as a plain ``array('q')``.
-
-    A no-op on one; an :class:`IndexColumn` or any other int sequence is
-    copied once.
-    """
-    if type(column) is array and column.typecode == INDEX_TYPECODE:
-        return column
-    return array(INDEX_TYPECODE, column)
 
 
 def extended_column(base, tail: array) -> array:

@@ -6,13 +6,14 @@ phase of the pipeline (QuickUBG → TightUBG → EEV) used to build a brand-new
 insertion and cache invalidation for subgraphs that exist only for the
 duration of one query.  The two classes here remove that cost:
 
-* :class:`GraphView` — a frozen, CSR-style *columnar* projection of a parent
-  graph: vertex-id interning plus parallel, timestamp-sorted
+* :class:`GraphView` — the frozen, CSR-style *columnar* store of a graph's
+  edges (a :class:`~repro.graph.temporal_graph.TemporalGraph` keeps them
+  nowhere else): vertex-id interning plus parallel, timestamp-sorted
   ``src``/``dst``/``ts`` columns and offset-indexed per-vertex out/in edge
   slices with aligned timestamp/endpoint columns.  Every column is a
   builtin int64 buffer (an ``array('q')``, or a ``memoryview`` of a mapped
-  snapshot; see :mod:`repro.graph.columns`).  Built once per graph epoch,
-  shared by every query, persisted by snapshots.
+  snapshot; see :mod:`repro.graph.columns`).  One per graph epoch, shared
+  by every query, persisted by snapshots.
 * :class:`SubgraphView` — an *edge-mask* view over a :class:`GraphView`: a
   byte mask plus the ascending list of surviving edge indices (located
   inside an interval slice found by bisect) select the surviving edges
@@ -33,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .columns import extended_column, index_column, plain_column, zeros_column
+from .columns import extended_column, index_column, zeros_column
 from .edge import TemporalEdge, TimeInterval, Timestamp, Vertex, as_interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -44,36 +45,37 @@ NeighborEntry = Tuple[Vertex, Timestamp]
 
 
 class GraphView:
-    """A frozen CSR-style columnar projection of a temporal graph.
+    """The frozen CSR-style columnar store of a temporal graph's edges.
 
     Attributes
     ----------
     labels:
         Interning table: ``labels[i]`` is the original vertex of id ``i``
-        (insertion order of the parent graph, so ids are deterministic).
+        (insertion order of the graph, so ids are deterministic).
     index_of:
         Inverse mapping ``vertex -> interned id``.
     src, dst, ts:
-        Parallel edge columns sorted by ``ts`` non-descending — exactly the
-        parent graph's sorted tuple backing, interned.  ``ts`` being sorted
-        is what lets a query window be sliced with two bisects.
+        Parallel edge columns sorted by ``ts`` non-descending, equal
+        timestamps in ``_edge_sort_key`` order (source, then target
+        ``repr``).  ``ts`` being sorted is what lets a query window be
+        sliced with two bisects.
     out_offsets, out_edges / in_offsets, in_edges:
         CSR adjacency: ``out_edges[out_offsets[u]:out_offsets[u + 1]]`` are
         the indices (into the edge columns) of ``u``'s out-edges, timestamp
-        sorted; mirror layout for in-edges.
+        sorted (ties in edge-column order); mirror layout for in-edges.
     out_ts, out_dst / in_ts, in_src:
         Columns *aligned with the CSR slices*: ``out_ts[j]`` is the
         timestamp and ``out_dst[j]`` the head of the edge at CSR position
         ``j``.  Because each per-vertex slice of ``out_ts`` is sorted, the
         polarity sweeps (Algorithm 3) can bisect straight into the slice —
         no per-query per-vertex timestamp lists are ever built.  Derived
-        lazily on first use (and then shared by every query) so neither a
-        cold warm-up nor a snapshot boot pays for them.
+        lazily on first use (and then shared by every query); snapshots
+        persist them, so a snapshot boot never derives them.
     epoch:
         The parent graph's mutation epoch at build time.
 
-    The view is immutable; all mutating access must go through the parent
-    :class:`TemporalGraph`, which invalidates its cached view.
+    The view is immutable; all mutating access goes through the owning
+    :class:`TemporalGraph`, which replaces its view.
     """
 
     __slots__ = (
@@ -161,66 +163,13 @@ class GraphView:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: "TemporalGraph") -> "GraphView":
-        """Build the columnar projection of ``graph`` (one O(n + m) pass)."""
-        labels = list(graph.vertices())
-        index_of = {label: index for index, label in enumerate(labels)}
-        backing = graph.edge_tuples()  # temporally sorted, deterministic
-        num_vertices = len(labels)
-        num_edges = len(backing)
-        src = zeros_column(num_edges)
-        dst = zeros_column(num_edges)
-        ts = zeros_column(num_edges)
-        for index, (u, v, t) in enumerate(backing):
-            src[index] = index_of[u]
-            dst[index] = index_of[v]
-            ts[index] = t
-        out_offsets, out_edges = _csr(src, num_vertices, num_edges)
-        in_offsets, in_edges = _csr(dst, num_vertices, num_edges)
+    def empty(cls) -> "GraphView":
+        """The view of the empty graph at epoch 0."""
+        offsets = zeros_column(1)
         return cls(
-            labels, src, dst, ts, out_offsets, out_edges, in_offsets, in_edges,
-            epoch=graph.epoch,
-        )
-
-    def columns(self) -> Dict[str, object]:
-        """Export the columnar state for persistence (adopted, not copied).
-
-        Everything here is either a list of vertex labels or an int64
-        column (see :mod:`repro.graph.columns`) — cheap to adopt back via
-        :meth:`from_columns` without re-interning or re-sorting anything.
-        The CSR-aligned ``out_ts``/… columns are lazy derivatives and are
-        deliberately *not* persisted.
-        """
-        return {
-            "labels": self.labels,
-            "src": self.src,
-            "dst": self.dst,
-            "ts": self.ts,
-            "out_offsets": self.out_offsets,
-            "out_edges": self.out_edges,
-            "in_offsets": self.in_offsets,
-            "in_edges": self.in_edges,
-        }
-
-    @classmethod
-    def from_columns(cls, columns: Dict[str, object], epoch: int) -> "GraphView":
-        """Rebuild a view from :meth:`columns` output (snapshot boot path).
-
-        Only the ``index_of`` dict is reconstructed (O(V)); every plain
-        ``array('q')`` is adopted as-is (a pre-v4 ``IndexColumn`` is copied
-        once into one), so booting a snapshot is view-servable without
-        paying any per-edge Python cost.
-        """
-        return cls(
-            list(columns["labels"]),
-            plain_column(columns["src"]),
-            plain_column(columns["dst"]),
-            plain_column(columns["ts"]),
-            plain_column(columns["out_offsets"]),
-            plain_column(columns["out_edges"]),
-            plain_column(columns["in_offsets"]),
-            plain_column(columns["in_edges"]),
-            epoch=int(epoch),
+            [], index_column(), index_column(), index_column(),
+            offsets, index_column(), offsets, index_column(),
+            epoch=0,
         )
 
     # ------------------------------------------------------------------
@@ -230,7 +179,9 @@ class GraphView:
         """Epoch N+1's view built by merging an :class:`EdgeDelta` into N's.
 
         The receiver stays frozen (in-flight queries keep reading it); a
-        *new* view is returned.
+        *new* view is returned.  ``append_edges`` extends a graph's view
+        this way, and so does the fold of the rows (and vertices) the
+        legacy mutators staged.
 
         **Append-mostly fast path** (``delta.append_only``): the delta's
         rows sort at or after the last existing row, so each new
@@ -244,10 +195,10 @@ class GraphView:
         **Out-of-order fallback**: rows landing before the last existing
         timestamp cannot be appended without breaking the sorted-``ts``
         invariant every bisect relies on, so the merged row set is rebuilt
-        the way :meth:`from_graph` would (one O(E) merge of two sorted
-        sequences — no re-sort — then a fresh intern + CSR pass).
+        (one O(E) merge of two sorted sequences — no re-sort — then a fresh
+        intern + CSR pass).
         """
-        if not delta.rows:
+        if not delta.rows and not delta.new_vertices:
             return self
         if not delta.append_only or delta.old_num_edges != self.num_edges:
             return self._rebuilt_with(delta)
@@ -323,12 +274,12 @@ class GraphView:
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
-        """``n = |V|`` of the parent graph."""
+        """``n = |V|`` of the graph."""
         return len(self.labels)
 
     @property
     def num_edges(self) -> int:
-        """``m = |E|`` of the parent graph."""
+        """``m = |E|`` of the graph."""
         return len(self.ts)
 
     def slice_bounds(self, interval) -> Tuple[int, int]:
@@ -341,6 +292,31 @@ class GraphView:
             bisect_left(self.ts, window.begin),
             bisect_right(self.ts, window.end),
         )
+
+    def has_edge(self, source: Vertex, target: Vertex, timestamp: Timestamp) -> bool:
+        """``True`` iff the exact edge is a row of the view.
+
+        A bisect (keyed by ``ts``) into ``source``'s out-slice plus a scan
+        of its equal-timestamp run; needs no CSR-aligned column.
+        """
+        index_of = self.index_of
+        sid = index_of.get(source)
+        tid = index_of.get(target)
+        if sid is None or tid is None:
+            return False
+        edges, ts, dst = self.out_edges, self.ts, self.dst
+        stop = self.out_offsets[sid + 1]
+        position = bisect_left(
+            edges, timestamp, self.out_offsets[sid], stop, key=ts.__getitem__
+        )
+        while position < stop:
+            edge = edges[position]
+            if ts[edge] != timestamp:
+                return False
+            if dst[edge] == tid:
+                return True
+            position += 1
+        return False
 
     def out_slice(self, vid: int) -> array:
         """Edge indices of vertex id ``vid``'s out-edges (timestamp sorted)."""
@@ -461,8 +437,8 @@ class SubgraphView:
         "_vids",
         "_out_adj",
         "_in_adj",
-        "_edge_tuples_cache",
-        "_sorted_edges_cache",
+        "_tuples",
+        "_edge_objects",
         "_ts_cache",
     )
 
@@ -478,8 +454,8 @@ class SubgraphView:
         self._vids = vids
         self._out_adj: Optional[Dict[int, List[NeighborEntry]]] = None
         self._in_adj: Optional[Dict[int, List[NeighborEntry]]] = None
-        self._edge_tuples_cache: Optional[Tuple[EdgeTuple, ...]] = None
-        self._sorted_edges_cache: Optional[List[TemporalEdge]] = None
+        self._tuples: Optional[Tuple[EdgeTuple, ...]] = None
+        self._edge_objects: Optional[List[TemporalEdge]] = None
         self._ts_cache: Optional[List[Timestamp]] = None
 
     @property
@@ -549,23 +525,23 @@ class SubgraphView:
 
     def edge_tuples(self) -> Sequence[EdgeTuple]:
         """Surviving edges as plain tuples, timestamp sorted (read-only)."""
-        if self._edge_tuples_cache is None:
+        if self._tuples is None:
             base = self.base
             labels, src, dst, ts = base.labels, base.src, base.dst, base.ts
-            self._edge_tuples_cache = tuple(
+            self._tuples = tuple(
                 (labels[src[i]], labels[dst[i]], ts[i]) for i in self.indices
             )
-        return self._edge_tuples_cache
+        return self._tuples
 
     def sorted_edges(self, reverse: bool = False) -> List[TemporalEdge]:
         """Surviving edges in non-descending temporal order (list of edges)."""
-        if self._sorted_edges_cache is None:
-            self._sorted_edges_cache = [
+        if self._edge_objects is None:
+            self._edge_objects = [
                 TemporalEdge(u, v, t) for (u, v, t) in self.edge_tuples()
             ]
         if reverse:
-            return list(reversed(self._sorted_edges_cache))
-        return list(self._sorted_edges_cache)
+            return list(reversed(self._edge_objects))
+        return list(self._edge_objects)
 
     def timestamps(self) -> List[Timestamp]:
         """Sorted distinct timestamps of surviving edges."""

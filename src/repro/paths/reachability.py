@@ -53,19 +53,12 @@ def earliest_arrival_times(
     while queue:
         u = queue.popleft()
         in_queue.discard(u)
-        current = arrival[u]
-        for v, t in graph.out_neighbors_view(u):
-            if v == forbidden:
-                continue
-            if t > window.end or t < window.begin:
-                continue
-            if strict:
-                if current >= t:
-                    continue
-            else:
-                if current > t:
-                    continue
-            if t >= arrival[v]:
+        # Only the edges leaving after the arrival at u (a bisect into u's
+        # timestamp-sorted CSR slice), in ascending timestamp order.
+        for v, t in graph.out_neighbors_after(u, arrival[u], strict=strict):
+            if t > window.end:
+                break
+            if v == forbidden or t < window.begin or t >= arrival[v]:
                 continue
             arrival[v] = t
             if v not in in_queue:
@@ -97,19 +90,13 @@ def latest_departure_times(
     while queue:
         u = queue.popleft()
         in_queue.discard(u)
-        current = departure[u]
-        for v, t in graph.in_neighbors_view(u):
-            if v == forbidden:
-                continue
-            if t > window.end or t < window.begin:
-                continue
-            if strict:
-                if current <= t:
-                    continue
-            else:
-                if current < t:
-                    continue
-            if t <= departure[v]:
+        # Only the edges arriving before the departure from u, latest first.
+        for v, t in reversed(
+            graph.in_neighbors_before(u, departure[u], strict=strict)
+        ):
+            if t < window.begin:
+                break
+            if v == forbidden or t > window.end or t <= departure[v]:
                 continue
             departure[v] = t
             if v not in in_queue:

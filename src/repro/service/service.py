@@ -723,8 +723,9 @@ class TspgService:
     ----------
     graph:
         The temporal graph every query runs against.  The service warms the
-        graph's lazy indices on construction, so the first query (and every
-        concurrent query) starts from fully-built sorted views.
+        graph on construction (folding anything staged into its view), so
+        the first query (and every concurrent query) starts from a built
+        view.
     default_algorithm:
         Algorithm name used when a call does not specify one.
     cache_size:
@@ -875,7 +876,7 @@ class TspgService:
         file.
 
         ``mmap=True`` requests the zero-copy columnar boot (snapshot
-        format v4): the file is mapped instead of decompressed and the
+        format v4+): the file is mapped instead of decompressed and the
         view columns serve straight out of the page cache, so boot cost
         and resident memory scale with the pages queries actually touch.
         Pre-v4 snapshots degrade to the eager boot with the reasons
@@ -1236,8 +1237,8 @@ class TspgService:
         """Append edges through the journaled delta path and serve on.
 
         The live-ingest entry point.  A flat service applies ``edges`` via
-        :meth:`TemporalGraph.append_edges` (an mmap-booted graph stays lazy
-        and its columnar view is *extended*, not rebuilt); a router applies
+        :meth:`TemporalGraph.append_edges` (its columnar view is
+        *extended*, not rebuilt); a router applies
         each edge to every shard whose extent covers its timestamp.  When
         the service was booted from (or saved to) files, the delta is then
         recorded in their journal — the snapshot's ``*.tspgjournal``

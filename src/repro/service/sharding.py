@@ -141,7 +141,7 @@ def _stage_ingest_rows(edges) -> List[Tuple[Vertex, Vertex, int]]:
     before anything is applied, in-batch duplicates collapse, rows come
     back in deterministic sort-key order — without needing a union graph.
     Rows already present in some shard are *not* filtered here; each
-    shard's own ``append_edges`` dedups them (lazily, without hydration).
+    shard's own ``append_edges`` dedups them against its view.
     """
     staged: List[Tuple[Vertex, Vertex, int]] = []
     seen: set = set()

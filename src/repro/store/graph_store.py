@@ -36,7 +36,7 @@ class GraphStore(abc.ABC):
 
     @abc.abstractmethod
     def load(self) -> TemporalGraph:
-        """Return a fully-warmed graph (every lazy index built)."""
+        """Return a warmed graph (nothing staged, the view built)."""
 
     @abc.abstractmethod
     def describe(self) -> Dict[str, object]:
@@ -67,7 +67,7 @@ class InMemoryGraphStore(GraphStore):
 class SnapshotGraphStore(GraphStore):
     """Store backed by one binary snapshot file on disk.
 
-    ``mmap=True`` requests the zero-copy columnar boot (snapshot format v4):
+    ``mmap=True`` requests the zero-copy columnar boot (snapshot format v4+):
     ``load()`` maps the file and the graph's view columns read straight out
     of the page cache.  Pre-v4 files degrade to the eager boot; the reasons
     are recorded on :meth:`mmap_fallback_reasons` after a load (mirroring
@@ -175,8 +175,8 @@ class SnapshotGraphStore(GraphStore):
         """Journal an edge append against the backing snapshot.
 
         Applies ``edges`` to ``graph`` through the delta append path
-        (:meth:`TemporalGraph.append_edges` — an mmap-booted graph stays
-        lazy) and records the resulting delta in the snapshot's
+        (:meth:`TemporalGraph.append_edges`, which extends the view) and
+        records the resulting delta in the snapshot's
         ``*.tspgjournal`` sidecar, so the next :meth:`load` replays it.
         Requires a prior :meth:`load`; returns the applied delta.
         """

@@ -321,8 +321,8 @@ def replay_journal(
     The graph must sit at the journal's base epoch (the caller checks the
     snapshot↔journal pairing; this function enforces per-record chain
     continuity).  Returns the number of records applied.  Replay routes
-    through :meth:`TemporalGraph.append_edges`, so an mmap-booted graph
-    stays lazy and its view is extended, not rebuilt.
+    through :meth:`TemporalGraph.append_edges`, so the graph's view is
+    extended, not rebuilt.
 
     ``interval`` restricts replay to rows inside the closed window — the
     extent-local boot path uses it so a restricted graph receives exactly

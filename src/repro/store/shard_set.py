@@ -47,11 +47,10 @@ fsync so the rename itself is durable), mirroring the single-snapshot
 format's crash safety.
 
 ``mmap=True`` on the read side (:meth:`ShardSnapshotSet.boot_shard`)
-boots each shard through the v4 zero-copy columnar path.  The manifest's
+boots each shard through the v4+ zero-copy columnar path.  The manifest's
 *whole-file* CRC is deliberately skipped on that path — checksumming the
-file would fault in every page and defeat the lazy mapping; the v4
-format's own table/meta section CRCs are still verified eagerly, the
-adjacency section CRC at first hydration, and the decoded counts are
+file would fault in every page and defeat the mapping; the format's own
+table/meta section CRCs are still verified, and the decoded counts are
 cross-checked against the manifest entry either way.
 """
 
@@ -405,9 +404,9 @@ class ShardSnapshotSet:
         The single integrity protocol shared by :meth:`boot_shard` and
         :meth:`load_isolated`: on the eager path the whole-file CRC is
         checked *before* decoding; on the mmap path that pre-scan is
-        skipped (it would fault in every page the lazy mapping exists to
-        avoid — the v4 section CRCs cover the bytes that are actually
-        read).  The decoded counts are cross-checked against the manifest
+        skipped (it would fault in every page the mapping exists to
+        avoid — the table and meta section CRCs cover the bytes that are
+        actually decoded).  The decoded counts are cross-checked against the manifest
         *after* either way; any mismatch raises :class:`SnapshotError`
         naming the offending ``label``.
 

@@ -1,16 +1,16 @@
-"""Versioned binary snapshots of a warmed :class:`TemporalGraph`.
+"""Versioned binary snapshots of a :class:`TemporalGraph`.
 
-A snapshot captures *everything* :meth:`TemporalGraph.warm_indices` builds —
-the sorted adjacency lists, the temporally sorted edge list, the distinct
-timestamp set, the per-vertex ``T_out(u)`` / ``T_in(u)`` views and the frozen
-CSR columnar :class:`~repro.graph.views.GraphView` arrays — so a long-lived
-service can cold-start in O(read) instead of re-inserting and re-sorting
-every edge (O(E log E + E·d)), and boots straight into view-servable state.
+A snapshot persists the graph's frozen CSR columnar
+:class:`~repro.graph.views.GraphView` — the only place a graph keeps its
+edges — plus the vertex labels, the distinct timestamps and the epoch, so a
+long-lived service cold-starts in O(read) instead of re-inserting and
+re-sorting every edge (O(E log E)), and boots straight into view-servable
+state.
 
-Format version 4 (current) — columnar section layout::
+Format version 5 (current) — columnar section layout::
 
     +--------------------------------------------------------------------+
-    | fixed header (42 bytes, big-endian, shared by every version):      |
+    | fixed header (54 bytes, big-endian, shared by every version):      |
     |   magic ``b"TSPGSNAP"`` | format version (u16)                     |
     |   graph epoch (u64)                                                |
     |   num_vertices (u64) | num_edges (u64) | num_timestamps (u64)      |
@@ -21,27 +21,30 @@ Format version 4 (current) — columnar section layout::
     |   name (16s, NUL padded) | offset (u64, absolute) | length (u64)   |
     |   | elements (u64, int64 count; 0 for pickled sections) | CRC-32   |
     +--------------------------------------------------------------------+
-    | "meta" section:      zlib(pickle(labels/timestamps/epoch/stats))   |
-    | "adjacency" section: zlib(pickle(out/in adjacency + ts views))     |
+    | "meta" section:      zlib(pickle(labels/timestamps/epoch))         |
     | 11 raw column extents, each 8-byte aligned, uncompressed,          |
     | little-endian int64: the view's src/dst/ts edge columns, the CSR   |
     | offset/edge arrays, and the CSR-aligned out_ts/out_dst/in_ts/in_src|
     +--------------------------------------------------------------------+
 
 ``payload length`` counts every byte after the fixed header (table,
-sections, alignment padding), so ``file size == 42 + payload length``
+sections, alignment padding), so ``file size == 54 + payload length``
 exactly; the header CRC field covers the section-table block and each
 section carries its own CRC.  The raw extents are what make the format
 mmap-able: :func:`load_snapshot` with ``mmap=True`` maps the file and hands
 ``memoryview`` slices of the extents, cast to int64, to a
-:class:`~repro.graph.views.GraphView`, deferring the pickled adjacency
-section until a consumer actually walks the Python-side graph — boot cost
-and resident memory stay O(metadata), not O(E).
+:class:`~repro.graph.views.GraphView` — boot cost and resident memory stay
+O(metadata), not O(E).  Encoding is a function of the graph's vertex order,
+edge set and epoch, so equal graphs write equal bytes.
 
-Versions 1–3 are the legacy single-section layout (``payload length``
-bytes of zlib-compressed pickled warmed state, header CRC over that
-payload); they still load eagerly, with the CRC streamed in chunks so
-validating a multi-GB file does not double its RSS.
+Version 4 is the same layout plus a pickled ``adjacency`` section (the
+per-vertex neighbour dicts of builds that kept them); it still loads eagerly
+or mapped, its ``adjacency`` section CRC-checked on eager loads but never
+decoded.  Versions 1–3 are the legacy single-section layout (``payload
+length`` bytes of zlib-compressed pickled state, header CRC over that
+payload); they still load eagerly, by rebuilding the graph from their
+sorted edge list, with the CRC streamed in chunks so validating a multi-GB
+file does not double its RSS.
 
 Every load validates magic, version and sizes *before* decoding, checks the
 relevant CRCs before unpickling anything, and cross-checks the header counts
@@ -65,7 +68,7 @@ from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Un
 
 from ..graph.columns import INDEX_TYPECODE, IndexColumn
 from ..graph.edge import as_interval
-from ..graph.temporal_graph import LazyGraphBoot, TemporalGraph
+from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView, _csr
 
 #: First bytes of every snapshot file.
@@ -81,36 +84,36 @@ SNAPSHOT_MAGIC = b"TSPGSNAP"
 #: section layout documented above (mmap-able raw extents + two small
 #: pickled sections); the CSR-aligned timestamp/endpoint columns are now
 #: persisted too, so neither boot flavour rebuilds them.
-SNAPSHOT_VERSION = 4
+#: Version 5 dropped the pickled ``adjacency`` section: the view's columns
+#: are the graph's only edge storage.
+SNAPSHOT_VERSION = 5
 
-#: Versions this build can still read.  Version 1 payloads simply lack the
-#: ``view`` columns; version ≤ 2 payloads may carry the old nondeterministic
-#: tie order, so their sorted backing and view are *not* adopted — the graph
-#: restores fine and re-sorts/rebuilds them lazily on first use (one
-#: O(E log E) pass).  Only version 4 files can boot via ``mmap=True``;
-#: older files degrade to the eager boot with a recorded reason.
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3, SNAPSHOT_VERSION)
+#: Versions this build can still read.  Versions 1–3 load by rebuilding the
+#: graph from their pickled sorted edge list; versions 4 and 5 adopt their
+#: columns, and only they can boot via ``mmap=True`` — older files degrade
+#: to the eager boot with a recorded reason.
+SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3, 4, SNAPSHOT_VERSION)
 
 #: Header layout: magic, version, epoch, |V|, |E|, |T|, payload length, CRC-32.
-#: For v≤3 the CRC covers the whole payload; for v4 it covers the section
-#: table block (each section then carries its own CRC).
+#: For v≤3 the CRC covers the whole payload; for v4 and v5 it covers the
+#: section table block (each section then carries its own CRC).
 _HEADER_STRUCT = struct.Struct(">8sHQQQQQI")
 
 HEADER_SIZE = _HEADER_STRUCT.size
 
-#: v4 section-table block header: num_sections (u32), table_bytes (u32 —
+#: Section-table block header: num_sections (u32), table_bytes (u32 —
 #: the size of the whole block including these 8 bytes).
 _TABLE_HEADER_STRUCT = struct.Struct(">II")
 
-#: v4 per-section record: name (16s), absolute offset (u64), length (u64),
+#: Per-section record: name (16s), absolute offset (u64), length (u64),
 #: int64 element count (u64, 0 for pickled sections), CRC-32 (u32).
 _SECTION_RECORD_STRUCT = struct.Struct(">16sQQQI")
 
-#: The raw int64 column extents of a v4 snapshot, in file order.  The first
-#: seven are the persisted :meth:`GraphView.columns` arrays; the last four
-#: are the CSR-aligned derivatives (``out_ts[j]``/``out_dst[j]`` describe
-#: the edge at CSR position ``j``), persisted since v4 so the polarity
-#: sweeps never rebuild them on either boot flavour.
+#: The raw int64 column extents of a v4/v5 snapshot, in file order.  The
+#: first seven are the view's edge and CSR columns; the last four are the
+#: CSR-aligned derivatives (``out_ts[j]``/``out_dst[j]`` describe the edge
+#: at CSR position ``j``), persisted so the polarity sweeps never rebuild
+#: them on either boot flavour.
 V4_COLUMN_SECTIONS = (
     "view.src",
     "view.dst",
@@ -160,7 +163,7 @@ class SnapshotInfo:
 
 @dataclass(frozen=True)
 class SnapshotSection:
-    """One decoded v4 section-table record."""
+    """One decoded v4/v5 section-table record."""
 
     name: str
     offset: int
@@ -240,32 +243,22 @@ def _pickled_blob(obj) -> bytes:
 
 
 def _encode(graph: TemporalGraph) -> Tuple[bytes, bytes, SnapshotInfo]:
-    """Warm ``graph`` and encode it to ``(header, body, info)`` — format v4.
+    """Encode ``graph`` to ``(header, body, info)`` — format v5.
 
     The single place the current on-disk layout is produced;
     :func:`save_snapshot` and :func:`snapshot_bytes` both write exactly
-    ``header + body``.  Encoding is deterministic for a given graph state:
-    re-saving a loaded snapshot (either boot flavour) reproduces identical
-    section bytes and CRCs, because the column extents round-trip raw and
-    the pickled dicts preserve their insertion order.
+    ``header + body``.  Encoding is a function of the graph's vertex order,
+    edge set and epoch: the column extents are the view's (whose row order
+    is :func:`~repro.graph.temporal_graph._edge_sort_key` order), so equal
+    graphs — and a re-save of a loaded snapshot, either boot flavour —
+    write identical bytes and CRCs.
     """
-    stats = graph.warm_indices()
     view = graph.view()
-    vertices = list(graph.vertices())
     meta_blob = _pickled_blob(
         {
             "labels": view.labels,
             "timestamps": graph.timestamps(),
             "epoch": graph.epoch,
-            "warm_stats": stats,
-        }
-    )
-    adjacency_blob = _pickled_blob(
-        {
-            "out": {v: list(graph.out_neighbors_view(v)) for v in vertices},
-            "in": {v: list(graph.in_neighbors_view(v)) for v in vertices},
-            "out_timestamps": {v: graph.out_timestamps(v) for v in vertices},
-            "in_timestamps": {v: graph.in_timestamps(v) for v in vertices},
         }
     )
     columns = {
@@ -281,10 +274,7 @@ def _encode(graph: TemporalGraph) -> Tuple[bytes, bytes, SnapshotInfo]:
         "view.in_ts": view.in_ts,
         "view.in_src": view.in_src,
     }
-    sections: List[Tuple[str, bytes, int]] = [
-        ("meta", meta_blob, 0),
-        ("adjacency", adjacency_blob, 0),
-    ]
+    sections: List[Tuple[str, bytes, int]] = [("meta", meta_blob, 0)]
     for name in V4_COLUMN_SECTIONS:
         data = _extent_bytes(columns[name])
         sections.append((name, data, len(data) // 8))
@@ -341,20 +331,30 @@ def write_legacy_snapshot(
 ) -> SnapshotInfo:
     """Write a pre-v4 (single zlib-pickle payload) snapshot to ``path``.
 
-    Produces byte layouts identical to what the v1/v2/v3 writers emitted —
-    the cross-version compatibility tests use this so old-format files
-    don't have to be vendored as fixtures.
+    Produces the payload shape the v1/v2/v3 writers emitted, built from the
+    graph's public read API — the cross-version compatibility tests use
+    this so old-format files don't have to be vendored as fixtures.
     """
     if version not in (1, 2, 3):
         raise ValueError(f"legacy snapshot versions are 1..3, got {version}")
-    state = graph.warmed_state()
-    if version == 1:
-        state.pop("view", None)  # v1 predates the columnar view arrays
-    elif version == 3:  # v3 writers pickled every view column as an IndexColumn
-        view = state["view"]
-        for name, column in view.items():
-            if name != "labels":
-                view[name] = IndexColumn(INDEX_TYPECODE, column)
+    vertices = list(graph.vertices())
+    state = {
+        "out": {v: graph.out_neighbors(v) for v in vertices},
+        "in": {v: graph.in_neighbors(v) for v in vertices},
+        "sorted_edges": list(graph.edge_tuples()),
+        "timestamps": graph.timestamps(),
+        "out_timestamps": {v: graph.out_timestamps(v) for v in vertices},
+        "in_timestamps": {v: graph.in_timestamps(v) for v in vertices},
+        "epoch": graph.epoch,
+    }
+    if version >= 2:  # v1 predates the columnar view arrays
+        view = graph.view()
+        # v3 writers pickled every view column as an IndexColumn
+        column = IndexColumn if version == 3 else array
+        state["view"] = {"labels": view.labels}
+        for name in ("src", "dst", "ts", "out_offsets", "out_edges",
+                     "in_offsets", "in_edges"):
+            state["view"][name] = column(INDEX_TYPECODE, getattr(view, name))
     payload = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
     info = SnapshotInfo(
         version=version,
@@ -421,7 +421,7 @@ def _commit_bytes(path: PathLike, chunks: Iterable[bytes]) -> None:
 def save_snapshot(
     graph: TemporalGraph, path: PathLike, *, compact: bool = False
 ) -> SnapshotInfo:
-    """Warm ``graph`` and write its full index state to ``path`` (format v4).
+    """Write ``graph``'s view, labels, timestamps and epoch to ``path`` (v5).
 
     The write goes through a temporary sibling file plus :func:`os.replace`,
     with the temp file and its directory both fsync'd, so a crash at any
@@ -497,10 +497,10 @@ def peek_snapshot(path: PathLike) -> SnapshotInfo:
     )
 
 
-def _parse_v4_table(
-    buf, path: str, *, payload_len: int, table_crc: int
+def _parse_table(
+    buf, path: str, *, version: int, payload_len: int, table_crc: int
 ) -> Dict[str, SnapshotSection]:
-    """Decode and verify the v4 section table from the payload region.
+    """Decode and verify a v4/v5 section table from the payload region.
 
     ``buf`` is a bytes-like view of the ``payload_len`` bytes after the
     fixed header.  The table CRC (stored in the header) is verified before
@@ -547,7 +547,10 @@ def _parse_v4_table(
         sections[name] = SnapshotSection(
             name=name, offset=offset, length=length, elements=elements, crc32=crc
         )
-    for required in ("meta", "adjacency", *V4_COLUMN_SECTIONS):
+    required_sections = ("meta", *V4_COLUMN_SECTIONS)
+    if version == 4:
+        required_sections += ("adjacency",)
+    for required in required_sections:
         if required not in sections:
             raise SnapshotError(
                 f"{path}: malformed snapshot section table "
@@ -557,7 +560,7 @@ def _parse_v4_table(
 
 
 def inspect_snapshot(path: PathLike) -> Tuple[SnapshotInfo, List[SnapshotSection]]:
-    """Decode the header and (for v4) the per-section table of a snapshot.
+    """Decode the header and (for v4/v5) the per-section table of a snapshot.
 
     Cheap by construction: reads the fixed header plus the section-table
     block — never a section payload.  Pre-v4 files report their single
@@ -595,8 +598,8 @@ def inspect_snapshot(path: PathLike) -> Tuple[SnapshotInfo, List[SnapshotSection
             _, table_bytes = _TABLE_HEADER_STRUCT.unpack(table)
             if 0 < table_bytes <= payload_len:
                 table += handle.read(table_bytes - len(table))
-    sections = _parse_v4_table(
-        table, path, payload_len=payload_len, table_crc=crc
+    sections = _parse_table(
+        table, path, version=version, payload_len=payload_len, table_crc=crc
     )
     ordered = sorted(sections.values(), key=lambda record: record.offset)
     return info, ordered
@@ -614,7 +617,7 @@ def _section_bytes(buf, record: SnapshotSection, path: str) -> bytes:
 
 
 def _decode_section(buf, record: SnapshotSection, path: str):
-    """CRC-check and unpickle one of the two pickled v4 sections."""
+    """CRC-check and unpickle the pickled ``meta`` section."""
     data = _section_bytes(buf, record, path)
     try:
         return pickle.loads(zlib.decompress(data))
@@ -648,27 +651,31 @@ def _check_counts(
         )
 
 
-def _v4_view_from_columns(
-    meta: dict, columns: Dict[str, object], epoch: int
-) -> GraphView:
-    """Assemble a :class:`GraphView` adopting decoded v4 columns as-is."""
-    view = GraphView(
-        list(meta["labels"]),
-        columns["view.src"],
-        columns["view.dst"],
-        columns["view.ts"],
-        columns["view.out_offsets"],
-        columns["view.out_edges"],
-        columns["view.in_offsets"],
-        columns["view.in_edges"],
-        epoch=int(epoch),
-    )
-    view._out_aligned = (columns["view.out_ts"], columns["view.out_dst"])
-    view._in_aligned = (columns["view.in_ts"], columns["view.in_src"])
-    return view
+def _wrap_columns(meta: dict, columns: Dict[str, object], path: str) -> TemporalGraph:
+    """Wrap decoded or mapped v4/v5 columns in a graph, adopting them as-is.
+
+    The caller cross-checks the result against the header counts.
+    """
+    try:
+        view = GraphView(
+            list(meta["labels"]),
+            columns["view.src"],
+            columns["view.dst"],
+            columns["view.ts"],
+            columns["view.out_offsets"],
+            columns["view.out_edges"],
+            columns["view.in_offsets"],
+            columns["view.in_edges"],
+            epoch=int(meta["epoch"]),
+        )
+        view._out_aligned = (columns["view.out_ts"], columns["view.out_dst"])
+        view._in_aligned = (columns["view.in_ts"], columns["view.in_src"])
+        return TemporalGraph.from_view(view, meta["timestamps"])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
 
 
-def _validate_v4_shapes(
+def _validate_shapes(
     sections: Dict[str, SnapshotSection],
     path: str,
     *,
@@ -688,10 +695,11 @@ def _validate_v4_shapes(
             )
 
 
-def _load_v4_eager(
+def _load_eager(
     buf,
     path: str,
     *,
+    version: int,
     epoch: int,
     n_vertices: int,
     n_edges: int,
@@ -699,38 +707,23 @@ def _load_v4_eager(
     payload_len: int,
     table_crc: int,
 ) -> TemporalGraph:
-    """Fully materialize a v4 snapshot: every section read, every CRC checked."""
-    sections = _parse_v4_table(
-        buf, path, payload_len=payload_len, table_crc=table_crc
+    """Read a v4/v5 snapshot whole: every section it has, every CRC checked.
+
+    A v4 file's ``adjacency`` section is CRC-checked and skipped; the
+    columns hold every edge it describes.
+    """
+    sections = _parse_table(
+        buf, path, version=version, payload_len=payload_len, table_crc=table_crc
     )
-    _validate_v4_shapes(
-        sections, path, n_vertices=n_vertices, n_edges=n_edges
-    )
+    _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
     meta = _decode_section(buf, sections["meta"], path)
-    adjacency = _decode_section(buf, sections["adjacency"], path)
+    if version == 4:
+        _section_bytes(buf, sections["adjacency"], path)
     columns = {
         name: _extent_column(_section_bytes(buf, sections[name], path))
         for name in V4_COLUMN_SECTIONS
     }
-    try:
-        labels = list(meta["labels"])
-        src, dst, ts = columns["view.src"], columns["view.dst"], columns["view.ts"]
-        sorted_tuples = [
-            (labels[s], labels[d], t) for s, d, t in zip(src, dst, ts)
-        ]
-        state = {
-            "out": adjacency["out"],
-            "in": adjacency["in"],
-            "sorted_edges": sorted_tuples,
-            "timestamps": meta["timestamps"],
-            "out_timestamps": adjacency["out_timestamps"],
-            "in_timestamps": adjacency["in_timestamps"],
-            "epoch": meta["epoch"],
-        }
-        graph = TemporalGraph.from_warmed_state(state, trust_order=True)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
-    graph._view_cache = _v4_view_from_columns(meta, columns, graph.epoch)
+    graph = _wrap_columns(meta, columns, path)
     _check_counts(
         graph, path, epoch=epoch, n_vertices=n_vertices, n_edges=n_edges, n_ts=n_ts
     )
@@ -755,9 +748,10 @@ def _total_column_bytes(sections: Dict[str, SnapshotSection]) -> int:
     return sum(sections[name].length for name in V4_COLUMN_SECTIONS)
 
 
-def _boot_v4_mmap(
+def _boot_mmap(
     path: str,
     *,
+    version: int,
     epoch: int,
     n_vertices: int,
     n_edges: int,
@@ -766,14 +760,14 @@ def _boot_v4_mmap(
     table_crc: int,
     residency=None,
 ) -> Tuple[TemporalGraph, int]:
-    """Map a v4 snapshot and build a lazily-hydrating graph over it.
+    """Map a v4/v5 snapshot and wrap its column extents in a graph.
 
     Eagerly verified: file size, the section table CRC and the small
     ``meta`` section (so the boot fails fast on a corrupt table or
-    metadata).  The ``adjacency`` section's CRC is checked when it is
-    hydrated; the raw column extents are *not* CRC-checked on this path —
-    checking them would fault in every page and defeat the lazy boot (the
-    eager loader and the shard set's whole-file check cover them).
+    metadata).  The raw column extents are *not* CRC-checked on this path —
+    checking them would fault in every page and defeat the mapping (the
+    eager loader and the shard set's whole-file check cover them) — and a
+    v4 file's ``adjacency`` section is never read.
 
     Returns ``(graph, column_bytes)`` where ``column_bytes`` is the total
     size of the raw column extents now present in the address space.  When a
@@ -783,59 +777,31 @@ def _boot_v4_mmap(
     with open(path, "rb") as handle:
         mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
     buf = memoryview(mapped)[HEADER_SIZE : HEADER_SIZE + payload_len]
-    try:
-        sections = _parse_v4_table(
-            buf, path, payload_len=payload_len, table_crc=table_crc
-        )
-        _validate_v4_shapes(
-            sections, path, n_vertices=n_vertices, n_edges=n_edges
-        )
-        if residency is not None:
-            span_offset, span_length = _column_payload_span(sections)
-            residency.register(mapped, span_offset, span_length)
-        meta = _decode_section(buf, sections["meta"], path)
-        columns = {}
-        for name in V4_COLUMN_SECTIONS:
-            start = sections[name].offset - HEADER_SIZE
-            end = start + sections[name].length
-            columns[name] = buf[start:end].cast(INDEX_TYPECODE)
-        labels = list(meta["labels"])
-        if len(labels) != n_vertices:
-            raise SnapshotError(
-                f"{path}: snapshot header does not match payload "
-                f"(header says |V|={n_vertices}, metadata has {len(labels)})"
-            )
-        meta_epoch = int(meta["epoch"])
-        timestamps = list(meta["timestamps"])
-        if meta_epoch != epoch or len(timestamps) != n_ts:
-            raise SnapshotError(
-                f"{path}: snapshot header does not match payload "
-                f"(header says |T|={n_ts}, epoch={epoch}; metadata has "
-                f"|T|={len(timestamps)}, epoch={meta_epoch})"
-            )
-        view = _v4_view_from_columns(meta, columns, meta_epoch)
-        adjacency_record = sections["adjacency"]
-
-        def load_adjacency() -> dict:
-            return _decode_section(buf, adjacency_record, path)
-
-        boot = LazyGraphBoot(
-            view=view,
-            timestamps=timestamps,
-            epoch=meta_epoch,
-            num_edges=n_edges,
-            load_adjacency=load_adjacency,
-        )
-        return TemporalGraph.from_lazy_boot(boot), _total_column_bytes(sections)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
+    sections = _parse_table(
+        buf, path, version=version, payload_len=payload_len, table_crc=table_crc
+    )
+    _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
+    if residency is not None:
+        span_offset, span_length = _column_payload_span(sections)
+        residency.register(mapped, span_offset, span_length)
+    meta = _decode_section(buf, sections["meta"], path)
+    columns = {}
+    for name in V4_COLUMN_SECTIONS:
+        start = sections[name].offset - HEADER_SIZE
+        end = start + sections[name].length
+        columns[name] = buf[start:end].cast(INDEX_TYPECODE)
+    graph = _wrap_columns(meta, columns, path)
+    _check_counts(
+        graph, path, epoch=epoch, n_vertices=n_vertices, n_edges=n_edges, n_ts=n_ts
+    )
+    return graph, _total_column_bytes(sections)
 
 
 # ----------------------------------------------------------------------
 # extent-local (interval-restricted) boot
 # ----------------------------------------------------------------------
 def _read_table_block(handle: BinaryIO, path: str, *, payload_len: int) -> bytes:
-    """Read just the v4 section-table block with ordinary file reads."""
+    """Read just the v4/v5 section-table block with ordinary file reads."""
     handle.seek(HEADER_SIZE)
     table = handle.read(min(payload_len, _TABLE_HEADER_STRUCT.size))
     if len(table) >= _TABLE_HEADER_STRUCT.size:
@@ -912,10 +878,11 @@ def _map_rows(fileno: int, start: int, length: int) -> Tuple[memoryview, int]:
     return column, delta + length
 
 
-def _boot_v4_extent(
+def _boot_extent(
     path: str,
     *,
     interval,
+    version: int,
     epoch: int,
     n_vertices: int,
     n_edges: int,
@@ -946,12 +913,10 @@ def _boot_v4_extent(
     window = as_interval(interval)
     with open(path, "rb") as handle:
         table = _read_table_block(handle, path, payload_len=payload_len)
-        sections = _parse_v4_table(
-            table, path, payload_len=payload_len, table_crc=table_crc
+        sections = _parse_table(
+            table, path, version=version, payload_len=payload_len, table_crc=table_crc
         )
-        _validate_v4_shapes(
-            sections, path, n_vertices=n_vertices, n_edges=n_edges
-        )
+        _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
         row_lo, row_hi = _bisect_rows(
             handle, sections["view.ts"].offset, n_edges, window
         )
@@ -983,10 +948,6 @@ def _boot_v4_extent(
                 f"{path}: snapshot header does not match payload "
                 f"(header says |V|={n_vertices}, metadata has {len(labels)})"
             )
-        meta_epoch = int(meta["epoch"])
-        timestamps = [
-            t for t in meta["timestamps"] if window.begin <= t <= window.end
-        ]
         src, dst, ts = (
             columns["view.src"],
             columns["view.dst"],
@@ -997,41 +958,11 @@ def _boot_v4_extent(
         view = GraphView(
             labels, src, dst, ts,
             out_offsets, out_edges, in_offsets, in_edges,
-            epoch=meta_epoch,
+            epoch=int(meta["epoch"]),
         )
-
-        def load_adjacency() -> dict:
-            # Derived from the mapped rows, not the pickled section: the
-            # persisted adjacency covers the whole graph, and unpickling it
-            # would both leak out-of-extent edges and fault in its pages.
-            # Rows are globally ts-sorted, so per-vertex append order is
-            # already timestamp-ascending.
-            out = {label: [] for label in labels}
-            into = {label: [] for label in labels}
-            for s, d, t in zip(src, dst, ts):
-                out[labels[s]].append((labels[d], t))
-                into[labels[d]].append((labels[s], t))
-            return {
-                "out": out,
-                "in": into,
-                "out_timestamps": {
-                    label: sorted({t for _, t in entries})
-                    for label, entries in out.items()
-                },
-                "in_timestamps": {
-                    label: sorted({t for _, t in entries})
-                    for label, entries in into.items()
-                },
-            }
-
-        boot = LazyGraphBoot(
-            view=view,
-            timestamps=timestamps,
-            epoch=meta_epoch,
-            num_edges=rows,
-            load_adjacency=load_adjacency,
+        graph = TemporalGraph.from_view(
+            view, [t for t in meta["timestamps"] if window.begin <= t <= window.end]
         )
-        graph = TemporalGraph.from_lazy_boot(boot)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
     return graph, (row_lo, row_hi), mapped_bytes, _total_column_bytes(sections)
@@ -1040,20 +971,21 @@ def _boot_v4_extent(
 def _restrict_graph_eager(graph: TemporalGraph, interval) -> TemporalGraph:
     """Rebuild ``graph`` keeping only the edges inside ``interval``.
 
-    The eager twin of :func:`_boot_v4_extent` for boots that cannot map
+    The eager twin of :func:`_boot_extent` for boots that cannot map
     (pre-v4 files, big-endian hosts, failed mappings, ``mmap=False``): the
-    full vertex set is preserved and the restricted edge rows are re-sorted
-    by the same deterministic key, so query results inside ``interval``
-    match the extent-local boot bit-for-bit.  The snapshot's epoch is
-    carried over so epoch-keyed caches treat both restrictions as the same
-    graph state.
+    full vertex set is preserved and the restricted edge rows keep the same
+    deterministic order, so query results inside ``interval`` match the
+    extent-local boot bit-for-bit.  The snapshot's epoch is carried over so
+    epoch-keyed caches treat both restrictions as the same graph state.
     """
     window = as_interval(interval)
-    restricted = TemporalGraph(vertices=list(graph.vertices()))
-    restricted.add_edges(
-        (u, v, t)
-        for (u, v, t) in graph.edge_tuples()
-        if window.begin <= t <= window.end
+    restricted = TemporalGraph(
+        vertices=graph.vertices(),
+        edges=(
+            (u, v, t)
+            for (u, v, t) in graph.edge_tuples()
+            if window.begin <= t <= window.end
+        ),
     )
     restricted._epoch = graph.epoch
     restricted.warm_indices()
@@ -1116,10 +1048,10 @@ def _boot_snapshot_file(
 ) -> SnapshotBoot:
     """Load the snapshot *file* at ``path`` — journal replay lives one level up.
 
-    With ``mmap=True`` and a v4 file, the returned graph's columnar view
-    reads straight out of the page cache (its columns are ``memoryview``
-    slices of the mapping) and the Python-side adjacency hydrates lazily.
-    Pre-v4 files — and platforms whose native byte order can't alias the
+    With ``mmap=True`` and a v4/v5 file, the returned graph's view reads
+    straight out of the page cache: its columns are ``memoryview`` slices
+    of the mapping, and the graph holds nothing else per edge.  Pre-v4
+    files — and platforms whose native byte order can't alias the
     little-endian extents — degrade to the eager boot, with the reason
     recorded on the returned :class:`SnapshotBoot` rather than raised: a
     readable snapshot always boots.
@@ -1127,7 +1059,7 @@ def _boot_snapshot_file(
     ``interval`` restricts the boot to the edges whose timestamp lies in
     the (inclusive) interval, preserving the full vertex set.  Combined
     with ``mmap=True`` this is the *extent-local* boot: only the interval's
-    rows of the edge columns are mapped (see :func:`_boot_v4_extent`), so a
+    rows of the edge columns are mapped (see :func:`_boot_extent`), so a
     shard worker's address space holds its time extent, not the file.  An
     interval spanning every row is a no-op and keeps the whole-file fast
     path.  Eager boots honour the restriction by rebuilding the in-interval
@@ -1180,9 +1112,10 @@ def _boot_snapshot_file(
                 else:
                     try:
                         if interval is not None:
-                            extent_boot = _boot_v4_extent(
+                            extent_boot = _boot_extent(
                                 path,
                                 interval=interval,
+                                version=version,
                                 epoch=epoch,
                                 n_vertices=n_vertices,
                                 n_edges=n_edges,
@@ -1202,8 +1135,9 @@ def _boot_snapshot_file(
                                     mapped_column_bytes=mapped_bytes,
                                     total_column_bytes=total,
                                 )
-                        graph, column_bytes = _boot_v4_mmap(
+                        graph, column_bytes = _boot_mmap(
                             path,
+                            version=version,
                             epoch=epoch,
                             n_vertices=n_vertices,
                             n_edges=n_edges,
@@ -1227,9 +1161,10 @@ def _boot_snapshot_file(
                         )
             handle.seek(HEADER_SIZE)
             buf = handle.read(payload_len)
-            graph = _load_v4_eager(
+            graph = _load_eager(
                 buf,
                 path,
+                version=version,
                 epoch=epoch,
                 n_vertices=n_vertices,
                 n_edges=n_edges,
@@ -1254,10 +1189,12 @@ def _boot_snapshot_file(
             )
         state = _load_legacy_state(handle, path, payload_len=payload_len, crc=crc)
     try:
-        # Pre-v3 writers sorted equal-timestamp ties in hash-seed order;
-        # adopting their backing/view would leak that stale order into a
-        # build whose fresh graphs use the deterministic key.
-        graph = TemporalGraph.from_warmed_state(state, trust_order=version >= 3)
+        # Rebuilt from the sorted edge list, in the vertices' insertion
+        # order: the pickled adjacency and view are never adopted, so a
+        # pre-v3 file's hash-seed-dependent tie order cannot leak in.
+        graph = TemporalGraph(vertices=state["out"], edges=state["sorted_edges"])
+        graph._epoch = int(state["epoch"])
+        graph.warm_indices()
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
     _check_counts(
@@ -1290,8 +1227,9 @@ def boot_snapshot(
 
     - the journal's base epoch must equal the snapshot epoch to apply —
       appends are then replayed in order through the graph's journaled
-      append path (no cache invalidation, no column hydration on an mmap
-      boot);
+      append path (no cache invalidation; an mmap boot's extended view
+      copies the mapped columns into private memory, never writing the
+      file);
     - a *stale* journal (base epoch below the snapshot epoch) is skipped:
       that is the residue of a compaction whose journal unlink was lost to
       a crash, or of a plain re-save, and its appends are already folded
@@ -1336,9 +1274,9 @@ def boot_snapshot(
 def load_snapshot(
     path: PathLike, *, mmap: bool = False, interval=None
 ) -> TemporalGraph:
-    """Load a fully-warmed :class:`TemporalGraph` from the snapshot at ``path``.
+    """Load the :class:`TemporalGraph` stored in the snapshot at ``path``.
 
-    ``mmap=True`` requests the zero-copy columnar boot (v4 files only; older
+    ``mmap=True`` requests the zero-copy columnar boot (v4/v5 files only; older
     formats degrade to eager — use :func:`boot_snapshot` to observe the
     recorded fallback reasons).  ``interval`` restricts the boot to that
     time range's edges (extent-local mapping when combined with ``mmap``).

@@ -104,7 +104,7 @@ class TestWarmCommand:
             "warm", "--edge-list", str(edge_list), "--output", str(snapshot),
         ]) == 0
         out = capsys.readouterr().out
-        assert "snapshot v4 written" in out
+        assert "snapshot v5 written" in out
         info = peek_snapshot(snapshot)
         assert info.num_edges == 3
 

@@ -161,3 +161,20 @@ def test_pytest_node_references_resolve(name, defined_tests):
     text = (REPO_ROOT / name).read_text(encoding="utf-8")
     missing = _unresolved_nodes(text, defined_tests)
     assert not missing, f"{name}: references to tests that do not exist: {missing}"
+
+
+def test_the_stated_snapshot_header_size_is_the_real_one():
+    """The snapshot module docstring and the format doc state HEADER_SIZE."""
+    from repro.store import HEADER_SIZE, snapshot
+
+    module = snapshot.__doc__
+    doc = (REPO_ROOT / "docs" / "snapshot-format.md").read_text(encoding="utf-8")
+    stated = {
+        "module: fixed header": re.findall(r"fixed header \((\d+) bytes", module),
+        "module: file size": re.findall(r"file size == (\d+) \+ payload", module),
+        "doc: header struct": re.findall(r"`>8sHQQQQQI`,\s+(\d+) bytes", doc),
+        "doc: table offset": re.findall(r"offset (\d+):\s+table header", doc),
+    }
+    for where, sizes in stated.items():
+        assert sizes, f"{where}: no header size stated"
+        assert {int(size) for size in sizes} == {HEADER_SIZE}, (where, sizes)

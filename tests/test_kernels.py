@@ -91,9 +91,10 @@ def served(request, graph, tmp_path, monkeypatch):
         return graph, graph.view()
     path = str(tmp_path / "kernels.tspgsnap")
     save_snapshot(graph, path)
-    booted = boot_snapshot(path, mmap=True).graph
-    if not booted.is_lazily_booted:
+    boot = boot_snapshot(path, mmap=True)
+    if not boot.mmap_active:
         pytest.skip("zero-copy boot unavailable on this platform")
+    booted = boot.graph
     if request.param == "mmap":
         view = booted.view()
         assert type(view.out_edges) is memoryview

@@ -1,22 +1,26 @@
-"""Snapshot format v4: mmap-backed columnar boot, compat and durability.
+"""Snapshot formats v4/v5: mmap-backed columnar boot, compat and durability.
 
-Covers the v4 layout end to end — the mapped int64 columns, the lazy
-:class:`TemporalGraph` boot, cross-version compatibility (v1/v2/v3 still
+Covers the columnar layout end to end — the mapped int64 columns a
+:class:`TemporalGraph` boot wraps without copying, cross-version
+compatibility (the committed v4 fixture loads every way; v1/v2/v3 still
 load; ``mmap=True`` on them degrades cleanly with a recorded reason),
 per-section corruption detection, write durability (fsync + no temp
 siblings after a failed write), and the mmap flag's surfaces on the store,
 service and sharded-router layers.
 """
 
+import gc
 import os
 import struct
+import tracemalloc
 import zlib
 from array import array
 
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.datasets.registry import load_dataset
-from repro.graph.generators import synth_scale_edges
+from repro.graph.generators import paper_running_example, synth_scale_edges
 from repro.graph.temporal_graph import TemporalGraph
 from repro.service import ShardedTspgService, TspgService
 from repro.store import (
@@ -35,6 +39,10 @@ from repro.store import (
 )
 from repro.store.snapshot import _HEADER_STRUCT
 
+#: A format-v4 snapshot of the paper's running example, written by the last
+#: build whose writer emitted v4 (meta + adjacency + 11 column extents).
+V4_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "paper_graph_v4.tspgsnap")
+
 
 def sample_graph():
     graph = TemporalGraph(edges=[
@@ -52,32 +60,39 @@ def scale_graph(num_edges=3000):
 
 
 # ----------------------------------------------------------------------
-# v4 round trip + lazy boot
+# round trip + mmap boot
 # ----------------------------------------------------------------------
 class TestV4MmapBoot:
     def test_eager_and_mmap_boots_are_identical(self, tmp_path):
         graph = sample_graph()
         path = str(tmp_path / "g.tspgsnap")
         info = save_snapshot(graph, path)
-        assert info.version == 4
+        assert info.version == 5
         eager = load_snapshot(path)
-        mapped = load_snapshot(path, mmap=True)
-        assert mapped.is_lazily_booted
+        boot = boot_snapshot(path, mmap=True)
+        assert boot.mmap_active
         assert eager == graph
-        assert mapped == graph  # hydrates on comparison
-        assert not mapped.is_lazily_booted
+        assert boot.graph == graph  # compares over the mapped columns
+        assert type(boot.graph.view().ts) is memoryview
 
     def test_lazy_boot_answers_cheap_queries_without_hydrating(self, tmp_path):
         graph = sample_graph()
         path = str(tmp_path / "g.tspgsnap")
         save_snapshot(graph, path)
-        mapped = load_snapshot(path, mmap=True)
+        boot = boot_snapshot(path, mmap=True)
+        assert boot.mmap_active
+        mapped = boot.graph
+        view = mapped.view()
         assert mapped.num_vertices == graph.num_vertices
         assert mapped.num_edges == graph.num_edges
         assert list(mapped.vertices()) == list(graph.vertices())
         assert mapped.has_vertex("isolated")
         assert mapped.warm_indices() == graph.warm_indices()
-        assert mapped.is_lazily_booted
+        assert mapped.out_neighbors("b") == graph.out_neighbors("b")
+        # Every read served from the mapping: no column was copied.
+        assert mapped.view() is view
+        for name in VIEW_COLUMNS:
+            assert type(getattr(view, name)) is memoryview, name
 
     def test_mutation_after_mmap_boot_copies_on_write(self, tmp_path):
         graph = sample_graph()
@@ -85,8 +100,11 @@ class TestV4MmapBoot:
         save_snapshot(graph, path)
         original_bytes = open(path, "rb").read()
         mapped = load_snapshot(path, mmap=True)
+        mapped_view = mapped.view()
         assert mapped.add_edge("t", "z", 9)
-        assert not mapped.is_lazily_booted
+        assert mapped.view() is not mapped_view
+        assert type(mapped_view.ts) is memoryview
+        assert mapped_view.num_edges == graph.num_edges
         assert mapped.epoch > graph.epoch
         assert mapped.num_edges == graph.num_edges + 1
         # The mapped file never sees the mutation.
@@ -189,7 +207,6 @@ class TestPlainColumns:
                 type(column) is memoryview and column.format == "q"
             ), (name, type(column))
         if boot in ("mmap", "mmap-interval"):
-            assert booted.is_lazily_booted
             for name in ("src", "dst", "ts"):
                 assert type(getattr(view, name)) is memoryview, name
         expected = graph.copy()
@@ -201,7 +218,7 @@ class TestPlainColumns:
 
 
 # ----------------------------------------------------------------------
-# a lazy boot reports the index counts of its current state
+# an mmap boot reports the index counts of its current state
 # ----------------------------------------------------------------------
 class TestLazyWarmStats:
     @pytest.mark.parametrize(
@@ -212,13 +229,14 @@ class TestLazyWarmStats:
     ):
         _, path = d1_snapshot
         eager = boot_snapshot(path, interval=interval).graph
-        mapped = boot_snapshot(path, mmap=True, interval=interval).graph
-        assert mapped.is_lazily_booted and not eager.is_lazily_booted
+        boot = boot_snapshot(path, mmap=True, interval=interval)
+        mapped = boot.graph
+        assert boot.mmap_active and type(mapped.view().ts) is memoryview
+        assert type(eager.view().ts) is array
         assert mapped.warm_indices() == eager.warm_indices()
         for graph in (eager, mapped):
             graph.append_edges(D1_TAIL_ROWS)
         assert mapped.warm_indices() == eager.warm_indices()
-        assert mapped.is_lazily_booted
         assert snapshot_bytes(mapped) == snapshot_bytes(eager)
 
 
@@ -260,17 +278,21 @@ class TestCrossVersionCompat:
         assert f"v{version}" in reason and "mmap" in reason
 
     def test_v4_loads_both_ways_and_reports_sections(self, tmp_path):
-        graph = sample_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        info, sections = inspect_snapshot(path)
+        graph = paper_running_example()
+        info, sections = inspect_snapshot(V4_FIXTURE)
         assert info.version == 4
         names = [section.name for section in sections]
         assert names == ["meta", "adjacency"] + list(V4_COLUMN_SECTIONS)
         for section in sections:
             assert section.offset % 8 == 0 or section.elements == 0
-        assert load_snapshot(path) == graph
-        assert load_snapshot(path, mmap=True) == graph
+        assert load_snapshot(V4_FIXTURE) == graph
+        assert load_snapshot(V4_FIXTURE, mmap=True) == graph
+        # v5 is the same layout without the adjacency section.
+        path = str(tmp_path / "g.tspgsnap")
+        assert save_snapshot(graph, path).version == 5
+        info, sections = inspect_snapshot(path)
+        assert info.version == 5
+        assert [s.name for s in sections] == ["meta"] + list(V4_COLUMN_SECTIONS)
 
     def test_corrupted_section_names_the_section(self, tmp_path):
         graph = sample_graph()
@@ -283,17 +305,16 @@ class TestCrossVersionCompat:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(SnapshotError, match="'view.dst' checksum mismatch"):
             load_snapshot(path)
-        # The mmap boot defers column CRCs, but hydration still trips on
-        # the adjacency section when *that* is corrupt.
+        # The mmap boot defers column CRCs, but still checks the meta
+        # section it decodes.
         save_snapshot(graph, path)
         _, sections = inspect_snapshot(path)
-        target = next(s for s in sections if s.name == "adjacency")
+        target = next(s for s in sections if s.name == "meta")
         raw = bytearray(open(path, "rb").read())
-        raw[HEADER_SIZE + target.offset + 4] ^= 0xFF
+        raw[target.offset + 4] ^= 0xFF
         open(path, "wb").write(bytes(raw))
-        mapped = load_snapshot(path, mmap=True)
-        with pytest.raises(SnapshotError, match="'adjacency' checksum mismatch"):
-            mapped.out_neighbors("s")
+        with pytest.raises(SnapshotError, match="'meta' checksum mismatch"):
+            load_snapshot(path, mmap=True)
 
     def test_corrupted_table_is_a_checksum_mismatch(self, tmp_path):
         graph = sample_graph()
@@ -304,6 +325,141 @@ class TestCrossVersionCompat:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(SnapshotError, match="section table checksum mismatch"):
             load_snapshot(path)
+
+
+# ----------------------------------------------------------------------
+# the committed v4 fixture: files written before v5 keep booting
+# ----------------------------------------------------------------------
+V4_BOOTS = {
+    "eager": {},
+    "mmap": {"mmap": True},
+    "extent-local": {"mmap": True, "interval": (3, 7)},
+}
+
+
+def vug_answers(graph, interval=(2, 7)):
+    algorithm = get_algorithm("VUG")
+    vertices = sorted(graph.vertices())
+    return [
+        sorted(algorithm.run(graph, s, t, interval).result.edges)
+        for s in vertices
+        for t in vertices
+        if s != t
+    ]
+
+
+class TestV4Fixture:
+    @pytest.mark.parametrize("name", sorted(V4_BOOTS))
+    def test_every_boot_of_a_v4_file_equals_the_graph_and_answers_alike(
+        self, name
+    ):
+        options = V4_BOOTS[name]
+        boot = boot_snapshot(V4_FIXTURE, **options)
+        assert boot.info.version == 4
+        assert boot.mmap_active == bool(options.get("mmap"))
+        graph = paper_running_example()
+        window = options.get("interval", (2, 7))
+        if "interval" in options:
+            assert boot.row_range == (2, graph.num_edges)
+            assert boot.graph == boot_snapshot(V4_FIXTURE, interval=window).graph
+        else:
+            assert boot.graph == graph
+        assert boot.graph.epoch == graph.epoch
+        assert vug_answers(boot.graph, window) == vug_answers(graph, window)
+
+    def test_a_journal_replays_onto_a_v4_file_and_a_resave_writes_v5(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "old.tspgsnap")
+        with open(V4_FIXTURE, "rb") as source, open(path, "wb") as target:
+            target.write(source.read())
+        store = SnapshotGraphStore(path, mmap=True)
+        store.load()
+        store.append([("t", "z", 9), ("e", "t", 8)])
+        expected = paper_running_example()
+        expected.append_edges([("t", "z", 9), ("e", "t", 8)])
+        for options in ({}, {"mmap": True}):
+            boot = boot_snapshot(path, **options)
+            assert boot.journal_records == 1
+            assert boot.graph == expected
+            assert boot.graph.epoch == expected.epoch
+            assert vug_answers(boot.graph, (1, 9)) == vug_answers(expected, (1, 9))
+        resaved = str(tmp_path / "new.tspgsnap")
+        assert save_snapshot(boot.graph, resaved).version == 5
+        assert snapshot_bytes(load_snapshot(resaved)) == snapshot_bytes(expected)
+
+    def test_eager_load_checks_the_v4_adjacency_crc_and_mmap_skips_it(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "old.tspgsnap")
+        raw = bytearray(open(V4_FIXTURE, "rb").read())
+        _, sections = inspect_snapshot(V4_FIXTURE)
+        target = next(s for s in sections if s.name == "adjacency")
+        raw[target.offset + 4] ^= 0xFF
+        open(path, "wb").write(bytes(raw))
+        with pytest.raises(SnapshotError, match="'adjacency' checksum mismatch"):
+            load_snapshot(path)
+        assert load_snapshot(path, mmap=True) == paper_running_example()
+
+
+# ----------------------------------------------------------------------
+# a booted graph holds nothing per edge beyond its view
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def scale_snapshot(tmp_path_factory):
+    """A seeded 20k-edge synth-scale snapshot and one query over it."""
+    from repro.datasets.registry import SyntheticScaleSpec
+    from repro.queries.workload import generate_workload
+
+    graph = SyntheticScaleSpec(
+        num_vertices=2000, num_edges=20000, num_timestamps=200
+    ).load()
+    path = str(tmp_path_factory.mktemp("scale") / "scale.tspgsnap")
+    save_snapshot(graph, path)
+    (query,) = generate_workload(graph, 1, 50, seed=5)
+    vertices = sorted(graph.vertices())
+    tail = graph.max_timestamp + 1
+    rows = [(vertices[0], vertices[1], tail), (vertices[1], vertices[2], tail + 1)]
+    return path, query, rows
+
+
+def _column_bytes(view):
+    return sum(memoryview(getattr(view, name)).nbytes for name in VIEW_COLUMNS)
+
+
+class TestBootedGraphMemory:
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    def test_a_booted_graph_retains_little_beyond_its_view_columns(
+        self, scale_snapshot, mmap
+    ):
+        path, query, rows = scale_snapshot
+        before = open(path, "rb").read()
+        engine = get_algorithm("VUG")
+
+        def ask(graph):
+            return engine.run(graph, query.source, query.target, query.interval)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            boot = boot_snapshot(path, mmap=mmap)
+            graph = boot.graph
+            assert boot.mmap_active == mmap
+            graph.warm_indices()
+            first = ask(graph)
+            if mmap:
+                for name in VIEW_COLUMNS:
+                    assert type(getattr(graph.view(), name)) is memoryview, name
+            assert graph.append_edges(rows).append_only
+            second = ask(graph)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert first.result.edges == second.result.edges
+        columns = _column_bytes(graph.view())
+        assert retained <= 2 * columns, (retained, columns)
+        assert open(path, "rb").read() == before
 
 
 # ----------------------------------------------------------------------
@@ -398,7 +554,7 @@ class TestMmapSurfaces:
         shard_set = ShardSnapshotSet(shard_dir)
         manifest = shard_set.manifest()
         boot = shard_set.boot_shard(manifest.shards[0], mmap=True)
-        assert boot.mmap_active and boot.graph.is_lazily_booted
+        assert boot.mmap_active and type(boot.graph.view().ts) is memoryview
         mapped_router = ShardedTspgService.from_shard_snapshots(
             shard_dir, mmap=True
         )
@@ -478,7 +634,7 @@ class TestExtentLocalBoot:
         assert boot.mmap_active
         assert boot.row_range == (0, graph.num_edges)
         assert boot.mapped_column_bytes == boot.total_column_bytes
-        assert boot.graph.is_lazily_booted
+        assert type(boot.graph.view().out_ts) is memoryview
 
     def test_extent_boot_registers_residency_mappings(self, tmp_path):
         from repro.store import ResidencyPolicy, madvise_supported
@@ -557,9 +713,9 @@ class TestExtentLocalBoot:
             manifest.shards[0], mmap=True, residency=policy
         )
         # A well-formed shard file holds exactly its extent's rows, so the
-        # extent restriction is a no-op and the lazy whole-file path runs.
+        # extent restriction is a no-op and the whole-file path runs.
         assert boot.mmap_active
-        assert boot.graph.is_lazily_booted
+        assert type(boot.graph.view().out_ts) is memoryview
         assert policy.stats()["mappings"] > 0
 
     def test_sharded_router_residency_stats_aggregate(self, tmp_path):

@@ -89,12 +89,12 @@ class TestRoundTrip:
         path = tmp_path / "warm.tspgsnap"
         save_snapshot(graph, path)
         loaded = load_snapshot(path)
-        # Warm indices are adopted: the timestamp caches are populated and
-        # the sorted-edge index has its pre-sorted backing, so warming again
-        # touches no edge.
-        assert loaded._ts_cache is not None
-        assert loaded._sorted_tuples_cache is not None
-        assert len(loaded._out_ts_cache) == loaded.num_vertices
+        # The persisted columns are adopted whole, CSR-aligned ones
+        # included: the boot stages nothing and no query builds anything.
+        assert loaded.view_is_built()
+        assert loaded.timestamps() == graph.timestamps()
+        for vertex in graph.vertices():
+            assert loaded.out_timestamps(vertex) == graph.out_timestamps(vertex)
         stats = loaded.warm_indices()
         assert stats["sorted_edges"] == graph.num_edges
 
@@ -172,13 +172,21 @@ class TestCorruption:
 
     def test_version1_snapshot_still_loads(self, tmp_path):
         # A pre-view snapshot (format v1: no "view" columns in the payload)
-        # must keep its O(read) boot; the view is rebuilt lazily instead.
+        # loads by rebuilding the graph from its sorted edge list.
         import pickle
         import zlib
 
         graph = _random_graph(seed=21)
-        state = graph.warmed_state()
-        state.pop("view")
+        vertices = list(graph.vertices())
+        state = {
+            "out": {v: graph.out_neighbors(v) for v in vertices},
+            "in": {v: graph.in_neighbors(v) for v in vertices},
+            "sorted_edges": list(graph.edge_tuples()),
+            "timestamps": graph.timestamps(),
+            "out_timestamps": {v: graph.out_timestamps(v) for v in vertices},
+            "in_timestamps": {v: graph.in_timestamps(v) for v in vertices},
+            "epoch": graph.epoch,
+        }
         payload = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
         header = struct.pack(
             ">8sHQQQQQI",
@@ -196,8 +204,10 @@ class TestCorruption:
         assert peek_snapshot(old).version == 1
         loaded = load_snapshot(old)
         assert loaded == graph
-        assert loaded._view_cache is None  # nothing adopted…
-        assert loaded.view().num_edges == graph.num_edges  # …built on demand
+        assert loaded.epoch == graph.epoch
+        assert list(loaded.vertices()) == vertices
+        assert loaded.edge_tuples() == graph.edge_tuples()
+        assert loaded.view().num_edges == graph.num_edges
 
     def test_truncated_payload(self, tmp_path, snapshot):
         raw = snapshot.read_bytes()
@@ -260,12 +270,19 @@ class TestCorruption:
 # the GraphStore layer
 # ----------------------------------------------------------------------
 class TestGraphStore:
-    def test_in_memory_store_warms_and_returns_same_graph(self):
+    def test_in_memory_store_warms_and_returns_same_graph(self, monkeypatch):
+        from repro.graph.views import GraphView
+
         graph = _random_graph(seed=21)
         store = InMemoryGraphStore(graph)
         loaded = store.load()
         assert loaded is graph
-        assert loaded._ts_cache is not None  # warmed
+
+        def fold(self, delta):
+            raise AssertionError("a read after load() folded staged rows")
+
+        monkeypatch.setattr(GraphView, "extended_with", fold)
+        assert loaded.timestamps() and loaded.edge_tuples()
         assert store.describe()["backend"] == "memory"
 
     def test_snapshot_store_save_load_info(self, tmp_path):

@@ -235,12 +235,12 @@ class TestCopyCarriesWarmth:
     def test_copy_carries_warmed_caches(self):
         graph = TemporalGraph(edges=[("a", "b", 1), ("b", "c", 5)])
         graph.warm_indices()
-        graph.sorted_edges()  # also materialise the edge-object stage
+        graph.out_neighbors("a")  # derive the CSR-aligned columns
+        graph.in_neighbors("b")
         clone = graph.copy()
-        assert clone._sorted_tuples_cache is not None
-        assert clone._sorted_edges_cache is not None
-        assert clone._ts_cache is not None
-        assert len(clone._out_ts_cache) == clone.num_vertices
+        assert clone.view() is graph.view()  # the frozen view is shared
+        assert clone.view_is_built()
+        assert clone.timestamps() == graph.timestamps()
         assert clone.sorted_edges() == graph.sorted_edges()
         assert clone.out_timestamps("a") == graph.out_timestamps("a")
 
@@ -251,11 +251,10 @@ class TestCopyCarriesWarmth:
 
     def test_cold_copy_stays_cold(self):
         graph = TemporalGraph(edges=[("a", "b", 1)])
-        graph._sorted_edges_cache = None  # ensure nothing is warmed
-        graph._ts_cache = None
         clone = graph.copy()
-        assert clone._sorted_edges_cache is None
-        assert clone._ts_cache is None
+        # Copying derives no CSR-aligned column the source had not built.
+        assert not graph.view_is_built()
+        assert not clone.view_is_built()
         assert clone == graph
 
     def test_copies_do_not_alias_internal_state(self):
@@ -268,14 +267,15 @@ class TestCopyCarriesWarmth:
         assert clone.out_timestamps("a") == [1, 2]
         assert len(graph.sorted_edges()) == 1
 
-    def test_warmed_copy_of_snapshot_loaded_graph(self):
-        from repro.store import snapshot_bytes  # noqa: F401 — exercised elsewhere
+    def test_warmed_copy_of_snapshot_loaded_graph(self, tmp_path):
+        from repro.store import load_snapshot, save_snapshot
 
         graph = TemporalGraph(edges=[("a", "b", 1), ("b", "c", 5)])
-        state = graph.warmed_state()
-        loaded = TemporalGraph.from_warmed_state(state)
+        save_snapshot(graph, tmp_path / "g.tspgsnap")
+        loaded = load_snapshot(tmp_path / "g.tspgsnap")
         clone = loaded.copy()
-        assert clone._sorted_tuples_cache is not None
+        assert clone.view() is loaded.view()
+        assert clone.view_is_built()
         assert clone.sorted_edges() == graph.sorted_edges()
         assert clone.epoch == graph.epoch
 
@@ -314,3 +314,111 @@ class TestBackingDeterminism:
             )
             outputs.add(proc.stdout)
         assert len(outputs) == 1, "edge order varied with PYTHONHASHSEED"
+
+
+class TestInsertionHistory:
+    def test_equal_graphs_read_and_persist_identically(self):
+        """The graph's reads and bytes depend on its vertex order and edge
+        set alone: the order its edges arrived in leaves no trace."""
+        import random
+
+        from repro.datasets.registry import load_dataset
+        from repro.store import snapshot_bytes
+
+        d3 = load_dataset("D3")
+        vertices = list(d3.vertices())
+        edges = list(d3.edge_tuples())
+        shuffled = list(edges)
+        random.Random(21).shuffle(shuffled)
+        in_order = TemporalGraph(vertices=vertices, edges=edges)
+        scrambled = TemporalGraph(vertices=vertices, edges=shuffled)
+        assert in_order == scrambled
+        assert in_order.epoch == scrambled.epoch == len(vertices) + 1 == 151
+        assert snapshot_bytes(in_order) == snapshot_bytes(scrambled)
+        for vertex in vertices:
+            assert in_order.out_neighbors(vertex) == scrambled.out_neighbors(vertex)
+            assert in_order.in_neighbors(vertex) == scrambled.in_neighbors(vertex)
+
+
+def _forbid_folds(patch):
+    from repro.graph.views import GraphView
+
+    def fold(self, delta):
+        raise AssertionError("a staged row was folded into the view")
+
+    patch.setattr(GraphView, "extended_with", fold)
+
+
+class TestStaging:
+    def test_mutators_stage_and_membership_and_counts_never_fold(
+        self, monkeypatch
+    ):
+        graph = TemporalGraph(edges=[("a", "b", 1)])
+        graph.view()
+        with monkeypatch.context() as patch:
+            _forbid_folds(patch)
+            for step in range(200):  # an edge-by-edge build folds nothing
+                assert graph.add_edge("b", ("c", step), step + 2)
+                assert not graph.add_edge("b", ("c", step), step + 2)
+            graph.add_vertex("z")
+            assert graph.has_edge("b", ("c", 7), 9) and graph.has_edge("a", "b", 1)
+            assert not graph.has_edge("b", ("c", 7), 10)
+            assert graph.has_vertex("z") and graph.has_vertex(("c", 199))
+            assert graph.num_vertices == 203 and graph.num_edges == 201
+            assert not graph.view_is_built()
+        assert graph.out_degree("b") == 200  # the first read folds
+        assert list(graph.vertices())[-1] == "z"
+
+    def test_boots_warming_and_appends_leave_nothing_staged(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import load_snapshot, save_snapshot
+
+        graph = TemporalGraph(edges=[("a", "b", 1), ("b", "c", 2)])
+        graph.add_vertex("z")
+        graph.warm_indices()
+        appended = TemporalGraph(edges=[("a", "b", 1)])
+        appended.add_edge("b", "c", 2)
+        appended.append_edges([("c", "d", 3)])
+        save_snapshot(graph, tmp_path / "g.tspgsnap")
+        booted = [
+            load_snapshot(tmp_path / "g.tspgsnap", **options)
+            for options in ({}, {"mmap": True}, {"mmap": True, "interval": (2, 2)})
+        ]
+        with monkeypatch.context() as patch:
+            _forbid_folds(patch)
+            for each in (graph, appended, *booted):
+                assert each.edge_tuples() and each.timestamps()
+                each.out_neighbors("b"), each.in_neighbors("b")
+                assert each.view_is_built()
+
+    def test_readers_racing_to_fold_neither_lose_nor_repeat_a_row(self):
+        import sys
+        import threading
+
+        rows = [(u, (u * 7 + 3) % 50, t) for t in range(40) for u in range(50)]
+        rows = [row for row in rows if row[0] != row[1]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                graph = TemporalGraph(edges=rows[: len(rows) // 2])
+                graph.view()
+                graph.add_edges(rows[len(rows) // 2 :])  # staged
+                seen = []
+
+                def read():
+                    seen.append(
+                        (graph.num_edges, graph.view().num_edges, len(graph.edge_tuples()))
+                    )
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert seen == [(len(rows),) * 3] * len(threads)
+                assert sorted(graph.edge_tuples()) == sorted(rows)
+        finally:
+            sys.setswitchinterval(interval)
