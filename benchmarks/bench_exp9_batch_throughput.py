@@ -1,19 +1,18 @@
-"""Exp-9 (new) — batch-service throughput: serial vs parallel vs cached.
+"""Exp-9 (new) — batch-service throughput: serial vs cached.
 
 No paper analogue: this benchmark measures the serving layer added on top of
 the reproduction.  One workload is pushed through
-:class:`~repro.service.TspgService` in three regimes — serial, worker-pool
-parallel, and a second fully-memoized pass — and the queries/sec of each is
-reported.  The headline property asserted here is the cache: a repeat query
-must be served at least an order of magnitude faster than a cold run, which
-is what makes the service viable under repeat-heavy traffic.
+:class:`~repro.service.TspgService` serially with the cache off and then as
+a fully-memoized repeat pass, and the queries/sec of each is reported
+(batches over worker processes are exp13's subject).  The headline property
+asserted here is the cache: a repeat query must be served at least an order
+of magnitude faster than a cold run, which is what makes the service viable
+under repeat-heavy traffic.
 
 The aggregated series is written to ``results/exp9_batch_throughput.txt``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.bench.experiments import exp9_batch_throughput
 from repro.datasets.registry import get_dataset
@@ -24,9 +23,6 @@ from bench_config import BENCH_NUM_QUERIES, BENCH_TIME_BUDGET_SECONDS
 
 #: Dataset used for the throughput measurements (moderate size, VUG-friendly).
 BENCH_DATASET = "D1"
-
-#: Worker-pool widths compared against the serial baseline.
-BENCH_WORKERS = [2, 4]
 
 
 def _service_and_queries(num_queries: int = BENCH_NUM_QUERIES):
@@ -39,23 +35,20 @@ def _service_and_queries(num_queries: int = BENCH_NUM_QUERIES):
     return TspgService(graph), list(workload)
 
 
-@pytest.mark.parametrize("workers", [1, *BENCH_WORKERS])
-def test_exp9_batch_workers(benchmark, workers):
-    """One regime of the throughput comparison: a cold batch at one pool width."""
+def test_exp9_serial_batch(benchmark):
+    """The cold regime of the throughput comparison: one serial batch."""
     service, queries = _service_and_queries()
 
     report = benchmark.pedantic(
         service.run_batch,
         args=(queries,),
         kwargs=dict(
-            max_workers=workers,
             use_cache=False,
             time_budget_seconds=BENCH_TIME_BUDGET_SECONDS,
         ),
         rounds=1,
         iterations=1,
     )
-    benchmark.extra_info["workers"] = workers
     benchmark.extra_info["qps"] = round(report.queries_per_second, 1)
     assert report.num_completed == len(queries)
 
@@ -86,13 +79,12 @@ def test_exp9_cached_latency(benchmark):
 
 
 def test_exp9_summary_table(benchmark, save_report):
-    """The full Exp-9 row set (serial, parallel pools, cached)."""
+    """The full Exp-9 row set (serial, cache warm-up, cached)."""
     report = benchmark.pedantic(
         exp9_batch_throughput,
         kwargs=dict(
             dataset_key=BENCH_DATASET,
             num_queries=BENCH_NUM_QUERIES,
-            workers=tuple(BENCH_WORKERS),
             time_budget_seconds=BENCH_TIME_BUDGET_SECONDS,
         ),
         rounds=1,

@@ -5,7 +5,9 @@ owns one temporal graph (here the transit network of the paper's case study)
 and answers bursts of path-graph queries from many clients.  Real query
 streams are repeat-heavy — popular origin/destination pairs recur — so the
 service's LRU cache turns most of the traffic into dictionary lookups, and
-the worker pool soaks up the cold remainder.
+only the cold remainder runs VUG.  (A service booted from a snapshot can
+also spread that remainder over the processes of an attached
+``WorkerPool``; see docs/serving.md.)
 
 Run with::
 
@@ -52,7 +54,7 @@ def main() -> None:
     # Three bursts of traffic over the same catalogue.
     for burst_no in range(1, 4):
         stream = simulated_traffic(catalogue, num_requests=100, seed=burst_no)
-        report = service.run_batch(stream, max_workers=4, time_budget_seconds=30.0)
+        report = service.run_batch(stream, time_budget_seconds=30.0)
         print(
             f"burst {burst_no}: {report.num_completed}/{report.num_queries} answered "
             f"in {report.wall_seconds:.4f}s "

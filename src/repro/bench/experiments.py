@@ -18,9 +18,8 @@ Function                  Paper artifact
 ``exp6_eev_vs_enum``      Fig. 11   — EEV vs enumeration on the tight bound
 ``exp7_edges_vs_paths``   Fig. 12   — #edges vs #paths in the tspG
 ``exp8_case_study``       Fig. 13   — SFMTA transit case study
-``exp9_batch_throughput`` (new)     — batch service: serial vs parallel vs cached
-``exp12_process_shards``  (new)     — thread vs snapshot-booted process backend
-``exp13_serving_pool``    (new)     — persistent worker pool + per-query deadlines
+``exp9_batch_throughput`` (new)     — batch service: serial vs cached
+``exp13_serving_pool``    (new)     — worker pool vs serial + per-query deadlines
 ========================  =======================================================
 
 All drivers take ``num_queries`` / dataset-key parameters so the pytest
@@ -31,7 +30,6 @@ them up.
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
@@ -58,7 +56,8 @@ from ..paths.counting import count_temporal_simple_paths_capped
 from ..queries.query import QueryWorkload
 from ..queries.runner import QueryRunner
 from ..queries.workload import generate_workload
-from ..service import ShardedTspgService, TspgService, WorkerPool
+from ..service import TspgService, WorkerPool
+from ..service.pool import available_cpus
 from ..store import SnapshotGraphStore
 from .reporting import ExperimentReport
 
@@ -493,23 +492,23 @@ def exp9_batch_throughput(
     dataset_key: str = "D1",
     num_queries: int = DEFAULT_NUM_QUERIES,
     algorithm: str = "VUG",
-    workers: Sequence[int] = (1, 4),
     time_budget_seconds: float = DEFAULT_TIME_BUDGET_SECONDS,
     seed: int = 7,
 ) -> ExperimentReport:
-    """Batch-service throughput: serial vs parallel vs cache-served repeats.
+    """Batch-service throughput: serial vs cache-served repeats.
 
-    Runs the same workload through :class:`~repro.service.TspgService` three
-    ways — serially, on a worker pool for each entry of ``workers``, and a
-    second (fully memoized) pass — and reports wall-clock seconds and
-    queries/sec per regime.  The cached row is the service's raison d'être:
-    repeat queries cost a dictionary lookup instead of a VUG run.
+    Runs the same workload through :class:`~repro.service.TspgService` —
+    serially with the cache off, then a cache-filling pass and a second
+    (fully memoized) pass — and reports wall-clock seconds and queries/sec
+    per regime.  The cached row is the service's raison d'être: repeat
+    queries cost a dictionary lookup instead of a VUG run.  Batches over
+    worker processes are exp13's subject.
     """
     report = ExperimentReport(
         experiment=f"Exp-9 (batch throughput, {dataset_key})",
         description=(
             f"TspgService queries/sec for {num_queries} queries "
-            f"({algorithm}): serial vs parallel vs cached"
+            f"({algorithm}): serial vs cached"
         ),
     )
     graph = _load(dataset_key)
@@ -535,16 +534,6 @@ def exp9_batch_throughput(
             time_budget_seconds=time_budget_seconds,
         ),
     )
-    for count in workers:
-        if count <= 1:
-            continue
-        add_mode(
-            f"parallel-{count}",
-            service.run_batch(
-                queries, max_workers=count, use_cache=False,
-                time_budget_seconds=time_budget_seconds,
-            ),
-        )
     warm = service.run_batch(
         queries, max_workers=1, use_cache=True,
         time_budget_seconds=time_budget_seconds,
@@ -560,127 +549,7 @@ def exp9_batch_throughput(
 
 
 # ----------------------------------------------------------------------
-# Exp-12 (process-parallel sharded serving; no paper analogue)
-# ----------------------------------------------------------------------
-# Re-exported from the pool module (the canonical home since WorkerPool
-# sizes itself with it); the benchmarks keep importing it from here.
-from ..service.pool import available_cpus  # noqa: E402  (section grouping)
-
-
-def exp12_process_shards(
-    dataset_key: str = "D10",
-    num_queries: int = DEFAULT_NUM_QUERIES,
-    algorithm: str = "VUG",
-    workers: int = 4,
-    num_shards: int = 4,
-    overlap: Optional[int] = None,
-    shard_dir: Optional[str] = None,
-    time_budget_seconds: float = DEFAULT_TIME_BUDGET_SECONDS,
-    seed: int = 7,
-) -> ExperimentReport:
-    """Exp-12: process-parallel sharded serving from per-shard snapshots.
-
-    One workload, three execution regimes over the same graph:
-
-    * ``serial`` — the flat service, one thread;
-    * ``threads-N`` — the sharded router fanning shard groups out over a
-      thread pool (GIL-bound for the pure-Python hot path);
-    * ``processes-N`` — a router booted with
-      :meth:`~repro.service.ShardedTspgService.from_shard_snapshots` from
-      the shard set written by :meth:`~repro.service.ShardedTspgService.save_shards`,
-      fanning shard groups out over a ``ProcessPoolExecutor`` whose workers
-      boot from their shard's snapshot file.
-
-    Every regime's per-query results are cross-checked against the serial
-    baseline (``identical`` column); the wall-clock ratio of the thread and
-    process rows is the multi-core speedup the process backend exists for
-    (meaningful only when more than one CPU is actually available — the
-    note records the visible CPU count).
-    """
-    report = ExperimentReport(
-        experiment=f"Exp-12 (process shards, {dataset_key})",
-        description=(
-            f"Thread vs snapshot-booted process batch backend for "
-            f"{num_queries} queries ({algorithm}, {num_shards} shards, "
-            f"{workers} workers)"
-        ),
-    )
-    graph = _load(dataset_key)
-    spec = get_dataset(dataset_key)
-    shard_overlap = overlap if overlap is not None else spec.default_theta
-    queries = list(_workload(graph, dataset_key, num_queries, seed=seed))
-
-    cleanup = shard_dir is None
-    if shard_dir is None:
-        shard_dir = tempfile.mkdtemp(suffix=".tspgshards")
-    try:
-        router = ShardedTspgService(
-            graph, num_shards, overlap=shard_overlap, default_algorithm=algorithm
-        )
-        manifest = router.save_shards(shard_dir)
-        serial = TspgService(graph, default_algorithm=algorithm).run_batch(
-            queries, use_cache=False, time_budget_seconds=time_budget_seconds
-        )
-        threaded = router.run_batch(
-            queries, max_workers=workers, use_cache=False, executor="threads",
-            time_budget_seconds=time_budget_seconds,
-        )
-        booted = ShardedTspgService.from_shard_snapshots(
-            shard_dir, default_algorithm=algorithm
-        )
-        processed = booted.run_batch(
-            queries, max_workers=workers, use_cache=False, executor="processes",
-            time_budget_seconds=time_budget_seconds,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(shard_dir, ignore_errors=True)
-
-    def matches_serial(batch) -> bool:
-        return all(
-            item.completed
-            and base.completed
-            and item.outcome.result.vertices == base.outcome.result.vertices
-            and item.outcome.result.edges == base.outcome.result.edges
-            for item, base in zip(batch.items, serial.items)
-        )
-
-    for mode, batch, identical in (
-        ("serial", serial, True),
-        (f"threads-{workers}", threaded, matches_serial(threaded)),
-        (f"processes-{workers}", processed, matches_serial(processed)),
-    ):
-        report.add_row(
-            mode=mode,
-            executor=batch.executor,
-            wall_s=round(batch.wall_seconds, 4),
-            qps=round(batch.queries_per_second, 1),
-            identical=identical,
-        )
-        report.add_point("wall_s", mode, round(batch.wall_seconds, 4))
-    speedup = (
-        threaded.wall_seconds / processed.wall_seconds
-        if processed.wall_seconds > 0
-        else float("inf")
-    )
-    report.add_note(
-        f"process backend is {speedup:.2f}x the thread backend "
-        f"({available_cpus()} CPUs visible; the GIL keeps threads ≈ serial "
-        f"on the pure-Python hot path)"
-    )
-    report.add_note(
-        f"shard manifest: {manifest.num_shards} shards, overlap "
-        f"{manifest.overlap}, epoch {manifest.epoch}, span {manifest.span}"
-    )
-    report.add_note(
-        f"processes routed={dict(sorted(processed.routed.items()))} "
-        f"(fallback={processed.num_fallback}, ran on the parent's threads)"
-    )
-    return report
-
-
-# ----------------------------------------------------------------------
-# Exp-13 (persistent serving pool + cooperative deadlines; no paper analogue)
+# Exp-13 (worker pool vs serial + cooperative deadlines; no paper analogue)
 # ----------------------------------------------------------------------
 def exp13_serving_pool(
     dataset_key: str = "D10",
@@ -692,36 +561,39 @@ def exp13_serving_pool(
     time_budget_seconds: float = DEFAULT_TIME_BUDGET_SECONDS,
     seed: int = 7,
 ) -> ExperimentReport:
-    """Exp-13: persistent serving pools and cooperative per-query deadlines.
+    """Exp-13: batches on a worker pool against serial, and per-query deadlines.
 
-    Two serving-loop regimes answer the *same* sequence of identical
-    batches through the process backend, from the same snapshot:
+    One snapshot-booted service answers the *same* batch, with the result
+    cache off, three ways:
 
-    * ``per-batch-boot-K`` — a plain :class:`TspgService` builds (and tears
-      down) a fresh ``ProcessPoolExecutor`` per batch, so every batch pays
-      worker fork + snapshot boot again — the pre-pool behaviour;
-    * ``pool-K`` — the same service with a persistent
-      :class:`~repro.service.WorkerPool` attached: batch 1 boots the
-      workers, every later batch reuses them warm.
+    * ``serial`` — no pool attached, so the batch runs on the calling
+      thread;
+    * ``per-batch-boot-K`` — a fresh :class:`~repro.service.WorkerPool`
+      per batch, so every batch pays worker fork, snapshot boot and
+      shutdown (timed around the pool's whole life);
+    * ``pool-K`` — one pool for every batch: batch 1 boots the workers,
+      every later batch reuses them warm.
 
-    The ratio of the last per-batch-boot batch over the last pool batch is
-    the amortisation the pool exists for.  A third regime, ``deadline-cutoff``,
-    runs the workload serially under a deliberately too-small budget and
-    reports the cut-off *overshoot* — how far past the budget the batch
-    ran — which the cooperative per-query deadlines keep within the
-    documented slack (one uninterruptible phase of a single query) instead
-    of one whole in-flight query of arbitrary cost.
+    The last per-batch-boot batch over the last pool batch is the
+    amortisation the persistent pool exists for, and serial over the last
+    pool batch is what the pool earns over not having one.  A fourth
+    regime, ``deadline-cutoff``, runs the workload serially under a
+    deliberately too-small budget and reports the cut-off *overshoot* —
+    how far past the budget the batch ran — which the cooperative
+    per-query deadlines keep within the documented slack (one
+    uninterruptible phase of a single query) instead of one whole
+    in-flight query of arbitrary cost.
 
-    Every regime's in-budget results are cross-checked against a serial
-    no-deadline baseline (``identical`` column) — deadline polls are
+    Every regime's in-budget results are cross-checked against the serial
+    no-deadline batch (``identical`` column) — deadline polls are
     read-only, so finishing in budget must be bit-identical.
     """
     report = ExperimentReport(
         experiment=f"Exp-13 (serving pool, {dataset_key})",
         description=(
-            f"Per-batch worker boot vs persistent pool, and deadline "
-            f"cut-off promptness, for {num_batches}x{num_queries} queries "
-            f"({algorithm}, {workers} workers)"
+            f"Serial vs per-batch worker boot vs persistent pool, and "
+            f"deadline cut-off promptness, for {num_batches}x{num_queries} "
+            f"queries ({algorithm}, {workers} workers)"
         ),
     )
     graph = _load(dataset_key)
@@ -733,9 +605,19 @@ def exp13_serving_pool(
         os.close(handle)
     try:
         SnapshotGraphStore(snapshot_path).save(graph)
-        serial = TspgService(graph, default_algorithm=algorithm).run_batch(
-            queries, use_cache=False, time_budget_seconds=time_budget_seconds
+        service = TspgService.from_snapshot(
+            snapshot_path, default_algorithm=algorithm
         )
+
+        def run_batch():
+            # Caching is off: the point is measuring the compute path, and
+            # a warm parent cache would short-circuit every repeat batch.
+            return service.run_batch(
+                queries, max_workers=workers, use_cache=False,
+                time_budget_seconds=time_budget_seconds,
+            )
+
+        serial = run_batch()
 
         def matches_serial(batch) -> bool:
             return all(
@@ -747,56 +629,55 @@ def exp13_serving_pool(
                 for item, base in zip(batch.items, serial.items)
             )
 
-        def run_batches(service) -> List:
-            # Caching is off: the point is measuring the compute path, and
-            # a warm parent cache would short-circuit every repeat batch.
-            return [
-                service.run_batch(
-                    queries, max_workers=workers, use_cache=False,
-                    executor="processes",
-                    time_budget_seconds=time_budget_seconds,
-                )
-                for _ in range(num_batches)
-            ]
-
-        cold_batches = run_batches(
-            TspgService.from_snapshot(snapshot_path, default_algorithm=algorithm)
-        )
+        cold_batches = []
+        for _ in range(num_batches):
+            started = time.perf_counter()
+            with WorkerPool(max_workers=workers) as fresh:
+                service.attach_pool(fresh)
+                batch = run_batch()
+            # The regime's cost is the pool's whole life: fork, boot, the
+            # batch and the shutdown.
+            batch.wall_seconds = time.perf_counter() - started
+            cold_batches.append(batch)
         with WorkerPool(max_workers=workers) as pool:
-            pool_batches = run_batches(
-                TspgService.from_snapshot(
-                    snapshot_path, default_algorithm=algorithm, pool=pool
-                )
-            )
+            service.attach_pool(pool)
+            pool_batches = [run_batch() for _ in range(num_batches)]
             pool_stats = pool.stats()
 
+        def add_row(mode: str, batch) -> None:
+            report.add_row(
+                mode=mode,
+                executor=batch.executor,
+                wall_s=round(batch.wall_seconds, 4),
+                qps=round(batch.queries_per_second, 1),
+                identical=matches_serial(batch),
+                budget_s=None,
+                overshoot_s=None,
+            )
+            report.add_point("wall_s", mode, round(batch.wall_seconds, 4))
+
+        add_row("serial", serial)
         for prefix, batches in (
             ("per-batch-boot", cold_batches),
             ("pool", pool_batches),
         ):
             for index, batch in enumerate(batches, start=1):
-                mode = f"{prefix}-{index}"
-                report.add_row(
-                    mode=mode,
-                    executor=batch.executor,
-                    wall_s=round(batch.wall_seconds, 4),
-                    qps=round(batch.queries_per_second, 1),
-                    identical=matches_serial(batch),
-                    budget_s=None,
-                    overshoot_s=None,
-                )
-                report.add_point("wall_s", mode, round(batch.wall_seconds, 4))
+                add_row(f"{prefix}-{index}", batch)
 
+        warm_s = pool_batches[-1].wall_seconds
         warm_speedup = (
-            cold_batches[-1].wall_seconds / pool_batches[-1].wall_seconds
-            if pool_batches[-1].wall_seconds > 0
-            else float("inf")
+            cold_batches[-1].wall_seconds / warm_s if warm_s > 0 else float("inf")
         )
+        serial_speedup = serial.wall_seconds / warm_s if warm_s > 0 else float("inf")
         report.add_note(
             f"warm pool batch is {warm_speedup:.2f}x the per-batch-boot "
             f"batch (pool generation {pool_stats['generation']}, "
             f"{pool_stats['batches_served']} batches served by one worker "
             f"set; per-batch boot re-forks and re-boots every time)"
+        )
+        report.add_note(
+            f"warm pool batch is {serial_speedup:.2f}x the serial batch "
+            f"({available_cpus()} CPUs visible)"
         )
 
         # Deadline promptness: a serial run under a budget that expires
@@ -842,6 +723,5 @@ EXPERIMENTS = {
     "exp7": exp7_edges_vs_paths,
     "exp8": exp8_case_study,
     "exp9": exp9_batch_throughput,
-    "exp12": exp12_process_shards,
     "exp13": exp13_serving_pool,
 }

@@ -4,11 +4,11 @@
 main operations:
 
 * ``query``       — run one tspG query on an edge-list file or a built-in dataset;
-* ``batch``       — serve many queries through the batch service (worker pool +
-  cache), optionally booting from a snapshot (or a per-shard snapshot set),
-  sharding by time range and/or fanning out over worker processes;
-* ``serve``       — long-lived JSONL request loop over a persistent worker
-  pool (boot once, answer batch after batch with warm workers); stdio by
+* ``batch``       — serve many queries through the batch service (result
+  cache, and worker processes when ``--workers > 1``), optionally booting
+  from a snapshot (or a per-shard snapshot set) and sharding by time range;
+* ``serve``       — long-lived JSONL request loop (boot once, answer batch
+  after batch with warm worker processes when ``--workers > 1``); stdio by
   default, or an asyncio TCP front end with ``--listen HOST:PORT`` that
   multiplexes many concurrent clients with admission control;
 * ``warm``        — build every index of a graph and save a binary snapshot
@@ -19,7 +19,7 @@ main operations:
 * ``datasets``    — list the synthetic dataset analogues and their statistics
   (plus the ``synth-scale`` streaming generator's parameters, never loaded);
 * ``experiment``  — run one of the paper's experiments (table1, exp1 … exp8) or
-  a service experiment (exp9, exp12, exp13);
+  a service experiment (exp9, exp13);
 * ``case-study``  — reproduce the SFMTA transit case study (Fig. 13).
 
 ``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the v4/v5
@@ -54,7 +54,6 @@ from .service import (
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_MAX_LINE_BYTES,
     DEFAULT_MAX_PENDING_PER_CLIENT,
-    EXECUTOR_BACKENDS,
     RequestCore,
     ShardedTspgService,
     TspgServer,
@@ -116,12 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--algorithm", default="VUG", choices=available_algorithms(), help="algorithm to use"
     )
-    batch.add_argument("--workers", type=int, default=1, help="worker count (1 = serial)")
     batch.add_argument(
-        "--executor", choices=EXECUTOR_BACKENDS, default="threads",
-        help="batch backend: GIL-bound threads, or processes booted from "
-        "snapshots (needs --shard-snapshots, or --snapshot without "
-        "--shards; falls back to threads otherwise, with a note)",
+        "--workers", type=int, default=1,
+        help="worker processes (1 = serial); above 1 a worker pool boots "
+        "from the snapshots (needs --shard-snapshots, or --snapshot "
+        "without --shards; batches run serially otherwise, with a note)",
     )
     batch.add_argument("--budget", type=float, default=None, help="batch time budget in seconds")
     batch.add_argument(
@@ -187,13 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="worker count per batch request (1 = serial) and the "
-        "persistent pool's width",
-    )
-    serve.add_argument(
-        "--executor", choices=EXECUTOR_BACKENDS, default="processes",
-        help="batch backend; 'processes' (default) attaches a persistent "
-        "worker pool so repeated batches reuse booted workers",
+        help="worker count per batch request (1 = serial), the width of "
+        "the worker process pool attached when above 1 (repeated batches "
+        "reuse its booted workers) and, with --listen, of the request "
+        "thread pool",
     )
     serve.add_argument(
         "--budget", type=float, default=None,
@@ -312,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--queries", type=int, default=bench_experiments.DEFAULT_NUM_QUERIES)
     experiment.add_argument("--thetas", type=int, nargs="*", default=[6, 8, 10, 12])
     experiment.add_argument(
-        "--workers", type=int, default=4, help="worker-pool width for exp9/exp12/exp13"
+        "--workers", type=int, default=4, help="worker-pool width for exp13"
     )
 
     sub.add_parser("case-study", help="reproduce the SFMTA transit case study")
@@ -407,6 +402,12 @@ def _print_residency_line(service, file: Optional[TextIO] = None) -> None:
 def _command_batch(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
+    if args.num_queries < 1:
+        raise SystemExit("--num-queries must be at least 1")
+    if args.theta is not None and args.theta < 2:
+        raise SystemExit("--theta must be at least 2")
+    if args.repeat < 1:
+        raise SystemExit("--repeat must be at least 1")
     if args.cache_size < 0:
         raise SystemExit("--cache-size must be non-negative")
     if args.shards < 1:
@@ -448,7 +449,7 @@ def _command_batch(args: argparse.Namespace) -> int:
                 graph = SnapshotGraphStore(args.snapshot, mmap=args.mmap).load()
             else:
                 # Boot through from_snapshot so the snapshot stays attached
-                # and --executor processes has a file to boot workers from.
+                # and pool workers have a file to boot from.
                 service = TspgService.from_snapshot(
                     args.snapshot, mmap=args.mmap, residency=args.residency,
                     default_algorithm=args.algorithm, cache_size=args.cache_size,
@@ -477,15 +478,21 @@ def _command_batch(args: argparse.Namespace) -> int:
             )
     use_cache = not args.no_cache
     rows = []
-    for pass_no in range(1, max(1, args.repeat) + 1):
-        report = service.run_batch(
-            queries,
-            max_workers=args.workers,
-            use_cache=use_cache,
-            time_budget_seconds=args.budget,
-            executor=args.executor,
-        )
-        rows.append({"pass": pass_no, **report.as_row()})
+    # Forks lazily: a batch that cannot use the pool costs nothing.
+    pool = WorkerPool(max_workers=args.workers) if args.workers > 1 else None
+    service.attach_pool(pool)
+    try:
+        for pass_no in range(1, args.repeat + 1):
+            report = service.run_batch(
+                queries,
+                max_workers=args.workers,
+                use_cache=use_cache,
+                time_budget_seconds=args.budget,
+            )
+            rows.append({"pass": pass_no, **report.as_row()})
+    finally:
+        if pool is not None:
+            pool.close()
     if args.shard_snapshots:
         source = f"shard snapshots {args.shard_snapshots}"
         shard_note = f", {service.num_shards} shards"
@@ -510,39 +517,34 @@ def _command_batch(args: argparse.Namespace) -> int:
     )
     if args.residency:
         _print_residency_line(service)
-    if args.executor == "processes" and all(
-        row["executor"] != "processes" for row in rows
-    ):
-        # Name the *specific* degrade condition(s) instead of re-listing
-        # every possibility: the service knows exactly why it fell back.
+    if args.workers > 1 and all(row["executor"] != "processes" for row in rows):
+        # Name the *specific* condition(s) instead of re-listing every
+        # possibility: the service knows exactly why it ran serially.
         reasons = service.process_fallback_reasons(max_workers=args.workers)
         if len(queries) <= 1:
-            # Batch-size is the one degrade condition only the caller can
-            # see (run_batch executes <=1-query batches serially).
+            # Batch size is the one condition only the caller can see.
             reasons.append("a batch of one query runs serially")
         fallback_routed = sum(row.get("fallback") or 0 for row in rows)
         if not reasons and fallback_routed:
             # A sharded batch whose queries all routed to the full-graph
             # fallback never engages workers either — the fallback has no
-            # per-shard file and always runs on the parent's threads.
+            # per-shard file and always runs in this process.
             reasons.append(
                 f"{fallback_routed} quer{'y was' if fallback_routed == 1 else 'ies were'} "
                 "routed to the full-graph fallback (interval wider than "
-                "every shard extent), which always runs on the parent's "
-                "threads — widen --shard-overlap to keep them shard-local"
+                "every shard extent), which always runs in this process "
+                "— widen --shard-overlap to keep them shard-local"
             )
-        if reasons:
-            print(
-                "note: no pass ran on the process backend — "
-                + "; ".join(reasons)
-                + " — computation ran on threads"
+        if not reasons:
+            reasons.append(
+                "the result cache answered all but at most one query of "
+                "every pass"
             )
-        else:
-            print(
-                "note: no pass ran on the process backend — every query "
-                "was answered from the result cache, so no worker process "
-                "was needed"
-            )
+        print(
+            "note: no pass ran on the worker pool — "
+            + "; ".join(reasons)
+            + " — computation ran serially"
+        )
     return 0
 
 
@@ -575,6 +577,19 @@ def _serve_service(args: argparse.Namespace, pool: Optional[WorkerPool]):
         pool=pool,
     )
     return service, source
+
+
+def _print_serial_note(args: argparse.Namespace, service) -> None:
+    """Tell the operator why batches will not reach the worker pool."""
+    if args.workers <= 1:
+        return
+    reasons = service.process_fallback_reasons(max_workers=args.workers)
+    if reasons:
+        print(
+            "note: batches will run serially — " + "; ".join(reasons),
+            file=sys.stderr,
+            flush=True,
+        )
 
 
 def _parse_listen(value: str) -> tuple:
@@ -614,6 +629,8 @@ def _serve_listen(args: argparse.Namespace, core: RequestCore, source: str) -> i
             file=sys.stderr,
             flush=True,
         )
+        # After the banner: its first line is where clients find the port.
+        _print_serial_note(args, core.service)
         try:
             await server.serve_forever()
         finally:
@@ -667,7 +684,8 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
         raise SystemExit("--max-inflight must be at least 1")
     if args.max_pending < 1:
         raise SystemExit("--max-pending must be at least 1")
-    pool = WorkerPool(max_workers=args.workers) if args.executor == "processes" else None
+    # Forks lazily, on the first batch that runs on it.
+    pool = WorkerPool(max_workers=args.workers) if args.workers > 1 else None
     opened = None
     try:
         try:
@@ -682,31 +700,19 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
             )
         core = RequestCore(
             service,
-            pool=pool,
             default_workers=args.workers,
-            default_executor=args.executor,
             default_budget_seconds=args.budget,
             evict_every=args.evict_every,
         )
         if args.listen:
             return _serve_listen(args, core, source)
-        reasons = (
-            service.process_fallback_reasons(max_workers=args.workers)
-            if args.executor == "processes"
-            else []
-        )
         print(
             f"serving {source} (algorithm {args.algorithm}, "
-            f"{args.workers} workers, executor {args.executor}"
-            + (
-                "; note: process batches will degrade to threads — "
-                + "; ".join(reasons)
-                if reasons
-                else ""
-            )
-            + "); one JSON request per line, EOF or {\"op\": \"quit\"} ends",
+            f"{args.workers} workers); one JSON request per line, EOF or "
+            '{"op": "quit"} ends',
             file=sys.stderr,
         )
+        _print_serial_note(args, service)
         if stdin is None:
             if args.input:
                 stdin = opened = open(args.input, "r", encoding="utf-8")
@@ -866,16 +872,14 @@ def _command_experiment(args: argparse.Namespace) -> int:
     elif name in {"table1", "exp8"}:
         report = driver()
     elif name == "exp9":
-        report = driver(
-            args.dataset, num_queries=args.queries, workers=(1, args.workers)
-        )
-    elif name in {"exp12", "exp13"}:
+        report = driver(args.dataset, num_queries=args.queries)
+    elif name == "exp13":
         report = driver(args.dataset, num_queries=args.queries, workers=args.workers)
     else:
         report = driver(keys=args.datasets, num_queries=args.queries)
     if name in {"exp2", "exp5-fig10", "exp6", "exp7"}:
         x_label = "theta"
-    elif name in {"exp9", "exp12", "exp13"}:
+    elif name in {"exp9", "exp13"}:
         x_label = "mode"
     else:
         x_label = "dataset"

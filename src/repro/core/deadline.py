@@ -55,8 +55,8 @@ class Deadline:
     """An absolute instant (``time.monotonic()`` scale) a query must meet.
 
     Frozen and picklable by construction: the one field is a float on the
-    system-wide monotonic scale, so a deadline crosses the
-    ``ProcessPoolExecutor`` boundary losslessly and the worker-side
+    system-wide monotonic scale, so a deadline crosses a worker pool's
+    process boundary losslessly and the worker-side
     remaining budget is recomputed against the worker's own reading of the
     same clock (valid on one machine within one boot — exactly the
     deployments a local worker pool serves).

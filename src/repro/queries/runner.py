@@ -87,17 +87,8 @@ class QueryRunner:
         across this many time-range shards (``shard_overlap`` widens their
         extents).  Results are identical to the unsharded path; only the
         serving topology changes.
-    executor:
-        Default batch backend of every service this runner builds
-        (``"threads"`` or ``"processes"``); the process backend additionally
-        needs snapshots to boot workers from (``graph_from_snapshot`` /
-        ``graph_from_shard_snapshots``), degrading to threads otherwise.
-    pool:
-        Optional persistent :class:`~repro.service.WorkerPool` attached to
-        every service this runner builds, so repeated process-backend
-        batches reuse the same long-lived workers instead of re-booting a
-        fresh executor per batch.  The pool's lifecycle stays the
-        caller's — the runner never closes it.
+
+    Queries run one at a time through the service's :meth:`submit`.
     """
 
     time_budget_seconds: Optional[float] = None
@@ -105,8 +96,6 @@ class QueryRunner:
     use_cache: bool = False
     num_shards: int = 1
     shard_overlap: int = 0
-    executor: str = "threads"
-    pool: Optional[object] = None
     # One service per graph so index warming and (optional) memoization are
     # shared across run_workload/run_all/run_single calls.  Keyed by id();
     # the strong reference keeps each graph alive, so ids cannot be reused.
@@ -123,13 +112,10 @@ class QueryRunner:
             # submit, so toggling it after the first call still works.
             if self.num_shards > 1:
                 service = ShardedTspgService(
-                    graph, self.num_shards, overlap=self.shard_overlap,
-                    executor=self.executor, pool=self.pool,
+                    graph, self.num_shards, overlap=self.shard_overlap
                 )
             else:
-                service = TspgService(
-                    graph, executor=self.executor, pool=self.pool,
-                )
+                service = TspgService(graph)
             self._services[id(graph)] = service
         return service
 
@@ -140,9 +126,7 @@ class QueryRunner:
         ``run_workload``/``run_single`` call against it reuses the
         snapshot-warmed indices instead of rebuilding them — the O(read)
         cold-start path of :meth:`TspgService.from_snapshot`, kept behind the
-        runner's one-service-per-graph bookkeeping.  On an unsharded runner
-        the snapshot path stays attached to the service, so
-        ``executor="processes"`` batches can boot their workers from it.
+        runner's one-service-per-graph bookkeeping.
         """
         from ..service import ShardedTspgService, TspgService  # deferred: cycle
 
@@ -151,13 +135,10 @@ class QueryRunner:
 
             graph = load_snapshot(path)
             self._services[id(graph)] = ShardedTspgService(
-                graph, self.num_shards, overlap=self.shard_overlap,
-                executor=self.executor, pool=self.pool,
+                graph, self.num_shards, overlap=self.shard_overlap
             )
         else:
-            service = TspgService.from_snapshot(
-                path, executor=self.executor, pool=self.pool,
-            )
+            service = TspgService.from_snapshot(path)
             graph = service.graph
             self._services[id(graph)] = service
         return graph
@@ -169,9 +150,7 @@ class QueryRunner:
         :class:`~repro.store.ShardSnapshotSet` directories (written by
         ``tspg warm --shards N`` or
         :meth:`~repro.service.ShardedTspgService.save_shards`): the router
-        boots one shard service per snapshot file and keeps the files
-        attached so ``executor="processes"`` batches fan out over worker
-        processes.
+        boots one shard engine per snapshot file.
 
         Note the runner keys its service registry by graph identity and
         hands workloads the graph object, so *this* entry point
@@ -183,9 +162,7 @@ class QueryRunner:
         """
         from ..service import ShardedTspgService  # deferred: cycle
 
-        router = ShardedTspgService.from_shard_snapshots(
-            path, executor=self.executor, pool=self.pool,
-        )
+        router = ShardedTspgService.from_shard_snapshots(path)
         graph = router.graph
         self._services[id(graph)] = router
         return graph

@@ -12,11 +12,11 @@ engine
 * memoizes results in a thread-safe LRU cache keyed by
   ``(source, target, interval, algorithm, epoch)`` — repeat queries are
   answered in dictionary-lookup time;
-* runs batches serially or on threads, under an optional per-batch
-  wall-clock budget (the batch analogue of the paper's 12-hour "INF"
-  cut-off), or hands them to worker processes that boot from the engine's
-  snapshot file (``run_batch(executor="processes")``), sidestepping the
-  GIL on the pure-Python hot path.
+* runs batches serially, under an optional per-batch wall-clock budget
+  (the batch analogue of the paper's 12-hour "INF" cut-off), or — with a
+  :class:`WorkerPool` attached — hands them to worker processes that boot
+  from the engine's snapshot file, sidestepping the GIL on the
+  pure-Python hot path.
 
 A flat :class:`TspgService` is the one-shard case: one engine over the
 graph itself.  :class:`ShardedTspgService` is the same service over N
@@ -39,10 +39,10 @@ Quickstart
 >>> repeat.num_cache_hits
 2
 
-For high-QPS serving loops a persistent :class:`WorkerPool` keeps the
-process backend's workers — and their snapshot-booted services, warmed
-views and caches — alive across batches (``tspg serve`` drives one), and
-batch budgets travel as cooperative per-query
+A :class:`WorkerPool` keeps its workers — and their snapshot-booted
+services, warmed views and caches — alive across batches (``tspg serve``
+and ``tspg batch`` attach one when ``--workers > 1``), and batch budgets
+travel as cooperative per-query
 :class:`~repro.core.deadline.Deadline` objects so an expired query frees
 its worker promptly.  See ``docs/serving.md`` for the full serving-layer
 tour; the CLI exposes the same machinery as ``tspg batch`` / ``tspg serve``.
@@ -53,7 +53,6 @@ from .cache import CacheStats, ResultCache
 from .pool import WorkerPool, WorkerPoolError
 from .service import (
     DEFAULT_CACHE_SIZE,
-    EXECUTOR_BACKENDS,
     BatchItem,
     BatchReport,
     TspgService,
@@ -85,7 +84,6 @@ __all__ = [
     "CacheStats",
     "Deadline",
     "DEFAULT_CACHE_SIZE",
-    "EXECUTOR_BACKENDS",
     "WorkerPool",
     "WorkerPoolError",
     "ShardedTspgService",

@@ -6,8 +6,8 @@ immutable (:class:`~repro.core.result.PathGraph` is a frozen dataclass over
 frozen sets), so sharing one cached object between callers is safe.
 
 The implementation is a classic ``OrderedDict`` LRU guarded by a lock — the
-executor threads of :class:`~repro.service.service.TspgService` hit the cache
-concurrently — with hit/miss/eviction counters surfaced through
+serving tier's threads hit a :class:`~repro.service.service.TspgService`'s
+cache concurrently — with hit/miss/eviction counters surfaced through
 :class:`CacheStats` for the throughput benchmark and the CLI.
 """
 
@@ -116,7 +116,7 @@ class ResultCache(Generic[Value]):
     def __contains__(self, key: CacheKey) -> bool:
         """Membership probe: counts no hit or miss and keeps LRU order.
 
-        Lock-free, so an event loop can probe while executor threads hold
+        Lock-free, so an event loop can probe while worker threads hold
         the lock: one dict lookup is atomic under the GIL, and
         :meth:`rekey` publishes its rewritten dict in one assignment.
         """

@@ -1,13 +1,9 @@
-"""Persistent serving pools: long-lived worker processes shared across batches.
+"""Persistent worker pools: long-lived worker processes shared across batches.
 
-The per-batch ``executor="processes"`` backend pays its start-up tax on
-*every* ``run_batch`` call: a fresh ``ProcessPoolExecutor`` is created, each
-worker forks, boots its :class:`~repro.service.TspgService` from the snapshot
-file, warms the columnar view — and then the whole apparatus is torn down
-with the batch.  For a one-shot CLI invocation that is the right shape; for
-a serving loop answering batch after batch it re-buys the boot cost forever.
-
-:class:`WorkerPool` is the long-lived alternative.  It owns one
+The pure-Python VUG phases hold the GIL, so the only way a batch uses more
+than one core is worker processes.  Forking them and booting a
+:class:`~repro.service.TspgService` from the snapshot file in each is paid
+once per pool, not once per batch: :class:`WorkerPool` owns one
 ``ProcessPoolExecutor`` whose worker processes survive across batches, so
 the per-worker snapshot-booted service cache
 (:data:`repro.service.service._WORKER_SERVICES`) — including the warmed
@@ -15,16 +11,16 @@ view and each worker's LRU result cache — is built once and then reused by
 every subsequent batch routed through the pool.  Attach one to a
 :class:`~repro.service.TspgService` — flat, or the sharded router, which
 shares the same batch path — with the ``pool=`` constructor argument or
-:meth:`~repro.service.TspgService.attach_pool`, and every
-``run_batch(executor="processes")`` call fans its engines' chunks out over
-the pool instead of building its own executor; ``tspg serve`` drives
-exactly this loop.
+:meth:`~repro.service.TspgService.attach_pool`, and every ``run_batch``
+with ``max_workers > 1`` over a current snapshot fans its engines' chunks
+out over the pool; ``tspg serve`` and ``tspg batch`` attach one when
+``--workers > 1``.
 
 Lifecycle
 ---------
 * The pool is a context manager; :meth:`close` (or leaving the ``with``
-  block) shuts the workers down.  Services fall back to their per-batch
-  executor when their attached pool is closed.
+  block) shuts the workers down.  Services run their batches serially
+  once their attached pool is closed.
 * Worker processes are forked lazily on the first submit, not at
   construction — a pool that never serves a process batch costs nothing.
 * **Worker death** (OOM kill, segfault, ``os._exit``) breaks a
@@ -87,7 +83,7 @@ class WorkerPool:
     >>> with WorkerPool(max_workers=4) as pool:              # doctest: +SKIP
     ...     service = TspgService.from_snapshot("g.tspgsnap", pool=pool)
     ...     for batch in batches:
-    ...         service.run_batch(batch, max_workers=4, executor="processes")
+    ...         service.run_batch(batch, max_workers=4)
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -116,8 +112,8 @@ class WorkerPool:
         """Shut the worker processes down; further submits raise.
 
         Idempotent.  Services with this pool attached degrade gracefully:
-        a closed pool makes their ``processes`` batches build a per-batch
-        executor again, exactly as if no pool had ever been attached.
+        their batches run serially again, exactly as if no pool had ever
+        been attached.
         """
         with self._lock:
             self._closed = True

@@ -73,7 +73,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 from ..algorithms import available_algorithms
 from ..core.deadline import Deadline
 from ..queries.query import TspgQuery
-from .pool import WorkerPool, WorkerPoolError
+from .pool import WorkerPoolError
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
@@ -410,17 +410,13 @@ class RequestCore:
         self,
         service,
         *,
-        pool: Optional[WorkerPool] = None,
         default_workers: int = 1,
-        default_executor: str = "threads",
         default_budget_seconds: Optional[float] = None,
         evict_every: int = 0,
         stats: Optional[ServerStats] = None,
     ) -> None:
         self.service = service
-        self.pool = pool
         self.default_workers = default_workers
-        self.default_executor = default_executor
         self.default_budget_seconds = default_budget_seconds
         self.evict_every = evict_every
         self.stats = stats or ServerStats()
@@ -729,7 +725,6 @@ class RequestCore:
             max_workers=workers,
             time_budget_seconds=budget,
             deadline=deadline,
-            executor=self.default_executor,
         )
         row = report.as_row()
         row["num_timed_out"] = report.num_timed_out
@@ -778,8 +773,9 @@ class RequestCore:
         residency = self.service.residency_stats()
         if residency is not None:
             response["residency"] = residency
-        if self.pool is not None:
-            response["pool"] = self.pool.stats()
+        pool = self.service.pool
+        if pool is not None:
+            response["pool"] = pool.stats()
         server = self.stats.as_dict()
         if self._gauges is not None:
             server.update(self._gauges())

@@ -8,7 +8,7 @@ edge of that window answers it exactly.  A service is therefore a
 once per epoch (sorted edge list, distinct timestamps and the frozen
 columnar :class:`~repro.graph.views.GraphView` the query pipeline runs
 on), memoizes results in a bounded LRU keyed by ``(source, target,
-interval, algorithm, epoch)``, and runs queries serially or on threads.
+interval, algorithm, epoch)``, and runs queries serially.
 A flat service — this class's own constructors — is the one-shard case:
 one engine over the source graph itself, with no projection, no
 fallback and no union.  :class:`~repro.service.sharding.ShardedTspgService`
@@ -16,19 +16,20 @@ adds time-range partitioning, the lazy full-graph fallback and the
 shard-set lifecycle; every other surface is written once, here.
 
 Batches (:meth:`TspgService.run_batch`) are grouped by routed engine and
-run on threads, or — with ``executor="processes"`` — in worker processes
-that boot their own service from the snapshot file each engine was booted
-from: true multi-core parallelism for the GIL-bound hot path, degrading to
-threads whenever no current snapshot exists.  A persistent
-:class:`~repro.service.pool.WorkerPool` keeps those workers (and their
-booted services) alive across batches.  Batch budgets and per-query
+run one of two ways.  With an open :class:`~repro.service.pool.WorkerPool`
+attached, a current snapshot behind every engine, ``max_workers > 1`` and
+more than one query the parent's cache cannot answer (the exact rule is
+on :meth:`TspgService.run_batch`), they fan out to the pool's long-lived
+worker processes, which boot their own service from the snapshot file
+each engine was booted from: true multi-core parallelism for the
+GIL-bound hot path.  Otherwise they run serially on the calling thread.  Batch budgets and per-query
 cut-offs travel as cooperative :class:`~repro.core.deadline.Deadline`
 objects into the algorithms, so an expired query yields a ``timed_out``
 row promptly instead of squatting on a worker past the budget.
 
 Every algorithm registered in :mod:`repro.algorithms` is available by name;
 instances are created once per service and shared across engines and
-worker threads — legal because every
+the serving tier's threads — legal because every
 :meth:`~repro.baselines.interface.TspgAlgorithm.compute` implementation in
 the library keeps its state on the stack.
 """
@@ -38,13 +39,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -66,20 +61,8 @@ AlgorithmSpec = Union[str, TspgAlgorithm]
 #: Default capacity of each engine's result cache.
 DEFAULT_CACHE_SIZE = 1024
 
-#: Batch execution backends accepted by ``run_batch(executor=...)``.
-EXECUTOR_BACKENDS = ("threads", "processes")
-
 #: Routing key of a router's full-graph fallback engine.
 FALLBACK_SHARD = -1
-
-
-def _validate_executor(executor: str) -> str:
-    if executor not in EXECUTOR_BACKENDS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of "
-            f"{', '.join(EXECUTOR_BACKENDS)}"
-        )
-    return executor
 
 
 def _chunk_positions(count: int, chunks: int) -> List[List[int]]:
@@ -100,7 +83,7 @@ def _chunk_positions(count: int, chunks: int) -> List[List[int]]:
 #: inside pool workers (the parent never calls the worker function), so a
 #: worker that receives several chunks of the same batch — or several
 #: batches from the same pool — boots its service exactly once.  The epoch
-#: and options are part of the key because a *persistent* pool outlives
+#: and options are part of the key because the pool outlives
 #: service generations: re-warming a different graph over the same path
 #: (or booting a same-path service with different options) must re-boot
 #: here instead of silently serving the stale cached service.  Older
@@ -152,14 +135,13 @@ def _snapshot_worker_run_batch(
     snapshot_mmap: bool = False,
     snapshot_interval=None,
     snapshot_residency: bool = False,
-    max_workers: int = 1,
 ) -> BatchReport:
-    """Process-pool worker: boot from a snapshot, answer a sub-batch.
+    """Pool worker: boot from a snapshot, answer a sub-batch serially.
 
-    Runs inside a ``ProcessPoolExecutor`` worker.  Everything crossing the
-    process boundary is picklable by construction: the snapshot *path* in,
-    frozen :class:`~repro.queries.query.TspgQuery` dataclasses in, and a
-    plain :class:`BatchReport` of frozen results out.
+    Runs inside a :class:`~repro.service.pool.WorkerPool` worker.
+    Everything crossing the process boundary is picklable by construction:
+    the snapshot *path* in, frozen :class:`~repro.queries.query.TspgQuery`
+    dataclasses in, and a plain :class:`BatchReport` of frozen results out.
 
     The batch budget crosses as an absolute ``deadline_at`` instant on the
     monotonic clock rather than a duration: a chunk may sit queued behind
@@ -170,10 +152,9 @@ def _snapshot_worker_run_batch(
     algorithms, so a query the budget has expired on cuts itself off
     inside this worker too.
 
-    In a persistent :class:`~repro.service.pool.WorkerPool` the module-level
-    service cache outlives the batch: the second batch served by this
-    worker finds its booted service (warmed view, result cache and all)
-    already here.
+    The module-level service cache outlives the batch: the second batch
+    served by this worker finds its booted service (warmed view, result
+    cache and all) already here.
 
     ``snapshot_mmap`` propagates the parent's active mmap boot: each
     worker then maps the same snapshot file instead of unpickling a
@@ -217,7 +198,7 @@ def _snapshot_worker_run_batch(
                 f"{snapshot_path}: snapshot was rewritten since the "
                 f"serving side attached it (worker booted epoch "
                 f"{service.graph.epoch}, expected {snapshot_epoch}); "
-                f"re-warm and re-attach before using the process backend"
+                f"re-warm and re-attach before running batches on the pool"
             )
         # One generation per file: drop services booted from an *older
         # write* of this path.  Entries whose signature still matches the
@@ -242,11 +223,7 @@ def _snapshot_worker_run_batch(
     if deadline_at is not None:
         deadline = Deadline(at_monotonic=deadline_at)
     return service.run_batch(
-        queries,
-        algorithm,
-        max_workers=max_workers,
-        use_cache=use_cache,
-        deadline=deadline,
+        queries, algorithm, use_cache=use_cache, deadline=deadline
     )
 
 
@@ -262,14 +239,12 @@ class BatchItem:
 
     @property
     def completed(self) -> bool:
-        """``True`` when the query produced a result within the batch budget.
+        """``True`` when the query ran: it was not skipped by the batch budget.
 
-        An in-flight query that the budget cut off may still populate
-        :attr:`outcome` when its thread finishes (threads cannot be
-        interrupted), but it stays ``skipped`` — and not completed — so the
-        report reflects what the batch delivered on time.
+        A query the budget cut off mid-run completes with a ``timed_out``
+        outcome (see :attr:`BatchReport.num_timed_out`).
         """
-        return self.outcome is not None and not self.skipped
+        return self.outcome is not None
 
 
 @dataclass
@@ -281,29 +256,29 @@ class BatchReport:
     wall_seconds: float = 0.0
     num_workers: int = 1
     timed_out: bool = False
-    #: Backend that actually executed the computed queries: ``"threads"``
-    #: (also used for serial runs) or ``"processes"``.  Records the
-    #: *effective* backend, which is ``"threads"`` for a ``processes``
-    #: request whenever any of the degrade conditions held:
+    #: Where the computed queries ran: ``"processes"`` when the batch fanned
+    #: out over the service's attached :class:`~repro.service.pool.WorkerPool`,
+    #: ``"serial"`` when it ran on the calling thread.  A batch runs
+    #: serially whenever any of these holds:
     #:
+    #: * **no open pool** — none is attached, or the attached one is closed;
+    #: * **serial request** — ``max_workers=1``;
+    #: * **instance algorithm** — the algorithm was passed as a configured
+    #:   instance rather than a registry name and cannot be shipped across
+    #:   the process boundary;
     #: * **no snapshot** — the service was not booted via
     #:   :meth:`TspgService.from_snapshot` (flat) /
     #:   ``save_shards``/``from_shard_snapshots`` (sharded), so workers
     #:   have no file to boot from;
     #: * **stale snapshot** — the graph mutated since the snapshot was
     #:   taken (the epoch guard), so workers would boot an old edge set;
-    #: * **instance algorithm** — the algorithm was passed as a configured
-    #:   instance rather than a registry name and cannot be shipped across
-    #:   the process boundary;
-    #: * **serial request** — ``max_workers=1`` (or a ≤1-query batch)
-    #:   always runs serially, on no backend at all;
-    #: * **all cache hits** — every query was answered from the
-    #:   parent-side result cache, so no worker ever ran.
+    #: * **≤1 query left** — after the parent-side result cache answered
+    #:   its hits, at most one query needed computing.
     #:
-    #: :meth:`TspgService.process_fallback_reasons` reports which of these
-    #: applied (the CLI's explanatory note is built from it); ``as_row()``
-    #: exposes this field as the ``executor`` column.
-    executor: str = "threads"
+    #: :meth:`TspgService.process_fallback_reasons` reports which of the
+    #: first five applies (the CLI's explanatory note is built from it);
+    #: ``as_row()`` exposes this field as the ``executor`` column.
+    executor: str = "serial"
 
     @property
     def num_queries(self) -> int:
@@ -329,9 +304,7 @@ class BatchReport:
         return sum(
             1
             for item in self.items
-            if item.outcome is not None
-            and item.outcome.timed_out
-            and not item.skipped
+            if item.outcome is not None and item.outcome.timed_out
         )
 
     @property
@@ -343,7 +316,7 @@ class BatchReport:
 
     def results(self) -> List[Optional[AlgorithmResult]]:
         """Per-query outcomes aligned with the submitted order (``None`` = skipped)."""
-        return [item.outcome if item.completed else None for item in self.items]
+        return [item.outcome for item in self.items]
 
     def as_row(self) -> Dict[str, object]:
         """Flat dict for table rendering."""
@@ -382,11 +355,11 @@ class _Engine:
     once per graph epoch with delta-aware cache invalidation.  It
     *caches* results in an LRU whose keys embed the warmed epoch, and
     answers the lock-free :meth:`ready_within` verdict.  It *runs* one
-    query, or a batch serially or on threads, and keeps the time its
-    caller recorded for its last miss.  The owning service resolves
-    algorithm names and hands instances in.  ``snapshot_path`` and
-    ``snapshot_interval`` name the file (and time extent) a process worker
-    boots an identical engine from; ``None`` when there is none.
+    query, or a batch serially, and keeps the time its caller recorded
+    for its last miss.  The owning service resolves algorithm names and
+    hands instances in.  ``snapshot_path`` and ``snapshot_interval`` name
+    the file (and time extent) a pool worker boots an identical engine
+    from; ``None`` when there is none.
     """
 
     def __init__(self, graph: TemporalGraph, cache_size: int) -> None:
@@ -534,8 +507,8 @@ class _Engine:
     def cache_lookup(self, item: "BatchItem", algorithm: TspgAlgorithm) -> bool:
         """Fill ``item`` from the cache; ``True`` on a hit.
 
-        The parent-side peek the process backend uses so memoized queries
-        never cross the process boundary (worker processes cannot see this
+        The parent-side peek a pool batch takes so memoized queries never
+        cross the process boundary (worker processes cannot see this
         cache); mirrors :meth:`submit`'s hit path exactly.
         """
         hit = self._lookup(self._cache_key(item.query, algorithm))
@@ -554,7 +527,7 @@ class _Engine:
         cut-offs and hits are never stored.
         """
         outcome = item.outcome
-        if outcome is None or outcome.timed_out or item.cache_hit or item.skipped:
+        if outcome is None or outcome.timed_out or item.cache_hit:
             return
         self._cache.put(self._cache_key(item.query, algorithm), outcome)
 
@@ -606,109 +579,28 @@ class _Engine:
         self,
         report: "BatchReport",
         algorithm: TspgAlgorithm,
-        workers: int,
         use_cache: bool,
         deadline: Optional[Deadline],
+        lookup: bool = True,
     ) -> None:
-        """Answer ``report``'s items in place, serially or on threads."""
-        if workers == 1 or len(report.items) <= 1:
-            self._run_batch_serial(report, algorithm, use_cache, deadline)
-        else:
-            self._run_batch_parallel(report, algorithm, workers, use_cache, deadline)
+        """Answer ``report``'s items in place, serially, in order.
 
-    def _run_one(
-        self,
-        item: "BatchItem",
-        algorithm: TspgAlgorithm,
-        use_cache: bool,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        """Execute one batch item in place (runs on a worker thread)."""
-        started = time.perf_counter()
-        outcome = self.submit(item.query, algorithm, use_cache, deadline)
-        item.outcome = outcome
-        item.cache_hit = bool(outcome.extras.get("cache_hit"))
-        item.elapsed_seconds = time.perf_counter() - started
-
-    def _run_batch_serial(
-        self,
-        report: "BatchReport",
-        algorithm: TspgAlgorithm,
-        use_cache: bool,
-        deadline: Optional[Deadline],
-    ) -> None:
+        An item the deadline finds expired before it starts is skipped and
+        flags the report ``timed_out``.  ``lookup=False`` (items whose
+        cache lookup already missed) is passed on to :meth:`submit`.
+        """
         for item in report.items:
             if deadline is not None and deadline.expired():
                 item.skipped = True
                 report.timed_out = True
                 continue
-            self._run_one(item, algorithm, use_cache, deadline)
-
-
-    def _run_batch_parallel(
-        self,
-        report: BatchReport,
-        algorithm: TspgAlgorithm,
-        workers: int,
-        use_cache: bool,
-        deadline: Optional[Deadline],
-    ) -> None:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="tspg-batch"
-        ) as executor:
-            futures: Dict[Future, BatchItem] = {
-                executor.submit(
-                    self._run_one, item, algorithm, use_cache, deadline
-                ): item
-                for item in report.items
-            }
-            remaining: Optional[float] = None
-            if deadline is not None:
-                remaining = deadline.remaining()
-            #: Items still in flight at the budget cut-off (uncancellable).
-            late: List[BatchItem] = []
-            done, not_done = wait(futures, timeout=remaining, return_when=FIRST_EXCEPTION)
-            failed = any(
-                not future.cancelled() and future.exception() is not None
-                for future in done
+            started = time.perf_counter()
+            outcome = self.submit(
+                item.query, algorithm, use_cache, deadline, lookup=lookup
             )
-            if failed:
-                # A worker blew up: cancel whatever has not started so the
-                # error surfaces promptly (raised below, after the pool
-                # joins).  This is not a budget cut-off — neither `skipped`
-                # nor `timed_out` is touched, so an error can never
-                # masquerade as a clean budget skip.
-                for future in not_done:
-                    future.cancel()
-            else:
-                # `wait` only returns with pending futures (and no failure)
-                # when the timeout fired, i.e. the budget actually expired.
-                # Queries that never started (cancel succeeds) are true
-                # budget skips.  In-flight ones finish (threads cannot be
-                # interrupted): a cooperative algorithm cuts itself off
-                # and delivers a `timed_out` row — the same label the
-                # serial and process backends give it — while one that
-                # runs to a late non-timed-out result is marked skipped
-                # below, because the batch did not deliver it on time.
-                for future in not_done:
-                    if future.cancel():
-                        futures[future].skipped = True
-                    else:
-                        late.append(futures[future])
-                    report.timed_out = True
-        # The pool has joined: every non-cancelled future — including ones
-        # that were in flight at the budget cut-off — is finished, so worker
-        # exceptions surface instead of masquerading as budget skips.
-        for future in futures:
-            if future.cancelled():
-                continue
-            exc = future.exception()
-            if exc is not None:
-                raise exc
-        if not failed:
-            for item in late:
-                if item.outcome is not None and not item.outcome.timed_out:
-                    item.skipped = True
+            item.outcome = outcome
+            item.cache_hit = bool(outcome.extras.get("cache_hit"))
+            item.elapsed_seconds = time.perf_counter() - started
 
 
 class TspgService:
@@ -732,18 +624,12 @@ class TspgService:
         Capacity of the LRU result cache (``0`` disables memoization).
     max_workers:
         Default worker count for :meth:`run_batch`; ``1`` means serial.
-    executor:
-        Default batch backend for :meth:`run_batch`: ``"threads"`` or
-        ``"processes"`` (the latter needs a snapshot to boot workers from —
-        see :meth:`from_snapshot` — and silently degrades to threads
-        otherwise).
     pool:
-        Optional persistent :class:`~repro.service.pool.WorkerPool`.  When
-        attached (and open), ``processes`` batches fan out over the pool's
-        long-lived workers instead of building a per-batch
-        ``ProcessPoolExecutor`` — repeat batches skip the fork + snapshot
-        boot entirely.  A closed pool degrades back to the per-batch
-        executor.
+        Optional :class:`~repro.service.pool.WorkerPool`.  While it is
+        attached and open, :meth:`run_batch` fans batches out over its
+        long-lived workers whenever a current snapshot lets them boot the
+        graph (see :meth:`from_snapshot`); without one, or once it is
+        closed, batches run serially.
     algorithm_options:
         Per-algorithm constructor options, keyed by registry name.
 
@@ -769,9 +655,9 @@ class TspgService:
         "the graph mutated after the snapshot was taken (stale "
         "epoch); re-warm to re-attach"
     )
-    #: Whether process workers replay the ingest journal.  A flat
+    #: Whether pool workers replay the ingest journal.  A flat
     #: snapshot's journal is the file's own sidecar, which every boot of
-    #: the file replays, so a journaled ingest keeps the backend current.
+    #: the file replays, so a journaled ingest keeps the workers current.
     _WORKERS_REPLAY_JOURNAL = True
 
     def __init__(
@@ -781,7 +667,6 @@ class TspgService:
         default_algorithm: str = "VUG",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_workers: int = 1,
-        executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> None:
@@ -790,7 +675,6 @@ class TspgService:
             default_algorithm=default_algorithm,
             cache_size=cache_size,
             max_workers=max_workers,
-            executor=executor,
             pool=pool,
             algorithm_options=algorithm_options,
         )
@@ -803,7 +687,6 @@ class TspgService:
         default_algorithm: str,
         cache_size: int,
         max_workers: int,
-        executor: str,
         pool: Optional[WorkerPool],
         algorithm_options: Optional[Dict[str, Dict[str, object]]],
     ) -> None:
@@ -816,7 +699,6 @@ class TspgService:
         self._default_algorithm = default_algorithm
         self._cache_size = cache_size
         self._max_workers = max_workers
-        self._default_executor = _validate_executor(executor)
         self._pool = pool
         self._algorithm_options = {
             name: dict(opts) for name, opts in (algorithm_options or {}).items()
@@ -830,7 +712,7 @@ class TspgService:
         # state waits for all of it.
         self._rewarm_lock = threading.RLock()
         # The service epoch the attached snapshot files reproduce for
-        # process workers (None: nothing attached), how they booted, and
+        # pool workers (None: nothing attached), how they booted, and
         # their page-advice policies.
         self._snapshot_epoch: Optional[int] = None
         self._snapshot_mmap_requested = False
@@ -883,15 +765,14 @@ class TspgService:
         recorded on :meth:`mmap_fallback_reasons` — a readable snapshot
         always boots.
 
-        The snapshot path is remembered: it is what the
-        ``executor="processes"`` batch backend hands to its pool workers so
-        each can boot an identical service in O(read) — with ``mmap``
-        active, workers map the very same file, sharing its page-cache
-        pages instead of re-unpickling a private copy per process — and
-        where :meth:`ingest` journals its deltas.  The association is
-        epoch-guarded — mutating the graph outside :meth:`ingest`
-        disables the process backend (workers would boot a stale graph)
-        until a fresh snapshot is attached.
+        The snapshot path is remembered: it is what :meth:`run_batch`
+        hands to the attached pool's workers so each can boot an identical
+        service in O(read) — with ``mmap`` active, workers map the very
+        same file, sharing its page-cache pages instead of re-unpickling a
+        private copy per process — and where :meth:`ingest` journals its
+        deltas.  The association is epoch-guarded — mutating the graph
+        outside :meth:`ingest` makes batches run serially (workers would
+        boot a stale graph) until a fresh snapshot is attached.
 
         ``interval`` restricts the boot to that (inclusive) time range's
         edges — combined with ``mmap`` this is the extent-local boot that
@@ -1249,9 +1130,8 @@ class TspgService:
         The append, the journal write and the epoch publish all happen
         under the lock a query takes to rewarm, so no answer carries an
         ingested edge under the pre-ingest epoch.  A flat snapshot's
-        journal is replayed by every boot of the file, so the
-        ``executor="processes"`` backend stays enabled across journaled
-        ingests instead of degrading to threads.
+        journal is replayed by every boot of the file, so batches keep
+        running on the pool across journaled ingests instead of serially.
         """
         from ..store.journal import append_journal_delta  # deferred: cycle
 
@@ -1262,8 +1142,8 @@ class TspgService:
             if delta and self._journal_epoch == delta.old_epoch:
                 # Journal only while the files plus the journal still
                 # reproduce the live service; a mutation outside ingest
-                # broke that chain (and already disabled the process
-                # backend).
+                # broke that chain (and already sent batches to the
+                # serial path).
                 append_journal_delta(self._journal_base, delta)
                 self._journal_epoch = delta.new_epoch
                 if self._WORKERS_REPLAY_JOURNAL:
@@ -1288,22 +1168,30 @@ class TspgService:
         use_cache: bool = True,
         time_budget_seconds: Optional[float] = None,
         deadline: Optional[Deadline] = None,
-        executor: Optional[str] = None,
     ) -> BatchReport:
-        """Answer a batch of queries, optionally in parallel.
+        """Answer a batch of queries, over the attached pool or serially.
 
-        The batch is grouped by routed engine; the groups run concurrently
-        (bounded by ``max_workers``, which each group shares in proportion
-        to its size) and every item lands back in submission order.  A
-        router returns a :class:`~repro.service.ShardedBatchReport`.
+        The batch is grouped by routed engine and every item lands back in
+        submission order.  It runs over the attached, open
+        :class:`~repro.service.pool.WorkerPool` when ``max_workers > 1``,
+        the algorithm is a registry name, every engine's snapshot file
+        reproduces the current epoch, and more than one query is left
+        once the parent-side caches have answered their hits.  Each
+        engine's remaining group is then cut into chunks by its share of
+        ``max_workers``, and pool workers answer the chunks from services
+        they boot from that engine's snapshot file, while a router's
+        fallback group (no file) runs here.  Otherwise the batch runs
+        serially on the calling thread, group by group.
+        :attr:`BatchReport.executor` records which path ran; a router
+        returns a :class:`~repro.service.ShardedBatchReport`.
 
         Parameters
         ----------
         queries:
             The batch; a :class:`QueryWorkload` is accepted directly.
         max_workers:
-            Worker-pool width; ``1`` (the default from the constructor)
-            executes serially in submission order.
+            How many pool workers the batch may use; ``1`` (the default
+            from the constructor) runs it serially.
         time_budget_seconds:
             Wall-clock budget for the whole batch.  Queries that have not
             *started* when the budget expires are reported as skipped
@@ -1318,25 +1206,15 @@ class TspgService:
             :class:`Deadline` (the serve loop's per-request deadlines).
             When both this and ``time_budget_seconds`` are given the
             stricter instant wins.
-        executor:
-            ``"threads"`` (default) or ``"processes"``.  The process backend
-            fans contiguous chunks of each engine's group out to a
-            ``ProcessPoolExecutor`` whose workers boot from that engine's
-            snapshot file — true multi-core parallelism for the GIL-bound
-            hot path.  It degrades to threads when no current snapshot is
-            attached, the algorithm is an unregistered instance, or the
-            batch is serial (``max_workers=1`` or ≤1 query); a router's
-            fallback group always runs on threads.
-            :attr:`BatchReport.executor` records the backend actually used.
 
         Returns
         -------
         BatchReport
             Per-query outcomes aligned with the input order plus wall-clock
-            and throughput aggregates.  Results are identical regardless of
-            worker count and backend: every query runs against the same
-            immutable warmed graph (or a snapshot-booted copy of it), and
-            result objects are frozen.
+            and throughput aggregates.  Results are identical on both
+            paths: every query runs against the same immutable warmed graph
+            (or a snapshot-booted copy of it), and result objects are
+            frozen.
         """
         query_list = list(queries)
         topology = self._current_topology()
@@ -1344,9 +1222,6 @@ class TspgService:
         workers = max_workers if max_workers is not None else self._max_workers
         if workers < 1:
             raise ValueError("max_workers must be at least 1")
-        executor_kind = _validate_executor(
-            executor if executor is not None else self._default_executor
-        )
         budget_deadline = Deadline.from_budget(time_budget_seconds)
         if budget_deadline is not None:
             deadline = budget_deadline.earlier(deadline)
@@ -1361,82 +1236,28 @@ class TspgService:
         )
         started = time.perf_counter()
         ordered = sorted(groups.items())
-        # Each group gets its share of the worker budget (one worker
-        # minimum): the outer threads only block on their group's inner
-        # pool, so live workers stay ≈ the requested width while a
-        # dominant group keeps its share of the parallelism.
-        widths = {
-            index: max(1, (workers * len(positions)) // len(query_list))
-            for index, positions in ordered
-        }
+        # (route, positions, lookup): what runs here, in group order.
+        serial = [(index, positions, True) for index, positions in ordered]
         chunks: List[Tuple[_Engine, List[int]]] = []
+        pool = self._pool
         if (
-            executor_kind == "processes"
+            pool is not None
+            and not pool.closed
             and workers > 1
-            and len(query_list) > 1
             and not isinstance(algorithm, TspgAlgorithm)
             and self._snapshots_current(topology)
         ):
-            # The parent's caches stay authoritative: hits are answered here
-            # and worker outcomes stored back on merge.  Past the deadline
-            # not even a hit is served (as in submit), so the refusals the
-            # workers produce do not depend on what happens to be cached.
-            peek = use_cache and not (deadline is not None and deadline.expired())
-            for index, positions in ordered:
-                if index == FALLBACK_SHARD:
-                    continue  # no snapshot file: it stays on threads
-                engine = topology.engines[index]
-                engine.ensure_current()
-                if peek:
-                    positions = [
-                        position
-                        for position in positions
-                        if not engine.cache_lookup(report.items[position], resolved)
-                    ]
-                chunks.extend(
-                    (engine, [positions[offset] for offset in chunk])
-                    for chunk in _chunk_positions(len(positions), widths[index])
-                    if chunk
-                )
-            ordered = [group for group in ordered if group[0] == FALLBACK_SHARD]
-        # Chunks go to the process pool from *this* thread, before any
-        # fan-out thread exists (workers fork at first submit; forking a
-        # process that is already running threads is fragile).
-        batch_pool: Optional[ProcessPoolExecutor] = None
-        persistent: Optional[WorkerPool] = None
-        harvest = Future.result
-        if chunks:
-            report.executor = "processes"
-            if self._pool is not None and not self._pool.closed:
-                persistent = self._pool
-                submit, harvest = persistent.submit, persistent.harvest
-            else:
-                batch_pool = ProcessPoolExecutor(
-                    max_workers=min(workers, len(chunks))
-                )
-                submit = batch_pool.submit
+            chunks, serial = self._pool_chunks(
+                report, ordered, topology, resolved, workers, use_cache, deadline
+            )
         # The budget crosses as an absolute instant: a chunk may sit queued
         # behind a full pool, and a duration captured now would let it
         # overshoot the batch budget once it starts.
         deadline_at = deadline.at_monotonic if deadline is not None else None
-
-        def run_group(group: Tuple[int, List[int]]) -> bool:
-            # Every group shares the batch-wide absolute deadline; one that
-            # starts late finds less of it left, one past it skips outright.
-            index, positions = group
-            part = BatchReport(
-                algorithm=report.algorithm,
-                items=[report.items[position] for position in positions],
-            )
-            self._engine_in(topology, index).run_batch(
-                part, resolved, widths[index], use_cache, deadline
-            )
-            return part.timed_out
-
         tasks: List[Tuple[_Engine, List[int], Future]] = []
         try:
             for engine, chunk in chunks:
-                future = submit(
+                future = pool.submit(
                     _snapshot_worker_run_batch,
                     engine.snapshot_path,
                     [query_list[position] for position in chunk],
@@ -1451,44 +1272,93 @@ class TspgService:
                     snapshot_residency=bool(self._policies),
                 )
                 tasks.append((engine, chunk, future))
-            if len(ordered) <= 1 or workers == 1:
-                cut_off = [run_group(group) for group in ordered]
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=min(workers, len(ordered)),
-                    thread_name_prefix="tspg-shard",
-                ) as fan_out:
-                    cut_off = list(fan_out.map(run_group, ordered))
-            report.timed_out = report.timed_out or any(cut_off)
+            if tasks:
+                report.executor = "processes"
+            # Whatever stays here runs while the workers compute: every
+            # group shares the batch-wide absolute deadline, so one that
+            # starts late finds less of it left.
+            for index, positions, lookup in serial:
+                part = BatchReport(
+                    algorithm=report.algorithm,
+                    items=[report.items[position] for position in positions],
+                )
+                self._engine_in(topology, index).run_batch(
+                    part, resolved, use_cache, deadline, lookup
+                )
+                report.timed_out = report.timed_out or part.timed_out
             for engine, chunk, future in tasks:
-                sub_report = harvest(future)  # re-raises worker exceptions
+                sub_report = pool.harvest(future)  # re-raises worker errors
                 report.timed_out = report.timed_out or sub_report.timed_out
                 for position, item in zip(chunk, sub_report.items):
                     report.items[position] = item
                     if use_cache:
                         engine.cache_store(item, resolved)
         finally:
-            if batch_pool is not None:
-                # cancel_futures is a no-op on the success path (every
-                # future already resolved); on an exception it stops queued
-                # chunks from computing results that would only be
-                # discarded.  A persistent pool is never shut down here —
-                # keeping its workers (and their booted services) alive
-                # across batches is its whole point.
-                batch_pool.shutdown(cancel_futures=True)
-            elif persistent is not None:
-                # The persistent-pool analogue of cancel_futures: an aborted
-                # merge must not leave this batch's queued chunks occupying
-                # the shared workers (no-op for resolved futures).
+            if tasks:
+                # An aborted merge must not leave this batch's queued
+                # chunks occupying the shared workers (a no-op for resolved
+                # futures).
                 for _engine, _chunk, future in tasks:
                     future.cancel()
-                persistent.note_batch()
+                pool.note_batch()
         if deadline is not None and deadline.expired() and report.num_timed_out:
             # Queries the deadline cut off mid-flight are budget expiry too,
             # exactly like the skipped-before-start case.
             report.timed_out = True
         report.wall_seconds = time.perf_counter() - started
         return report
+
+    @staticmethod
+    def _pool_chunks(
+        report: BatchReport,
+        groups: List[Tuple[int, List[int]]],
+        topology: _Topology,
+        algorithm: TspgAlgorithm,
+        workers: int,
+        use_cache: bool,
+        deadline: Optional[Deadline],
+    ) -> Tuple[List[Tuple[_Engine, List[int]]], List[Tuple[int, List[int], bool]]]:
+        """Split a pool-eligible batch into pool chunks and what runs here.
+
+        The parent's caches stay authoritative: hits are answered here and
+        worker outcomes stored back on merge.  Past the deadline not even a
+        hit is served (as in :meth:`submit`), so the refusals the workers
+        produce do not depend on what happens to be cached.  A router's
+        fallback group has no snapshot file and stays here; so does
+        everything when at most one query is left to compute, which no
+        worker hand-off would speed up.
+        """
+        peek = use_cache and not (deadline is not None and deadline.expired())
+        here: List[Tuple[int, List[int], bool]] = []
+        left: List[Tuple[int, List[int]]] = []
+        for index, positions in groups:
+            if index == FALLBACK_SHARD:
+                here.append((index, positions, True))
+                continue
+            engine = topology.engines[index]
+            engine.ensure_current()
+            if peek:
+                positions = [
+                    position
+                    for position in positions
+                    if not engine.cache_lookup(report.items[position], algorithm)
+                ]
+            left.append((index, positions))
+        total = sum(len(positions) for _, positions in left)
+        if total <= 1:
+            # No second lookup: it would count a second miss for a query
+            # that missed the peek (and is moot where the peek was off).
+            return [], sorted(here + [(i, p, False) for i, p in left])
+        chunks: List[Tuple[_Engine, List[int]]] = []
+        for index, positions in left:
+            # Each group's share of the workers, one chunk minimum.
+            share = max(1, (workers * len(positions)) // total)
+            chunks.extend(
+                (topology.engines[index], [positions[offset] for offset in chunk])
+                for chunk in _chunk_positions(len(positions), share)
+                if chunk
+            )
+        return chunks, here
 
     def _snapshots_current(self, topology: _Topology) -> bool:
         """Whether every engine's snapshot file reproduces ``topology``."""
@@ -1501,16 +1371,20 @@ class TspgService:
         algorithm: Optional[AlgorithmSpec] = None,
         max_workers: Optional[int] = None,
     ) -> List[str]:
-        """Why a ``processes`` batch request would degrade to threads.
+        """Why a batch would run serially instead of over the worker pool.
 
-        Returns human-readable reasons, empty when the process backend
-        would engage (a router's fallback group always runs on threads).
-        The CLI renders these in its explanatory note; the degrade itself
-        stays silent on the API (the report's :attr:`BatchReport.executor`
+        Returns human-readable reasons, empty when a batch of more than one
+        uncached query would run on the pool (a router's fallback group
+        always runs here).  The CLI renders these in its explanatory note;
+        the API stays silent (the report's :attr:`BatchReport.executor`
         field records what actually ran).
         """
         workers = max_workers if max_workers is not None else self._max_workers
         reasons: List[str] = []
+        if self._pool is None:
+            reasons.append("no worker pool is attached")
+        elif self._pool.closed:
+            reasons.append("the attached worker pool is closed")
         if workers == 1:
             reasons.append("max_workers=1 requests a serial run")
         if isinstance(algorithm, TspgAlgorithm):

@@ -31,9 +31,9 @@ case of the same router; this subclass adds only what sharding needs:
   boot replays, and :meth:`ShardedTspgService.rewarm_shards` folds them
   into the next generation.
 
-Batches, caching, pools, residency and the process backend (each worker
-boots from its shard's snapshot file) are the service's own, written once
-in :mod:`repro.service.service`.
+Batches, caching, pools and residency are the service's own, written once
+in :mod:`repro.service.service`; a pool worker boots from its shard's
+snapshot file.
 """
 
 from __future__ import annotations
@@ -173,9 +173,9 @@ class ShardedTspgService(TspgService):
         Widening (in timestamps) applied to each shard's extent on both
         sides so boundary-straddling intervals stay on one shard.
 
-    The remaining options are :class:`TspgService`'s; the ``"processes"``
-    executor needs per-shard snapshots (:meth:`save_shards` /
-    :meth:`from_shard_snapshots`) and degrades to threads otherwise.
+    The remaining options are :class:`TspgService`'s.  Batches run over an
+    attached worker pool only with per-shard snapshots (:meth:`save_shards`
+    / :meth:`from_shard_snapshots`), and serially otherwise.
 
     Examples
     --------
@@ -200,7 +200,7 @@ class ShardedTspgService(TspgService):
         "(stale epoch); re-run save_shards to re-attach"
     )
     #: The set journal sits beside the shard files, which worker boots
-    #: read alone: an ingest leaves the process backend stale until
+    #: read alone: after an ingest, batches run serially until
     #: :meth:`rewarm_shards` writes the next generation.
     _WORKERS_REPLAY_JOURNAL = False
 
@@ -213,7 +213,6 @@ class ShardedTspgService(TspgService):
         default_algorithm: str = "VUG",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_workers: int = 1,
-        executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> None:
@@ -223,7 +222,6 @@ class ShardedTspgService(TspgService):
             default_algorithm=default_algorithm,
             cache_size=cache_size,
             max_workers=max_workers,
-            executor=executor,
             pool=pool,
             algorithm_options=algorithm_options,
         )
@@ -269,7 +267,6 @@ class ShardedTspgService(TspgService):
         default_algorithm: str = "VUG",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_workers: int = 1,
-        executor: str = "threads",
         pool: Optional[WorkerPool] = None,
         algorithm_options: Optional[Dict[str, Dict[str, object]]] = None,
     ) -> "ShardedTspgService":
@@ -311,7 +308,6 @@ class ShardedTspgService(TspgService):
             default_algorithm=default_algorithm,
             cache_size=cache_size,
             max_workers=max_workers,
-            executor=executor,
             pool=pool,
             algorithm_options=algorithm_options,
         )
@@ -327,9 +323,9 @@ class ShardedTspgService(TspgService):
 
         The written :class:`~repro.store.ShardSnapshotSet` lets
         :meth:`from_shard_snapshots` boot an identical router in O(read) and
-        is immediately attached to *this* router too, enabling the
-        ``executor="processes"`` batch backend without a reload.  Returns
-        the manifest that was written.
+        is immediately attached to *this* router too, so its batches can
+        run on an attached worker pool without a reload.  Returns the
+        manifest that was written.
         """
         topology = self._current_topology()
         shard_set = ShardSnapshotSet(path)
@@ -604,7 +600,7 @@ class ShardedTspgService(TspgService):
             thread = threading.Thread(
                 target=self._rewarm_generation,
                 kwargs={"num_shards": num_shards},
-                name="tspg-shard-rewarm",
+                name="tspg-rewarm",
                 daemon=True,
             )
             thread.start()

@@ -16,8 +16,8 @@ count, overlap, source-graph epoch and per-shard CRC-32 checksums.
 ``ShardedTspgService.save_shards(path)`` writes one and
 ``ShardedTspgService.from_shard_snapshots(path)`` boots a router's N shard
 services from it in O(read) without touching the full graph — it is also
-what the ``executor="processes"`` batch backend hands to its worker
-processes, one shard file per worker.  Any checksum, count or manifest
+what a router's batches hand to the worker processes of its attached
+:class:`~repro.service.WorkerPool`, one shard file per chunk.  Any checksum, count or manifest
 mismatch raises :class:`SnapshotError` on load.
 
 Quickstart

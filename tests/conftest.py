@@ -40,6 +40,19 @@ def synth_scale_graph():
     gc.unfreeze()
 
 
+@pytest.fixture(scope="module")
+def worker_pool():
+    """A two-process ``WorkerPool`` shared by one test module's batches.
+
+    Attach it to a service and its batches run on the workers; they fork
+    lazily, on the first batch that does.
+    """
+    from repro.service import WorkerPool
+
+    with WorkerPool(max_workers=2) as pool:
+        yield pool
+
+
 @pytest.fixture
 def paper_graph() -> TemporalGraph:
     """The directed temporal graph of Fig. 1(a)."""

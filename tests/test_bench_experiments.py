@@ -96,20 +96,8 @@ class TestTableAndFigureDrivers:
         assert set(experiments.EXPERIMENTS) == {
             "table1", "exp1", "exp2", "exp3", "exp4",
             "exp5-table2", "exp5-fig9", "exp5-fig10",
-            "exp6", "exp7", "exp8", "exp9", "exp12", "exp13",
+            "exp6", "exp7", "exp8", "exp9", "exp13",
         }
-
-    def test_exp12_process_shards(self, tmp_path):
-        report = experiments.exp12_process_shards(
-            "D1", num_queries=4, workers=2, num_shards=2,
-            shard_dir=str(tmp_path / "shards"),
-        )
-        by_mode = {row["mode"]: row for row in report.rows}
-        assert {"serial", "threads-2", "processes-2"} == set(by_mode)
-        assert all(row["identical"] is True for row in report.rows)
-        # The comparison is only honest if the process row really ran on
-        # the process backend (snapshots present, name-resolved algorithm).
-        assert by_mode["processes-2"]["executor"] == "processes"
 
     def test_exp13_serving_pool(self, tmp_path):
         report = experiments.exp13_serving_pool(
@@ -118,10 +106,11 @@ class TestTableAndFigureDrivers:
         )
         by_mode = {row["mode"]: row for row in report.rows}
         assert {
-            "per-batch-boot-1", "per-batch-boot-2",
+            "serial", "per-batch-boot-1", "per-batch-boot-2",
             "pool-1", "pool-2", "deadline-cutoff",
         } == set(by_mode)
-        # Both serving regimes really ran on processes and stayed
+        assert by_mode["serial"]["executor"] == "serial"
+        # Both pool regimes really ran on processes and stayed
         # bit-identical to the serial no-deadline baseline.
         for mode in ("per-batch-boot-2", "pool-2"):
             assert by_mode[mode]["executor"] == "processes"
@@ -129,4 +118,5 @@ class TestTableAndFigureDrivers:
         # The cut-off row documents its budget and bounded overshoot.
         assert by_mode["deadline-cutoff"]["budget_s"] > 0
         assert by_mode["deadline-cutoff"]["overshoot_s"] is not None
-        assert any("warm pool batch" in note for note in report.notes)
+        assert any("the per-batch-boot batch" in note for note in report.notes)
+        assert any("the serial batch" in note for note in report.notes)

@@ -200,13 +200,14 @@ class TestBatchCommand:
         capsys.readouterr()
         assert main([
             "batch", "--shard-snapshots", str(shard_dir),
-            "--num-queries", "5", "--theta", "4",
-            "--workers", "2", "--executor", "processes",
+            "--num-queries", "5", "--theta", "4", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "shard snapshots" in out
         assert "2 shards" in out
         assert "5/5" in out
+        assert "| processes " in out
+        assert "note:" not in out
 
     def test_batch_shard_snapshots_conflicts_with_shards_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="conflicts"):
@@ -243,12 +244,11 @@ class TestBatchCommand:
 
     def test_process_fallback_note_names_the_specific_reason(self, tmp_path, capsys):
         # No snapshot attached: the note must say so, not recite every
-        # possible degrade condition.
+        # possible condition.
         edge_list = self._edge_list(tmp_path)
         assert main([
             "batch", "--edge-list", str(edge_list),
-            "--num-queries", "4", "--theta", "4",
-            "--workers", "2", "--executor", "processes",
+            "--num-queries", "4", "--theta", "4", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "no snapshot is attached" in out
@@ -265,14 +265,14 @@ class TestBatchCommand:
         capsys.readouterr()
         assert main([
             "batch", "--snapshot", str(snapshot),
-            "--num-queries", "1", "--theta", "4",
-            "--workers", "2", "--executor", "processes",
+            "--num-queries", "1", "--theta", "4", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "a batch of one query runs serially" in out
-        assert "answered from the result cache" not in out
+        assert "result cache" not in out
 
-    def test_process_fallback_note_names_serial_request(self, tmp_path, capsys):
+    def test_workers_one_runs_serially_without_a_note(self, tmp_path, capsys):
+        # --workers 1 asks for a serial run: no pool, nothing to explain.
         edge_list = self._edge_list(tmp_path)
         snapshot = tmp_path / "g.tspgsnap"
         assert main(["warm", "--edge-list", str(edge_list),
@@ -280,12 +280,28 @@ class TestBatchCommand:
         capsys.readouterr()
         assert main([
             "batch", "--snapshot", str(snapshot),
-            "--num-queries", "4", "--theta", "4",
-            "--workers", "1", "--executor", "processes",
+            "--num-queries", "4", "--theta", "4", "--workers", "1",
         ]) == 0
         out = capsys.readouterr().out
-        assert "max_workers=1" in out
-        assert "no snapshot is attached" not in out
+        assert "| serial " in out
+        assert "note:" not in out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--num-queries", "0", "--num-queries must be at least 1"),
+        ("--num-queries", "-3", "--num-queries must be at least 1"),
+        ("--theta", "1", "--theta must be at least 2"),
+        ("--theta", "-4", "--theta must be at least 2"),
+        ("--repeat", "0", "--repeat must be at least 1"),
+        ("--repeat", "-2", "--repeat must be at least 1"),
+    ])
+    def test_bad_sizes_fail_before_the_graph_loads(
+        self, tmp_path, flag, value, message
+    ):
+        # The edge list does not exist: a check that ran after the load
+        # would fail there instead.
+        with pytest.raises(SystemExit, match=message):
+            main(["batch", "--edge-list", str(tmp_path / "missing.txt"),
+                  flag, value])
 
 
 class TestServeCommand:
@@ -304,7 +320,7 @@ class TestServeCommand:
         edge_list = self._edge_list(tmp_path)
         code = main([
             "serve", "--edge-list", str(edge_list),
-            "--executor", "threads", "--input", str(script), *extra_args,
+            "--workers", "1", "--input", str(script), *extra_args,
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -322,7 +338,7 @@ class TestServeCommand:
         assert batch["ok"] and batch["op"] == "batch"
         assert batch["queries"] == "2/2"
         assert stats["ok"] and stats["cache"]["misses"] >= 2
-        assert "pool" not in stats  # thread executor attaches no pool
+        assert "pool" not in stats  # --workers 1 attaches no pool
 
     def test_expired_deadline_reports_timed_out(self, tmp_path, capsys):
         # Mirrors test_server's refuse-before-work test: stdio shares the
@@ -442,7 +458,7 @@ class TestServeCommand:
             script.write_text("\n".join(requests) + "\n", encoding="utf-8")
             assert main([
                 "serve", "--edge-list", str(edge_list),
-                "--executor", "threads", "--input", str(script),
+                "--workers", "1", "--input", str(script),
             ]) == 0
             captured = capsys.readouterr()
             outputs[name] = (
@@ -477,8 +493,7 @@ class TestServeCommand:
         )
         assert main([
             "serve", "--snapshot", str(snapshot), "--workers", "2",
-            "--executor", "processes", "--cache-size", "0",
-            "--input", str(script),
+            "--cache-size", "0", "--input", str(script),
         ]) == 0
         out = capsys.readouterr().out
         responses = [json.loads(line) for line in out.splitlines() if line.strip()]
@@ -488,3 +503,34 @@ class TestServeCommand:
         # One worker set served both batches: the pool never re-forked.
         assert stats["pool"]["batches_served"] == 2
         assert stats["pool"]["generation"] == 1
+
+    def test_both_transports_note_that_batches_will_run_serially(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An edge-list boot leaves pool workers no snapshot to boot from.
+        from repro.service import TspgServer, TspgService
+
+        async def return_at_once(server):
+            return None
+
+        monkeypatch.setattr(TspgServer, "serve_forever", return_at_once)
+        edge_list = self._edge_list(tmp_path)
+        script = tmp_path / "empty.jsonl"
+        script.write_text("", encoding="utf-8")
+        note = (
+            "note: batches will run serially — "
+            + TspgService._NO_SNAPSHOT_REASON
+        )
+        assert main(["serve", "--edge-list", str(edge_list),
+                     "--listen", "127.0.0.1:0"]) == 0
+        listen = capsys.readouterr().err.splitlines()
+        # The banner stays the first line: that is where clients read the
+        # bound port.
+        assert listen[0].startswith("listening on 127.0.0.1:")
+        assert listen[1] == note
+        assert main(["serve", "--edge-list", str(edge_list),
+                     "--input", str(script)]) == 0
+        assert note in capsys.readouterr().err.splitlines()
+        assert main(["serve", "--edge-list", str(edge_list), "--workers", "1",
+                     "--listen", "127.0.0.1:0"]) == 0
+        assert "note:" not in capsys.readouterr().err

@@ -449,10 +449,12 @@ class TestInBudgetBitIdentity:
 
 
 class TestDeadlineAcrossProcesses:
-    def test_expired_budget_refuses_cached_queries_on_processes(self, tmp_path):
-        # Regression: the process backend's parent-side cache pre-pass
-        # must not serve hits past an expired deadline — identical input
-        # must produce the same refusal the thread/serial backends give.
+    def test_expired_budget_refuses_cached_queries_on_processes(
+        self, tmp_path, worker_pool
+    ):
+        # Regression: a pool batch's parent-side cache pre-pass must not
+        # serve hits past an expired deadline — identical input must
+        # produce the same refusal the serial path gives.
         graph = uniform_random_temporal_graph(
             num_vertices=12, num_edges=60, num_timestamps=20, seed=33
         )
@@ -463,11 +465,10 @@ class TestDeadlineAcrossProcesses:
                 graph, num_queries=4, theta=6, seed=33, name="proc-cache-deadline"
             )
         )
-        service = TspgService.from_snapshot(path)
+        service = TspgService.from_snapshot(path, pool=worker_pool)
         service.run_batch(queries, use_cache=True)  # warm the parent cache
         report = service.run_batch(
-            queries, max_workers=2, use_cache=True,
-            executor="processes", time_budget_seconds=0.0,
+            queries, max_workers=2, use_cache=True, time_budget_seconds=0.0
         )
         assert report.num_cache_hits == 0
         assert all(
@@ -475,7 +476,7 @@ class TestDeadlineAcrossProcesses:
             for item in report.items
         )
 
-    def test_expired_budget_refuses_inside_workers(self, tmp_path):
+    def test_expired_budget_refuses_inside_workers(self, tmp_path, worker_pool):
         graph = uniform_random_temporal_graph(
             num_vertices=12, num_edges=60, num_timestamps=20, seed=31
         )
@@ -486,10 +487,9 @@ class TestDeadlineAcrossProcesses:
                 graph, num_queries=4, theta=6, seed=31, name="proc-deadline"
             )
         )
-        service = TspgService.from_snapshot(path)
+        service = TspgService.from_snapshot(path, pool=worker_pool)
         report = service.run_batch(
-            queries, max_workers=2, use_cache=False,
-            executor="processes", time_budget_seconds=0.0,
+            queries, max_workers=2, use_cache=False, time_budget_seconds=0.0
         )
         assert report.executor == "processes"
         assert report.timed_out is True

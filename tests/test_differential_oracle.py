@@ -18,7 +18,7 @@ Every ingest mixes rows past the graph's span, rows inside it, and a
 direct edge ``(s, t, τ)`` inside the windows of the two queries asked
 just before it, which the trace then asks again: a cache that kept an
 answer an ingest changed serves a stale answer there.  After the trace,
-each cell answers the queries through ``run_batch`` on threads and on one
+each cell answers the queries through ``run_batch`` serially and over one
 shared ``WorkerPool`` (the wire ``batch`` op returns only aggregates),
 the two mmap boots answer every registry algorithm over TCP, and each
 file-backed cell boots again from its files, which must replay the
@@ -42,7 +42,7 @@ from repro.analysis.oracle import brute_force_tspg
 from repro.graph.generators import uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.queries.workload import generate_workload
-from repro.service import RequestCore, ServerThread, TspgClient, WorkerPool
+from repro.service import RequestCore, ServerThread, TspgClient
 
 SEED = 1
 NUM_VERTICES, NUM_EDGES, NUM_TIMESTAMPS = 20, 200, 20
@@ -191,12 +191,6 @@ def warmed(trace, tmp_path_factory):
     return root
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with WorkerPool(max_workers=2) as shared:
-        yield shared
-
-
 def boot_argv(boot: str, root) -> list:
     return {
         "edge-list": ["--edge-list", str(root / "edges.txt")],
@@ -219,9 +213,7 @@ def serve(argv: list, cache_size: int, pool):
     service, _ = cli._serve_service(args, pool)
     return RequestCore(
         service,
-        pool=pool,
         default_workers=args.workers,
-        default_executor=args.executor,
         default_budget_seconds=args.budget,
         evict_every=args.evict_every,
     )
@@ -262,11 +254,11 @@ def replay(trace: Trace, cell, send) -> None:
 
 
 def check_batches(trace: Trace, cell, service) -> None:
-    """``run_batch`` on threads and on the shared pool, at the final state."""
+    """``run_batch`` serially and over the shared pool, at the final state."""
     final = len(trace.ingests)
-    for executor in ("threads", "processes"):
+    for workers in (1, 2):
         report = service.run_batch(
-            trace.queries, max_workers=2, use_cache=False, executor=executor,
+            trace.queries, max_workers=workers, use_cache=False
         )
         for index, item in enumerate(report.items):
             assert item.completed and not item.outcome.timed_out
@@ -274,10 +266,13 @@ def check_batches(trace: Trace, cell, service) -> None:
             assert (
                 result.num_vertices, frozenset(result.edges)
             ) == trace.expected(final, item.query), (
-                f"{trace.where(cell, index, final)}: run_batch({executor}) "
-                f"ran on {report.executor} and answered {item.query} wrong"
+                f"{trace.where(cell, index, final)}: run_batch(max_workers="
+                f"{workers}) ran on {report.executor} and answered "
+                f"{item.query} wrong"
             )
-        if executor == "processes" and cell[0] in ("snapshot", "snapshot-mmap"):
+        if workers == 1:
+            assert report.executor == "serial", cell_id(cell)
+        elif cell[0] in ("snapshot", "snapshot-mmap"):
             # A journaled ingest keeps the snapshot current, so the pool
             # workers boot the snapshot and replay the journal.
             assert report.executor == "processes", cell_id(cell)
@@ -333,7 +328,7 @@ def test_the_trace_probes_answers_and_invalidation(trace):
 
 @pytest.mark.parametrize("cell", CELLS, ids=[cell_id(cell) for cell in CELLS])
 def test_every_served_answer_is_the_exact_tspg(
-    cell, trace, warmed, pool, tmp_path, monkeypatch
+    cell, trace, warmed, worker_pool, tmp_path, monkeypatch
 ):
     boot, cache_size, transport = cell
     root = tmp_path / "files"
@@ -341,7 +336,7 @@ def test_every_served_answer_is_the_exact_tspg(
     if cell == NO_MADVISE_CELL:
         monkeypatch.setenv("TSPG_NO_MADVISE", "1")
     argv = boot_argv(boot, root)
-    core = serve(argv, cache_size, pool)
+    core = serve(argv, cache_size, worker_pool)
     service = core.service
     if boot in MMAP_BOOTS:
         assert service.snapshot_mmap_active, service.mmap_fallback_reasons()
@@ -357,4 +352,4 @@ def test_every_served_answer_is_the_exact_tspg(
                     check_registry(trace, cell, client.request)
     check_batches(trace, cell, service)
     if boot != "edge-list":
-        check_reboot(trace, cell, argv, pool, service.epoch)
+        check_reboot(trace, cell, argv, worker_pool, service.epoch)

@@ -121,8 +121,8 @@ class TestV4MmapBoot:
         mapped = load_snapshot(path, mmap=True)
         assert snapshot_bytes(mapped) == original
 
-    def test_workers_inherit_the_mapping(self, tmp_path):
-        """Process workers booted with snapshot_mmap answer identically."""
+    def test_workers_inherit_the_mapping(self, tmp_path, worker_pool):
+        """Pool workers booted with snapshot_mmap answer identically."""
         graph = scale_graph(1500)
         path = str(tmp_path / "g.tspgsnap")
         save_snapshot(graph, path)
@@ -130,12 +130,10 @@ class TestV4MmapBoot:
 
         queries = list(generate_workload(graph, num_queries=6, theta=20, seed=3))
         eager = TspgService.from_snapshot(path)
-        mapped = TspgService.from_snapshot(path, mmap=True)
+        mapped = TspgService.from_snapshot(path, mmap=True, pool=worker_pool)
         assert mapped.snapshot_mmap_active
         baseline = eager.run_batch(queries, use_cache=False)
-        report = mapped.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
+        report = mapped.run_batch(queries, max_workers=2, use_cache=False)
         assert report.executor == "processes"
         for base, item in zip(baseline.items, report.items):
             assert base.outcome.result.vertices == item.outcome.result.vertices

@@ -1,12 +1,12 @@
-"""WorkerPool lifecycle: reuse across batches, clean close, death recovery.
+"""WorkerPool lifecycle and the one batch path: serial, or over the pool.
 
-Covers the pool satellite of the serving-pool PR:
-
-* batches routed through one pool reuse the same worker processes (and
-  therefore their snapshot-booted services) instead of re-forking;
-* ``close()`` is clean and idempotent, the context manager closes, and a
-  closed pool degrades the services back to per-batch executors;
-* a worker death surfaces as a clear :class:`WorkerPoolError` (not the
+* Without a pool a batch runs serially on the calling thread and starts
+  no thread; with one attached it runs on the pool's worker processes;
+  once the pool is closed it runs serially again.
+* Batches routed through one pool reuse the same worker processes (and
+  therefore their snapshot-booted services) instead of re-forking.
+* ``close()`` is clean and idempotent, and the context manager closes.
+* A worker death surfaces as a clear :class:`WorkerPoolError` (not the
   stdlib's opaque ``BrokenProcessPool``) and the pool recovers — the next
   batch forks fresh workers and succeeds.
 """
@@ -14,11 +14,11 @@ Covers the pool satellite of the serving-pool PR:
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
 from repro.graph.generators import uniform_random_temporal_graph
-from repro.queries.runner import QueryRunner
 from repro.queries.workload import generate_workload
 from repro.service import (
     ShardedTspgService,
@@ -44,6 +44,76 @@ def _case(seed: int, num_queries: int = 10):
         )
     )
     return graph, queries
+
+
+def _answers(report):
+    return [
+        (item.outcome.result.vertices, item.outcome.result.edges)
+        for item in report.items
+    ]
+
+
+@pytest.fixture
+def shapes(tmp_path):
+    """A snapshot-booted flat service, a 3-shard router booted from its
+    shard set, the batch both answer and the serial answers to it."""
+    graph, queries = _case(seed=79, num_queries=10)
+    save_snapshot(graph, tmp_path / "g.tspgsnap")
+    ShardedTspgService(graph, 3, overlap=8).save_shards(tmp_path / "shards")
+    services = {
+        "flat": TspgService.from_snapshot(tmp_path / "g.tspgsnap"),
+        "router": ShardedTspgService.from_shard_snapshots(tmp_path / "shards"),
+    }
+    expected = _answers(TspgService(graph).run_batch(queries, use_cache=False))
+    return services, queries, expected
+
+
+class TestOneBatchPath:
+    def test_without_a_pool_a_batch_runs_serially_and_starts_no_thread(
+        self, shapes, monkeypatch
+    ):
+        services, queries, expected = shapes
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for name, service in services.items():
+            serial = service.run_batch(queries, max_workers=1, use_cache=False)
+            wide = service.run_batch(queries, max_workers=4, use_cache=False)
+            assert serial.executor == wide.executor == "serial", name
+            assert _answers(wide) == _answers(serial) == expected, name
+        assert started == []
+
+    def test_with_a_pool_the_same_batches_run_on_processes(self, shapes, worker_pool):
+        services, queries, expected = shapes
+        for name, service in services.items():
+            service.attach_pool(worker_pool)
+            assert service.process_fallback_reasons(max_workers=4) == []
+            report = service.run_batch(queries, max_workers=4, use_cache=False)
+            assert report.executor == "processes", name
+            assert _answers(report) == expected, name
+
+    def test_closed_pool_runs_batches_serially(self, shapes):
+        services, queries, expected = shapes
+        pool = WorkerPool(max_workers=2)
+        for service in services.values():
+            service.attach_pool(pool)
+        assert services["flat"].run_batch(
+            queries, max_workers=2, use_cache=False
+        ).executor == "processes"
+        pool.close()
+        for name, service in services.items():
+            report = service.run_batch(queries, max_workers=2, use_cache=False)
+            assert report.executor == "serial", name
+            assert _answers(report) == expected, name
+            assert service.process_fallback_reasons(max_workers=2) == [
+                "the attached worker pool is closed"
+            ], name
+        assert pool.stats()["batches_served"] == 1
 
 
 class TestLifecycle:
@@ -80,12 +150,8 @@ class TestReuseAcrossBatches:
         baseline = TspgService(graph).run_batch(queries, use_cache=False)
         with WorkerPool(max_workers=2) as pool:
             service = TspgService.from_snapshot(path, pool=pool)
-            first = service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
-            second = service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            first = service.run_batch(queries, max_workers=2, use_cache=False)
+            second = service.run_batch(queries, max_workers=2, use_cache=False)
             stats = pool.stats()
             # Two batches served by ONE worker set: no re-fork happened.
             assert stats["batches_served"] == 2
@@ -116,38 +182,12 @@ class TestReuseAcrossBatches:
             router = ShardedTspgService.from_shard_snapshots(shard_dir, pool=pool)
             assert router.pool is pool
             for _ in range(2):
-                report = router.run_batch(
-                    queries, max_workers=2, use_cache=False, executor="processes"
-                )
+                report = router.run_batch(queries, max_workers=2, use_cache=False)
                 assert report.executor == "processes"
                 for item, base in zip(report.items, baseline.items):
                     assert item.outcome.result.edges == base.outcome.result.edges
             assert pool.stats()["batches_served"] == 2
             assert pool.stats()["generation"] == 1
-
-    def test_runner_wires_the_pool_through(self, tmp_path):
-        graph, _ = _case(seed=47)
-        path = tmp_path / "g.tspgsnap"
-        save_snapshot(graph, path)
-        with WorkerPool(max_workers=2) as pool:
-            runner = QueryRunner(executor="processes", pool=pool)
-            booted = runner.graph_from_snapshot(path)
-            service = runner._service_for(booted)
-            assert service.pool is pool
-
-    def test_closed_pool_degrades_to_per_batch_executor(self, tmp_path):
-        graph, queries = _case(seed=53, num_queries=6)
-        path = tmp_path / "g.tspgsnap"
-        save_snapshot(graph, path)
-        pool = WorkerPool(max_workers=2)
-        service = TspgService.from_snapshot(path, pool=pool)
-        pool.close()
-        report = service.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
-        # Still the process backend — just a per-batch executor again.
-        assert report.executor == "processes"
-        assert pool.stats()["batches_served"] == 0
 
 
 class TestWorkerCacheStaleness:
@@ -163,17 +203,13 @@ class TestWorkerCacheStaleness:
         with WorkerPool(max_workers=2) as pool:
             save_snapshot(graph_a, path)
             service_a = TspgService.from_snapshot(path, pool=pool)
-            first = service_a.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            first = service_a.run_batch(queries, max_workers=2, use_cache=False)
             assert first.executor == "processes"
             # Re-warm a *different* graph over the same path and boot a
             # fresh parent service from it.
             save_snapshot(graph_b, path)
             service_b = TspgService.from_snapshot(path, pool=pool)
-            second = service_b.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            second = service_b.run_batch(queries, max_workers=2, use_cache=False)
             assert second.executor == "processes"
             expected = TspgService(graph_b).run_batch(queries, use_cache=False)
             for item, base in zip(second.items, expected.items):
@@ -181,7 +217,7 @@ class TestWorkerCacheStaleness:
                 assert item.outcome.result.edges == base.outcome.result.edges
 
 
-    def test_rewrite_under_a_live_parent_fails_loudly(self, tmp_path):
+    def test_rewrite_under_a_live_parent_fails_loudly(self, tmp_path, worker_pool):
         # Regression (live-reproduced in review): if another writer
         # rewrites the snapshot a *still-attached* parent serves from,
         # workers must refuse to answer over the different graph — the
@@ -193,14 +229,12 @@ class TestWorkerCacheStaleness:
         )
         path = tmp_path / "g.tspgsnap"
         save_snapshot(graph_a, path)
-        service = TspgService.from_snapshot(path)
+        service = TspgService.from_snapshot(path, pool=worker_pool)
         save_snapshot(graph_b, path)  # rewrite behind the live parent
         if service.graph.epoch == graph_b.epoch:
             pytest.skip("graphs coincidentally share an epoch")
         with pytest.raises(SnapshotError, match="rewritten since"):
-            service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            service.run_batch(queries, max_workers=2, use_cache=False)
 
     def test_shared_pool_respects_each_services_default_algorithm(self, tmp_path):
         # Regression: the worker-side service cache must key on the
@@ -216,12 +250,8 @@ class TestWorkerCacheStaleness:
             ept = TspgService.from_snapshot(
                 path, default_algorithm="EPdtTSG", pool=pool
             )
-            first = vug.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
-            second = ept.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            first = vug.run_batch(queries, max_workers=2, use_cache=False)
+            second = ept.run_batch(queries, max_workers=2, use_cache=False)
             assert first.executor == second.executor == "processes"
             assert all(item.outcome.algorithm == "VUG" for item in first.items)
             assert all(item.outcome.algorithm == "EPdtTSG" for item in second.items)
@@ -234,17 +264,13 @@ class TestWorkerDeathRecovery:
         save_snapshot(graph, path)
         with WorkerPool(max_workers=2) as pool:
             service = TspgService.from_snapshot(path, pool=pool)
-            ok = service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            ok = service.run_batch(queries, max_workers=2, use_cache=False)
             assert ok.executor == "processes"
             with pytest.raises(WorkerPoolError, match="worker process died"):
                 pool.harvest(pool.submit(_die))
             # The broken executor was discarded: the next batch forks a
             # fresh worker set and serves normally.
-            recovered = service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            recovered = service.run_batch(queries, max_workers=2, use_cache=False)
             assert recovered.executor == "processes"
             assert recovered.num_completed == len(queries)
             assert pool.stats()["generation"] == 2
@@ -257,9 +283,7 @@ class TestWorkerDeathRecovery:
         with WorkerPool(max_workers=2) as pool:
             service.attach_pool(pool)
             assert service.pool is pool
-            report = service.run_batch(
-                queries, max_workers=2, use_cache=False, executor="processes"
-            )
+            report = service.run_batch(queries, max_workers=2, use_cache=False)
             assert report.executor == "processes"
             assert pool.stats()["batches_served"] == 1
             service.attach_pool(None)

@@ -1,4 +1,4 @@
-"""Tests for per-shard snapshots, the process batch backend and the
+"""Tests for per-shard snapshots, batches over a worker pool and the
 exception-vs-timeout / empty-batch / describe() report fixes."""
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _star_queries(count: int):
 # ----------------------------------------------------------------------
 class TestExceptionVsTimeout:
     def _run_direct(self, budget):
-        """Drive the engine's _run_batch_parallel with a report we keep a handle on."""
+        """Drive the engine's run_batch with a report we keep a handle on."""
         (engine,) = TspgService(_star_graph(4))._topology.engines
         report = BatchReport(
             algorithm="Failing",
@@ -84,14 +84,12 @@ class TestExceptionVsTimeout:
         )
         deadline = None if budget is None else Deadline.after(budget)
         with pytest.raises(RuntimeError, match="worker blew up"):
-            engine._run_batch_parallel(
-                report, FailingAlgorithm(), 2, False, deadline
-            )
+            engine.run_batch(report, FailingAlgorithm(), False, deadline)
         return report
 
     def test_exception_without_budget_leaves_report_clean(self):
-        # The regression: FIRST_EXCEPTION used to mark every not-yet-done
-        # query skipped and stamp timed_out=True even with no budget at all.
+        # An error is not a budget cut-off: it must not mark the queries
+        # after it skipped or stamp timed_out=True.
         report = self._run_direct(budget=None)
         assert report.timed_out is False
         assert not any(item.skipped for item in report.items)
@@ -351,104 +349,95 @@ class TestFromShardSnapshots:
 
 
 # ----------------------------------------------------------------------
-# the process execution backend
+# batches over a worker pool
 # ----------------------------------------------------------------------
 class TestProcessBackend:
-    def test_oracle_serial_threads_processes_every_algorithm(self, tmp_path):
-        """Randomized oracle: all three regimes bit-identical, registry-wide."""
+    def test_oracle_serial_and_processes_every_algorithm(self, tmp_path, worker_pool):
+        """Randomized oracle: serial and pool batches bit-identical, registry-wide."""
         graph, queries = _random_case(seed=43, num_queries=8)
         flat = TspgService(graph)
-        router = ShardedTspgService(graph, 3, overlap=8)
+        router = ShardedTspgService(graph, 3, overlap=8, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
         for name in available_algorithms():
             serial = flat.run_batch(queries, name, use_cache=False)
-            threaded = router.run_batch(
-                queries, name, max_workers=3, use_cache=False, executor="threads"
-            )
+            routed = router.run_batch(queries, name, max_workers=1, use_cache=False)
             processed = router.run_batch(
-                queries, name, max_workers=3, use_cache=False, executor="processes"
+                queries, name, max_workers=3, use_cache=False
             )
+            assert routed.executor == "serial", name
             assert processed.executor == "processes", name
-            assert threaded.algorithm == processed.algorithm == serial.algorithm
-            for base, thread_item, process_item in zip(
-                serial.items, threaded.items, processed.items
+            assert routed.algorithm == processed.algorithm == serial.algorithm
+            for base, routed_item, process_item in zip(
+                serial.items, routed.items, processed.items
             ):
-                for item in (thread_item, process_item):
+                for item in (routed_item, process_item):
                     assert item.outcome.result.vertices == base.outcome.result.vertices, name
                     assert item.outcome.result.edges == base.outcome.result.edges, name
 
-    def test_flat_service_process_backend_matches_serial(self, tmp_path):
+    def test_flat_service_process_backend_matches_serial(self, tmp_path, worker_pool):
         graph, queries = _random_case(seed=44, num_queries=8)
         path = tmp_path / "flat.tspgsnap"
         save_snapshot(graph, path)
-        service = TspgService.from_snapshot(path)
+        service = TspgService.from_snapshot(path, pool=worker_pool)
         serial = service.run_batch(queries, use_cache=False)
-        processed = service.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
+        processed = service.run_batch(queries, max_workers=2, use_cache=False)
+        assert serial.executor == "serial"
         assert processed.executor == "processes"
         for base, item in zip(serial.items, processed.items):
             assert item.outcome.result.vertices == base.outcome.result.vertices
             assert item.outcome.result.edges == base.outcome.result.edges
 
-    def test_processes_fall_back_to_threads_without_snapshots(self):
+    def test_processes_fall_back_to_serial_without_snapshots(self, worker_pool):
         graph, queries = _random_case(seed=45, num_queries=6)
-        service = TspgService(graph)  # no snapshot attached
-        report = service.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
-        assert report.executor == "threads"
+        service = TspgService(graph, pool=worker_pool)  # no snapshot attached
+        report = service.run_batch(queries, max_workers=2, use_cache=False)
+        assert report.executor == "serial"
         assert report.num_completed == len(queries)
-        router = ShardedTspgService(graph, 2)  # no save_shards call
-        sharded = router.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
-        assert sharded.executor == "threads"
+        router = ShardedTspgService(graph, 2, pool=worker_pool)  # no save_shards
+        sharded = router.run_batch(queries, max_workers=2, use_cache=False)
+        assert sharded.executor == "serial"
         assert sharded.num_completed == len(queries)
 
-    def test_processes_fall_back_for_algorithm_instances(self, tmp_path):
+    def test_processes_fall_back_for_algorithm_instances(self, tmp_path, worker_pool):
         graph, queries = _random_case(seed=46, num_queries=4)
-        router = ShardedTspgService(graph, 2, overlap=8)
+        router = ShardedTspgService(graph, 2, overlap=8, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
         report = router.run_batch(
-            queries, get_algorithm("VUG"), max_workers=2, use_cache=False,
-            executor="processes",
+            queries, get_algorithm("VUG"), max_workers=2, use_cache=False
         )
-        assert report.executor == "threads"  # instances stay in-process
+        assert report.executor == "serial"  # instances stay in-process
         assert report.num_completed == len(queries)
 
-    def test_mutation_invalidates_shard_snapshots(self, tmp_path):
+    def test_mutation_invalidates_shard_snapshots(self, tmp_path, worker_pool):
         graph, queries = _random_case(seed=47, num_queries=4)
-        router = ShardedTspgService(graph, 2, overlap=8)
+        router = ShardedTspgService(graph, 2, overlap=8, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
         graph.add_edge("fresh-u", "fresh-v", 999)
-        report = router.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes"
-        )
+        report = router.run_batch(queries, max_workers=2, use_cache=False)
         # Stale shard files must not serve the mutated graph.
-        assert report.executor == "threads"
+        assert report.executor == "serial"
         assert report.num_completed == len(queries)
 
     @pytest.mark.parametrize("shape", ["flat", "router"])
     @pytest.mark.parametrize("max_workers, num_queries", [(1, 4), (2, 1)])
     def test_workers_one_stays_serial_even_with_snapshots(
-        self, tmp_path, max_workers, num_queries, shape
+        self, tmp_path, max_workers, num_queries, shape, worker_pool
     ):
         # --workers 1, or a batch of one query, means serial on both
-        # shapes; forking a pool for a serial request would only add boot
-        # cost.
+        # shapes; handing one query to a worker would only add latency.
         graph, queries = _random_case(seed=57, num_queries=4)
         if shape == "flat":
             save_snapshot(graph, tmp_path / "g.tspgsnap")
-            service = TspgService.from_snapshot(tmp_path / "g.tspgsnap")
+            service = TspgService.from_snapshot(
+                tmp_path / "g.tspgsnap", pool=worker_pool
+            )
         else:
-            service = ShardedTspgService(graph, 2, overlap=8)
+            service = ShardedTspgService(graph, 2, overlap=8, pool=worker_pool)
             service.save_shards(tmp_path / "shards")
         report = service.run_batch(
-            queries[:num_queries], max_workers=max_workers, use_cache=False,
-            executor="processes",
+            queries[:num_queries], max_workers=max_workers, use_cache=False
         )
-        assert report.executor == "threads"
+        assert report.executor == "serial"
         assert report.num_completed == num_queries
 
     def test_pre_v3_snapshots_do_not_leak_stale_tie_order(self, tmp_path):
@@ -485,69 +474,62 @@ class TestProcessBackend:
         for vertex in graph.vertices():
             assert loaded.out_neighbors(vertex) == graph.out_neighbors(vertex)
 
-    def test_invalid_executor_rejected(self):
-        graph, queries = _random_case(seed=48, num_queries=2)
-        with pytest.raises(ValueError, match="unknown executor"):
-            TspgService(graph).run_batch(queries, executor="widgets")
-        with pytest.raises(ValueError, match="unknown executor"):
-            ShardedTspgService(graph, 2).run_batch(queries, executor="widgets")
-        with pytest.raises(ValueError, match="unknown executor"):
-            TspgService(graph, executor="widgets")
-        with pytest.raises(ValueError, match="unknown executor"):
-            ShardedTspgService(graph, 2, executor="widgets")
-
-    def test_worker_exception_propagates_from_processes(self, tmp_path):
-        # An unknown option set makes the worker's registry lookup blow up
-        # inside the pool; the error must re-raise in the parent.
+    def test_worker_exception_propagates_from_processes(self, tmp_path, worker_pool):
+        # An unknown option set makes the algorithm's registry lookup blow
+        # up; the error must re-raise in the caller.
         graph, queries = _random_case(seed=49, num_queries=4)
         router = ShardedTspgService(
-            graph, 2, overlap=8,
+            graph, 2, overlap=8, pool=worker_pool,
             algorithm_options={"VUG": {"no_such_option": True}},
         )
         router.save_shards(tmp_path / "shards")
         with pytest.raises(TypeError):
-            router.run_batch(
-                queries, "VUG", max_workers=2, use_cache=False,
-                executor="processes",
-            )
+            router.run_batch(queries, "VUG", max_workers=2, use_cache=False)
 
-    def test_process_backend_serves_repeats_from_the_parent_cache(self, tmp_path):
-        # Worker processes die with their pool, so memoization only helps if
-        # the parent's LRU stays authoritative: hits answered before the
-        # fan-out, worker outcomes stored back on merge.
+    def test_process_backend_serves_repeats_from_the_parent_cache(
+        self, tmp_path, worker_pool
+    ):
+        # Pool workers keep their own caches, so memoization only helps
+        # every caller if the parent's LRU stays authoritative: hits
+        # answered before the fan-out, worker outcomes stored back on merge.
         graph, queries = _random_case(seed=55, num_queries=8)
-        router = ShardedTspgService(graph, 3, overlap=8)
+        router = ShardedTspgService(graph, 3, overlap=8, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
-        cold = router.run_batch(
-            queries, max_workers=3, use_cache=True, executor="processes"
-        )
-        warm = router.run_batch(
-            queries, max_workers=3, use_cache=True, executor="processes"
-        )
+        cold = router.run_batch(queries, max_workers=3, use_cache=True)
+        warm = router.run_batch(queries, max_workers=3, use_cache=True)
         assert cold.num_cache_hits == 0
         assert warm.num_cache_hits == len(queries)
         assert warm.algorithm == cold.algorithm
         assert cold.executor == "processes"
         # Fully cache-served: no worker ran, so the report must not claim
-        # the process backend executed anything.
-        assert warm.executor == "threads"
+        # the pool executed anything.
+        assert warm.executor == "serial"
         for cold_item, warm_item in zip(cold.items, warm.items):
             assert warm_item.outcome.result.vertices == cold_item.outcome.result.vertices
             assert warm_item.outcome.result.edges == cold_item.outcome.result.edges
 
         path = tmp_path / "flat.tspgsnap"
         save_snapshot(graph, path)
-        flat = TspgService.from_snapshot(path)
-        flat_cold = flat.run_batch(
-            queries, max_workers=2, use_cache=True, executor="processes"
-        )
-        flat_warm = flat.run_batch(
-            queries, max_workers=2, use_cache=True, executor="processes"
-        )
+        flat = TspgService.from_snapshot(path, pool=worker_pool)
+        flat_cold = flat.run_batch(queries, max_workers=2, use_cache=True)
+        flat_warm = flat.run_batch(queries, max_workers=2, use_cache=True)
         assert flat_cold.num_cache_hits == 0
         assert flat_warm.num_cache_hits == len(queries)
+        # One query left after the peek runs here, and misses once.
+        first = queries[0]
+        fresh = TspgQuery(
+            first.source, first.target,
+            (first.interval.begin, first.interval.end + 1),
+        )
+        misses = flat.cache_stats().misses
+        one_left = flat.run_batch(
+            [*queries, fresh], max_workers=2, use_cache=True
+        )
+        assert one_left.executor == "serial"
+        assert one_left.num_cache_hits == len(queries)
+        assert flat.cache_stats().misses == misses + 1
 
-    def test_skewed_groups_are_subchunked_across_workers(self, tmp_path):
+    def test_skewed_groups_are_subchunked_across_workers(self, tmp_path, worker_pool):
         # One shard receiving nearly the whole batch must still spread over
         # the worker budget (multiple pool tasks per group), not serialise
         # inside a single worker — and stay bit-identical doing so.
@@ -557,25 +539,22 @@ class TestProcessBackend:
         )
         queries = [TspgQuery("s", f"v{i}", (1, 4)) for i in range(12)]
         queries.append(TspgQuery("s", "wide", (27, 30)))
-        router = ShardedTspgService(graph, 2, overlap=2)
+        router = ShardedTspgService(graph, 2, overlap=2, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
         serial = TspgService(graph).run_batch(queries, use_cache=False)
-        report = router.run_batch(
-            queries, max_workers=4, use_cache=False, executor="processes"
-        )
+        report = router.run_batch(queries, max_workers=4, use_cache=False)
         assert report.executor == "processes"
         assert report.num_completed == len(queries)
         for base, item in zip(serial.items, report.items):
             assert item.outcome.result.vertices == base.outcome.result.vertices
             assert item.outcome.result.edges == base.outcome.result.edges
 
-    def test_process_backend_honours_time_budget(self, tmp_path):
+    def test_process_backend_honours_time_budget(self, tmp_path, worker_pool):
         graph, queries = _random_case(seed=50, num_queries=6)
-        router = ShardedTspgService(graph, 2, overlap=8)
+        router = ShardedTspgService(graph, 2, overlap=8, pool=worker_pool)
         router.save_shards(tmp_path / "shards")
         report = router.run_batch(
-            queries, max_workers=2, use_cache=False, executor="processes",
-            time_budget_seconds=0.0,
+            queries, max_workers=2, use_cache=False, time_budget_seconds=0.0
         )
         assert report.timed_out is True
         assert all(item.skipped for item in report.items if item.outcome is None)
@@ -585,20 +564,23 @@ class TestProcessBackend:
 # QueryRunner wiring
 # ----------------------------------------------------------------------
 class TestRunnerWiring:
-    def test_runner_snapshot_boot_attaches_process_backend(self, tmp_path):
+    def test_runner_snapshot_boot_attaches_process_backend(self, tmp_path, worker_pool):
+        # The runner's snapshot boot keeps the file attached, so its service
+        # can run batches on a pool.
         graph, queries = _random_case(seed=51, num_queries=4)
         path = tmp_path / "runner.tspgsnap"
         save_snapshot(graph, path)
-        runner = QueryRunner(executor="processes")
+        runner = QueryRunner()
         loaded = runner.graph_from_snapshot(path)
         service = runner._service_for(loaded)
+        service.attach_pool(worker_pool)
         report = service.run_batch(queries, max_workers=2, use_cache=False)
         assert report.executor == "processes"
 
     def test_runner_boots_router_from_shard_snapshots(self, tmp_path):
         graph, queries = _random_case(seed=52, num_queries=6)
         ShardedTspgService(graph, 2, overlap=8).save_shards(tmp_path / "shards")
-        runner = QueryRunner(keep_results=True, executor="processes")
+        runner = QueryRunner(keep_results=True)
         loaded = runner.graph_from_shard_snapshots(tmp_path / "shards")
         assert loaded == graph
         service = runner._service_for(loaded)

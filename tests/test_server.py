@@ -781,7 +781,7 @@ class TestCliListen:
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--dataset", "D1", "--executor", "threads",
+                "--dataset", "D1",
                 "--listen", "127.0.0.1:0",
             ],
             stderr=subprocess.PIPE,
