@@ -6,7 +6,8 @@ Three artifacts are regenerated:
   and TightUBG; the expected ordering (dtTSG loosest, TightUBG tightest,
   tgTSG = QuickUBG) is asserted.
 * Fig. 9    — upper-bound generation time of tgTSG (Dijkstra-based) vs
-  QuickUBG (BFS-based); QuickUBG must not be slower overall.
+  QuickUBG (BFS-based); summed over the datasets, QuickUBG must be at least
+  ``MIN_FIG9_SPEEDUP`` times faster.
 * Fig. 10   — upper-bound ratio and phase time while varying θ.
 """
 
@@ -16,12 +17,16 @@ import pytest
 
 from repro.bench.experiments import exp5_quick_vs_tgtsg, exp5_upper_bound, exp5_vary_theta
 from repro.baselines.reductions import tg_tsg_reduction
-from repro.core.polarity import compute_polarity_times
 from repro.core.quick_ubg import quick_upper_bound_graph
 from repro.datasets.registry import get_dataset
 from repro.queries.workload import generate_workload
 
 from bench_config import BENCH_DATASETS, BENCH_NUM_QUERIES, BENCH_THETAS
+
+#: Fig. 9's floor: summed tgTSG time over summed QuickUBG time.  QuickUBG's
+#: FIFO sweeps avoid tgTSG's priority queue; the paper reports a
+#: two-orders-of-magnitude gap in C++.
+MIN_FIG9_SPEEDUP = 2.0
 
 
 def test_exp5_table2_upper_bound_ratio(benchmark, save_report):
@@ -57,10 +62,7 @@ def test_exp5_fig9_reduction_time(benchmark, dataset_key, method):
 
     def run_quick():
         for query in workload:
-            polarity = compute_polarity_times(graph, query.source, query.target, query.interval)
-            quick_upper_bound_graph(
-                graph, query.source, query.target, query.interval, polarity=polarity
-            )
+            quick_upper_bound_graph(graph, query.source, query.target, query.interval)
 
     target = run_tgtsg if method == "tgTSG" else run_quick
     benchmark.pedantic(target, rounds=1, iterations=3)
@@ -78,9 +80,7 @@ def test_exp5_fig9_summary(benchmark, save_report):
     save_report("exp5_fig9_quick_vs_tgtsg", report, x_label="dataset")
     total_tgtsg = sum(row["tgTSG"] for row in report.rows)
     total_quick = sum(row["QuickUBG"] for row in report.rows)
-    # QuickUBG avoids the priority queue; summed over all datasets it must not
-    # lose to tgTSG (the paper reports a two-orders-of-magnitude gap in C++).
-    assert total_quick <= total_tgtsg * 1.25
+    assert total_tgtsg >= MIN_FIG9_SPEEDUP * total_quick, (total_tgtsg, total_quick)
 
 
 def test_exp5_fig10_vary_theta(benchmark, save_report):

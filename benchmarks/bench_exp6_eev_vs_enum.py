@@ -17,7 +17,7 @@ from repro.baselines.enumeration import EnumerationBudgetExceeded, tspg_by_enume
 from repro.bench.experiments import exp6_eev_vs_enum
 from repro.core.eev import escaped_edges_verification
 from repro.core.quick_ubg import quick_upper_bound_graph
-from repro.core.tight_ubg import tight_upper_bound_with_tcv
+from repro.core.tight_ubg import tight_upper_bound_graph
 from repro.datasets.registry import get_dataset
 from repro.queries.workload import generate_workload
 
@@ -33,7 +33,7 @@ def _tight_graphs(theta: int):
     prepared = []
     for query in workload:
         quick = quick_upper_bound_graph(graph, query.source, query.target, query.interval)
-        tight, _ = tight_upper_bound_with_tcv(quick, query.source, query.target, query.interval)
+        tight = tight_upper_bound_graph(quick, query.source, query.target, query.interval)
         prepared.append((query, tight))
     return prepared
 

@@ -2,10 +2,10 @@
 
 This module is the single place where the benchmark harness, the query runner
 and the CLI look algorithms up by their paper names: ``"VUG"``, ``"EPdtTSG"``,
-``"EPesTSG"``, ``"EPtgTSG"`` and ``"Naive"``.  Three VUG variants ride along:
-the ablations ``"VUG-noTight"`` and ``"VUG-noLemma10"``, and the
-``"VUG-materializing"`` reference pipeline the equivalence oracles compare
-against.  Every VUG entry runs the same pure-Python kernels.
+``"EPesTSG"``, ``"EPtgTSG"`` and ``"Naive"``.  Two VUG ablations ride along,
+``"VUG-noTight"`` and ``"VUG-noLemma10"``.  Every VUG entry runs the same
+pure-Python kernels; the correctness oracles compare them with
+:func:`~repro.analysis.oracle.brute_force_tspg` and serial ``VUG``.
 """
 
 from __future__ import annotations
@@ -24,20 +24,16 @@ class VUGAlgorithm(TspgAlgorithm):
     """Adapter exposing the VUG pipeline through the common algorithm interface."""
 
     name = "VUG"
+    #: Every VUG phase polls its deadline inside its kernel loops.
+    bounded_by_deadline = True
 
     def __init__(
-        self,
-        use_tight_upper_bound: bool = True,
-        use_lemma10: bool = True,
-        zero_materialization: bool = True,
+        self, use_tight_upper_bound: bool = True, use_lemma10: bool = True
     ) -> None:
         self._engine = VUG(
             use_tight_upper_bound=use_tight_upper_bound,
             use_lemma10=use_lemma10,
-            zero_materialization=zero_materialization,
         )
-        # The reference pipeline's QuickUBG and TightUBG do not poll.
-        self.bounded_by_deadline = zero_materialization
 
     def compute(
         self,
@@ -84,20 +80,6 @@ class VUGNoLemma10(VUGAlgorithm):
         super().__init__(use_lemma10=False)
 
 
-class VUGMaterializing(VUGAlgorithm):
-    """Reference: the pre-refactor pipeline that materializes ``Gq``/``Gt``.
-
-    Registered so the randomized equivalence oracle can compare the
-    zero-materialization hot path against the original per-phase
-    graph-building implementation through the same interface.
-    """
-
-    name = "VUG-materializing"
-
-    def __init__(self) -> None:
-        super().__init__(zero_materialization=False)
-
-
 #: All algorithms evaluated in the paper's experiments, keyed by name.
 ALGORITHM_CLASSES: Dict[str, Type[TspgAlgorithm]] = {
     "VUG": VUGAlgorithm,
@@ -107,7 +89,6 @@ ALGORITHM_CLASSES: Dict[str, Type[TspgAlgorithm]] = {
     "Naive": NaiveEnumeration,
     "VUG-noTight": VUGQuickOnly,
     "VUG-noLemma10": VUGNoLemma10,
-    "VUG-materializing": VUGMaterializing,
 }
 
 #: The four algorithms compared throughout Section VI.

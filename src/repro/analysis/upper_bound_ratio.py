@@ -10,7 +10,7 @@ it over a query workload, reproducing the TABLE II rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from ..baselines.reductions import dt_tsg_reduction, es_tsg_reduction, tg_tsg_reduction
 from ..core.quick_ubg import quick_upper_bound_graph
@@ -19,16 +19,17 @@ from ..core.tight_ubg import tight_upper_bound_graph
 from ..core.vug import generate_tspg
 from ..graph.edge import Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
+from ..graph.views import SubgraphView
 from ..queries.query import QueryWorkload
 
-ReductionFn = Callable[[TemporalGraph, Vertex, Vertex, object], TemporalGraph]
+#: A reduction maps ``(G, s, t, interval)`` to an upper-bound graph: a new
+#: graph for the baselines, an edge mask over ``G`` for QuickUBG/TightUBG.
+ReductionFn = Callable[
+    [TemporalGraph, Vertex, Vertex, object], Union[TemporalGraph, SubgraphView]
+]
 
 
-def _quick_ubg_method(graph, source, target, interval) -> TemporalGraph:
-    return quick_upper_bound_graph(graph, source, target, interval)
-
-
-def _tight_ubg_method(graph, source, target, interval) -> TemporalGraph:
+def _tight_ubg_method(graph, source, target, interval) -> SubgraphView:
     quick = quick_upper_bound_graph(graph, source, target, interval)
     return tight_upper_bound_graph(quick, source, target, interval)
 
@@ -38,7 +39,7 @@ UPPER_BOUND_METHODS: Dict[str, ReductionFn] = {
     "dtTSG": dt_tsg_reduction,
     "esTSG": es_tsg_reduction,
     "tgTSG": tg_tsg_reduction,
-    "QuickUBG": _quick_ubg_method,
+    "QuickUBG": quick_upper_bound_graph,
     "TightUBG": _tight_ubg_method,
 }
 

@@ -38,12 +38,11 @@ from ..algorithms import PAPER_ALGORITHMS, get_algorithm
 from ..analysis.upper_bound_ratio import UPPER_BOUND_METHODS, upper_bound_ratios_for_workload
 from ..baselines.enumeration import EnumerationBudgetExceeded, tspg_by_enumeration
 from ..baselines.reductions import tg_tsg_reduction
-from ..core.polarity import compute_polarity_times
 from ..core.quick_ubg import quick_upper_bound_graph
 from ..core.vug import VUG, generate_tspg
 from ..core.result import PhaseTimings
 from ..core.eev import escaped_edges_verification
-from ..core.tight_ubg import tight_upper_bound_with_tcv
+from ..core.tight_ubg import tight_upper_bound_graph
 from ..datasets.registry import dataset_keys, get_dataset
 from ..datasets.transit import (
     CASE_STUDY_QUERY,
@@ -296,10 +295,7 @@ def exp5_quick_vs_tgtsg(
             tg_tsg_reduction(graph, query.source, query.target, query.interval)
             tgtsg_total += time.perf_counter() - started
             started = time.perf_counter()
-            polarity = compute_polarity_times(graph, query.source, query.target, query.interval)
-            quick_upper_bound_graph(
-                graph, query.source, query.target, query.interval, polarity=polarity
-            )
+            quick_upper_bound_graph(graph, query.source, query.target, query.interval)
             quick_total += time.perf_counter() - started
         speedup = tgtsg_total / quick_total if quick_total else float("inf")
         report.add_row(
@@ -336,7 +332,7 @@ def exp5_vary_theta(
             quick = quick_upper_bound_graph(graph, query.source, query.target, query.interval)
             quick_time += time.perf_counter() - started
             started = time.perf_counter()
-            tight, _ = tight_upper_bound_with_tcv(quick, query.source, query.target, query.interval)
+            tight = tight_upper_bound_graph(quick, query.source, query.target, query.interval)
             tight_time += time.perf_counter() - started
             tspg = escaped_edges_verification(tight, query.source, query.target, query.interval)
             if quick.num_edges:
@@ -385,7 +381,7 @@ def exp6_eev_vs_enum(
         enum_capped = False
         for query in workload:
             quick = quick_upper_bound_graph(graph, query.source, query.target, query.interval)
-            tight, _ = tight_upper_bound_with_tcv(quick, query.source, query.target, query.interval)
+            tight = tight_upper_bound_graph(quick, query.source, query.target, query.interval)
             started = time.perf_counter()
             eev_result = escaped_edges_verification(
                 tight, query.source, query.target, query.interval

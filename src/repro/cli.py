@@ -864,12 +864,46 @@ def _command_datasets(_: argparse.Namespace) -> int:
     return 0
 
 
+#: Experiments that sweep ``--thetas`` on one ``--dataset``.
+THETA_SWEEPS = {"exp2", "exp5-fig10", "exp6", "exp7"}
+
+#: Experiments that take neither a dataset nor a query count.
+FIXED_EXPERIMENTS = {"table1", "exp8"}
+
+
+def _check_experiment_args(args: argparse.Namespace) -> None:
+    """Reject bad sizes and unknown datasets in the flags ``args.name`` reads.
+
+    Runs before any dataset loads, so each mistake is one line, not a
+    traceback from deep inside a driver.
+    """
+    name = args.name
+    if name in FIXED_EXPERIMENTS:
+        return
+    if args.queries < 1:
+        raise SystemExit("--queries must be at least 1")
+    single = name in THETA_SWEEPS or name in {"exp9", "exp13"}
+    for key in [args.dataset] if single else args.datasets or ():
+        if key not in dataset_keys():
+            raise SystemExit(
+                f"unknown dataset {key!r}; available: {', '.join(dataset_keys())}"
+            )
+    if name in THETA_SWEEPS:
+        if not args.thetas:
+            raise SystemExit("--thetas needs at least one value")
+        if min(args.thetas) < 2:
+            raise SystemExit("--thetas values must be at least 2")
+    if name == "exp13" and args.workers < 1:
+        raise SystemExit("--workers must be at least 1")
+
+
 def _command_experiment(args: argparse.Namespace) -> int:
+    _check_experiment_args(args)
     name = args.name
     driver = bench_experiments.EXPERIMENTS[name]
-    if name in {"exp2", "exp5-fig10", "exp6", "exp7"}:
+    if name in THETA_SWEEPS:
         report = driver(args.dataset, args.thetas, num_queries=args.queries)
-    elif name in {"table1", "exp8"}:
+    elif name in FIXED_EXPERIMENTS:
         report = driver()
     elif name == "exp9":
         report = driver(args.dataset, num_queries=args.queries)
@@ -877,7 +911,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         report = driver(args.dataset, num_queries=args.queries, workers=args.workers)
     else:
         report = driver(keys=args.datasets, num_queries=args.queries)
-    if name in {"exp2", "exp5-fig10", "exp6", "exp7"}:
+    if name in THETA_SWEEPS:
         x_label = "theta"
     elif name in {"exp9", "exp13"}:
         x_label = "mode"

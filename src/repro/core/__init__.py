@@ -3,7 +3,7 @@
 from .deadline import Deadline
 from .result import PathGraph, PhaseTimings, VUGReport
 from .polarity import PolarityTimes, compute_polarity_times
-from .quick_ubg import quick_upper_bound_graph, quick_upper_bound_with_polarity
+from .quick_ubg import quick_upper_bound_graph
 from .tcv import TCVIndex, TimeStreamCommonVertices, compute_time_stream_common_vertices
 from .eev import (
     BidirectionalSearcher,
@@ -11,7 +11,7 @@ from .eev import (
     EEVStatistics,
     escaped_edges_verification,
 )
-from .tight_ubg import tight_upper_bound_graph, tight_upper_bound_with_tcv
+from .tight_ubg import tight_upper_bound_graph
 from .vug import VUG, generate_tspg, generate_tspg_report
 
 __all__ = [
@@ -23,12 +23,10 @@ __all__ = [
     "PolarityTimes",
     "compute_polarity_times",
     "quick_upper_bound_graph",
-    "quick_upper_bound_with_polarity",
     "TCVIndex",
     "TimeStreamCommonVertices",
     "compute_time_stream_common_vertices",
     "tight_upper_bound_graph",
-    "tight_upper_bound_with_tcv",
     "BidirectionalSearcher",
     "EEVStatistics",
     "escaped_edges_verification",

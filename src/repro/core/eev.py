@@ -49,7 +49,7 @@ EdgeTuple = Tuple[Vertex, Vertex, Timestamp]
 
 #: EEV consumes only the read API shared by graphs and edge-mask views
 #: (``sorted_edges``/``num_edges``/``out_neighbors_view``/``in_neighbors_view``),
-#: so the zero-materialization pipeline feeds it ``Gt`` as a mask view.
+#: so VUG feeds it ``Gt`` as a mask view and the tests may pass a graph.
 TightGraph = Union[TemporalGraph, SubgraphView]
 
 

@@ -14,6 +14,10 @@ Both sweeps run in ``O(n + m)`` time using a FIFO queue and the monotone
 relaxations of Algorithm 3, avoiding the ``O(log n)`` priority-queue factor of
 the Dijkstra-based ``tgTSG`` baseline — this is the asymptotic (and measured,
 Fig. 9) advantage of QuickUBG over tgTSG.
+
+The sweeps run once, in interned-id space over the graph's CSR view
+(:func:`compute_polarity_id_arrays`, the kernel VUG serves);
+:func:`compute_polarity_times` re-keys their sparse tables by vertex label.
 """
 
 from __future__ import annotations
@@ -34,10 +38,15 @@ NEG_INFINITY = float("-inf")
 
 @dataclass(frozen=True)
 class PolarityTimes:
-    """The two polarity-time tables of a query (Definition 4)."""
+    """The two polarity-time tables of a query (Definition 4), keyed by label.
 
-    arrival: Dict[Vertex, float]
-    departure: Dict[Vertex, float]
+    The tables are sparse: they hold only the vertices the sweeps reached,
+    so every stored value is finite, and the accessors return ``+inf`` /
+    ``-inf`` for every other vertex.
+    """
+
+    arrival: Dict[Vertex, int]
+    departure: Dict[Vertex, int]
     source: Vertex
     target: Vertex
     interval: TimeInterval
@@ -61,19 +70,18 @@ def compute_polarity_times(
     target: Vertex,
     interval,
 ) -> PolarityTimes:
-    """Compute ``A(·)`` and ``D(·)`` for every vertex (Algorithm 3).
+    """Compute ``A(·)`` and ``D(·)`` of a query, keyed by vertex label (Algorithm 3).
 
-    The forward sweep relaxes out-edges from ``s`` (never expanding ``t``), the
-    backward sweep relaxes in-edges from ``t`` (never expanding ``s``); each
-    vertex keeps a monotone best value so each edge is examined a bounded
-    number of times.
+    The label-keyed form of :func:`compute_polarity_id_arrays` over
+    ``graph.view()``: only the vertices its sweeps reached are present.
     """
     window = as_interval(interval)
-    arrival = _sweep_earliest_arrival(graph, source, target, window)
-    departure = _sweep_latest_departure(graph, source, target, window)
+    view = graph.view()
+    arrival, departure, _ = compute_polarity_id_arrays(view, source, target, window)
+    labels = view.labels
     return PolarityTimes(
-        arrival=arrival,
-        departure=departure,
+        arrival={labels[vid]: time for vid, time in arrival.items()},
+        departure={labels[vid]: time for vid, time in departure.items()},
         source=source,
         target=target,
         interval=window,
@@ -92,15 +100,10 @@ def compute_polarity_id_arrays(
     Returns ``(arrival, departure, frontier)``.  The two tables are sparse
     maps from interned vertex id to ``A(v)`` and ``D(v)``: they hold only
     the vertices the forward and backward sweeps reached, and an absent id
-    means ``+inf`` (arrival) or ``-inf`` (departure).  Expanded to every
-    vertex they equal what :func:`compute_polarity_times` produces (the
-    sweeps converge to the unique earliest-arrival/latest-departure fixed
-    point, so the two implementations are interchangeable).  This is the
-    polarity kernel of the zero-materialization pipeline: a query allocates
-    in proportion to what its sweeps reach, never to ``|V|`` of the view,
-    and the per-vertex timestamp lists the dict-based sweeps rebuild every
-    query are bisected *in place* on the view's CSR-aligned
-    ``out_ts``/``in_ts`` columns instead.
+    means ``+inf`` (arrival) or ``-inf`` (departure).  A query therefore
+    allocates in proportion to what its sweeps reach, never to ``|V|`` of
+    the view, and each vertex's timestamp run is bisected *in place* on the
+    view's CSR-aligned ``out_ts``/``in_ts`` columns.
 
     ``frontier`` maps every vertex the forward sweep expanded to the first
     out-CSR position with ``τ > max(A(u), τb - 1)`` — where ``u``'s Lemma 1
@@ -128,7 +131,7 @@ def _sweep_arrival_ids(
     window: TimeInterval,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """Id-space forward sweep (mirror of :func:`_sweep_earliest_arrival`).
+    """Forward sweep from ``s``: ``A(·)`` without expanding through ``t``.
 
     Returns the sparse arrival table and the ``processed_from`` frontier.
     """
@@ -177,6 +180,7 @@ def _sweep_arrival_ids(
             if v in arrival and timestamp >= arrival[v]:
                 continue
             arrival[v] = timestamp
+            # Algorithm 3 line 9: nothing leaves v strictly after τe.
             if timestamp != window_end and v not in queued:
                 queue.append(v)
                 queued.add(v)
@@ -190,7 +194,7 @@ def _sweep_departure_ids(
     window: TimeInterval,
     deadline: Optional[Deadline] = None,
 ) -> Dict[int, int]:
-    """Id-space backward sweep (mirror of :func:`_sweep_latest_departure`).
+    """Backward sweep from ``t``: ``D(·)`` without expanding through ``s``.
 
     Returns the sparse departure table.
     """
@@ -235,109 +239,6 @@ def _sweep_departure_ids(
                 continue
             departure[v] = timestamp
             if timestamp != window_begin and v not in queued:
-                queue.append(v)
-                queued.add(v)
-    return departure
-
-
-def _sweep_earliest_arrival(
-    graph: TemporalGraph, source: Vertex, target: Vertex, window: TimeInterval
-) -> Dict[Vertex, float]:
-    """Forward BFS-like sweep computing ``A(u)`` for all vertices.
-
-    Each vertex keeps a pointer into its timestamp-sorted out-neighbour list
-    (Algorithm 3's per-vertex pointer): when a vertex is re-visited with an
-    earlier arrival time, only the newly eligible prefix of edges — those with
-    timestamps between the new and the previously processed arrival bound —
-    is scanned, so every edge is relaxed O(1) times overall.
-    """
-    from bisect import bisect_right
-
-    arrival: Dict[Vertex, float] = {v: INFINITY for v in graph.vertices()}
-    if not graph.has_vertex(source):
-        return arrival
-    arrival[source] = window.begin - 1
-    queue = deque([source])
-    queued = {source}
-    # Lowest out-neighbour index already relaxed for each vertex; entries at
-    # and beyond this index never need to be scanned again.
-    processed_from: Dict[Vertex, int] = {}
-    out_times: Dict[Vertex, list] = {}
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        current = arrival[u]
-        entries = graph.out_neighbors_view(u)
-        times = out_times.get(u)
-        if times is None:
-            times = [t for _, t in entries]
-            out_times[u] = times
-        stop = processed_from.get(u, len(entries))
-        start = bisect_right(times, current if current > window.begin - 1 else window.begin - 1)
-        if start >= stop:
-            continue
-        processed_from[u] = start
-        for index in range(start, stop):
-            v, timestamp = entries[index]
-            if timestamp > window.end:
-                break
-            if v == target:
-                # Algorithm 3 line 6: do not expand through the target; A(t)
-                # stays +inf and paths via t are never used for other vertices.
-                continue
-            if timestamp >= arrival[v]:
-                # Not an improvement (Algorithm 3 line 7).
-                continue
-            arrival[v] = timestamp
-            # Algorithm 3 line 9 skips re-queueing when τ = τe because no
-            # further strict extension is possible from v in that case.
-            if timestamp != window.end and v not in queued:
-                queue.append(v)
-                queued.add(v)
-    return arrival
-
-
-def _sweep_latest_departure(
-    graph: TemporalGraph, source: Vertex, target: Vertex, window: TimeInterval
-) -> Dict[Vertex, float]:
-    """Backward sweep computing ``D(u)`` for all vertices (mirror of the forward sweep)."""
-    from bisect import bisect_left
-
-    departure: Dict[Vertex, float] = {v: NEG_INFINITY for v in graph.vertices()}
-    if not graph.has_vertex(target):
-        return departure
-    departure[target] = window.end + 1
-    queue = deque([target])
-    queued = {target}
-    # Highest in-neighbour index (exclusive) already relaxed for each vertex.
-    processed_to: Dict[Vertex, int] = {}
-    in_times: Dict[Vertex, list] = {}
-    while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        current = departure[u]
-        entries = graph.in_neighbors_view(u)
-        times = in_times.get(u)
-        if times is None:
-            times = [t for _, t in entries]
-            in_times[u] = times
-        start = processed_to.get(u, 0)
-        bound = current if current < window.end + 1 else window.end + 1
-        stop = bisect_left(times, bound)
-        if stop <= start:
-            continue
-        processed_to[u] = stop
-        for index in range(start, stop):
-            v, timestamp = entries[index]
-            if timestamp < window.begin:
-                continue
-            if v == source:
-                # Mirror of the forward sweep: never expand through s.
-                continue
-            if timestamp <= departure[v]:
-                continue
-            departure[v] = timestamp
-            if timestamp != window.begin and v not in queued:
                 queue.append(v)
                 queued.add(v)
     return departure

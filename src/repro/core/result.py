@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ..graph.edge import TemporalEdge, TimeInterval, Timestamp, Vertex, as_edge, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import SubgraphView
 
 EdgeTuple = Tuple[Vertex, Vertex, Timestamp]
-
-#: An intermediate upper-bound graph: an edge-mask view on the default
-#: zero-materialization pipeline, a real graph on the materializing one.
-UpperBoundGraph = Union[TemporalGraph, SubgraphView]
 
 
 @dataclass(frozen=True)
@@ -223,15 +219,14 @@ class VUGReport:
     ``upper_bound_quick`` / ``upper_bound_tight`` expose ``Gq`` and ``Gt`` so
     the upper-bound-ratio experiments (Table II / Fig. 10) and the EEV-only
     experiments (Fig. 11) can reuse the intermediate products without
-    recomputing them.  On the default zero-materialization pipeline they are
-    edge-mask :class:`~repro.graph.views.SubgraphView` objects (same read
-    API; call ``.materialize()`` for a mutable :class:`TemporalGraph`);
-    ``VUG(zero_materialization=False)`` yields real graphs.
+    recomputing them.  Both are edge-mask
+    :class:`~repro.graph.views.SubgraphView` objects (the read API of a
+    graph; call ``.materialize()`` for a mutable :class:`TemporalGraph`).
     """
 
     result: PathGraph
-    upper_bound_quick: Optional[UpperBoundGraph] = None
-    upper_bound_tight: Optional[UpperBoundGraph] = None
+    upper_bound_quick: Optional[SubgraphView] = None
+    upper_bound_tight: Optional[SubgraphView] = None
     timings: PhaseTimings = field(default_factory=PhaseTimings)
     space_cost: int = 0
     eev_statistics: Optional[object] = None

@@ -14,45 +14,38 @@ upper bound of the ``tspG`` (Lemma 3 is necessary but not sufficient), but a
 much tighter one than ``Gq`` because it also encodes the simple-path
 constraint.
 
-Zero-materialization kernel: when ``Gq`` arrives as an edge-mask
-:class:`~repro.graph.views.SubgraphView` (the output of the refactored
-QuickUBG), the filter *refines the mask in place of building a graph* — the
-surviving edges share the parent's columnar storage and no per-edge
-insertion happens.  A :class:`~repro.graph.temporal_graph.TemporalGraph`
-input falls back to the pre-refactor materializing scan, also available
-directly as :func:`tight_upper_bound_graph_materializing`.
+``Gq`` arrives as the edge-mask :class:`~repro.graph.views.SubgraphView`
+QuickUBG returns, and the filter *refines the mask* — the surviving edges
+share the parent's columnar storage and no per-edge insertion happens.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple, Union
+from typing import Optional, Set
 
 from ..graph.edge import Vertex, as_interval
-from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import SubgraphView
 from .deadline import POLL_INTERVAL, Deadline, poll
 from .tcv import TimeStreamCommonVertices, compute_time_stream_common_vertices
 
-QuickGraph = Union[TemporalGraph, SubgraphView]
-
 
 def tight_upper_bound_graph(
-    quick_graph: QuickGraph,
+    quick_graph: SubgraphView,
     source: Vertex,
     target: Vertex,
     interval,
     tcv: Optional[TimeStreamCommonVertices] = None,
     deadline: Optional[Deadline] = None,
-) -> QuickGraph:
+) -> SubgraphView:
     """Compute the tight upper-bound graph ``Gt`` (Algorithm 5).
 
     Parameters
     ----------
     quick_graph:
-        The quick upper-bound graph ``Gq`` produced by
-        :func:`~repro.core.quick_ubg.quick_upper_bound_graph` — an edge-mask
-        :class:`SubgraphView` on the zero-materialization path, or a plain
-        :class:`TemporalGraph` from legacy callers.
+        The quick upper-bound graph ``Gq``: the edge-mask
+        :class:`SubgraphView` that
+        :func:`~repro.core.quick_ubg.quick_upper_bound_graph` returns.
+        Anything else raises :class:`TypeError`.
     tcv:
         Pre-computed time-stream common vertices; computed here (Algorithm 4)
         when omitted.
@@ -60,42 +53,30 @@ def tight_upper_bound_graph(
         Polled every :data:`~repro.core.deadline.POLL_INTERVAL` edges of the
         mask refinement (and of the TCV scans when they run here);
         :class:`~repro.core.deadline.DeadlineExpired` is raised past it.
-        The materializing scan of a graph input does not poll.
 
     Returns
     -------
-    SubgraphView or TemporalGraph
-        The same shape as the input: a refined mask view for a view input
-        (zero copies), a freshly built graph for a graph input.
+    SubgraphView
+        The refined mask over the same base view (zero copies).
     """
+    if not isinstance(quick_graph, SubgraphView):
+        raise TypeError(
+            "tight_upper_bound_graph refines the edge-mask SubgraphView that "
+            f"quick_upper_bound_graph returns, not a {type(quick_graph).__name__}"
+        )
     window = as_interval(interval)
     if tcv is None:
         tcv = compute_time_stream_common_vertices(
             quick_graph, source, target, window, deadline=deadline
         )
-    if isinstance(quick_graph, SubgraphView):
-        return _tight_mask(quick_graph, source, target, tcv, deadline)
-    return tight_upper_bound_graph_materializing(
-        quick_graph, source, target, window, tcv=tcv
-    )
-
-
-def _tight_mask(
-    quick: SubgraphView,
-    source: Vertex,
-    target: Vertex,
-    tcv: TimeStreamCommonVertices,
-    deadline: Optional[Deadline],
-) -> SubgraphView:
-    """Refine the quick mask with the Lemma 9 filter (no edge copies)."""
-    base = quick.base
+    base = quick_graph.base
     labels, src, dst, ts = base.labels, base.src, base.dst, base.ts
     source_id = base.index_of.get(source, -1)
     target_id = base.index_of.get(target, -1)
     indices: list = []
     vids: Set[int] = set()
     ticks = POLL_INTERVAL
-    for index in quick.iter_indices():
+    for index in quick_graph.iter_indices():
         ticks -= 1
         if not ticks:
             ticks = poll(deadline)
@@ -113,35 +94,6 @@ def _tight_mask(
     return SubgraphView(base, indices, vids)
 
 
-def tight_upper_bound_graph_materializing(
-    quick_graph: TemporalGraph,
-    source: Vertex,
-    target: Vertex,
-    interval,
-    tcv: Optional[TimeStreamCommonVertices] = None,
-) -> TemporalGraph:
-    """Pre-refactor TightUBG: build ``Gt`` as a fresh :class:`TemporalGraph`.
-
-    Kept as the reference implementation for the randomized equivalence
-    tests; new code should pass views through
-    :func:`tight_upper_bound_graph`.
-    """
-    window = as_interval(interval)
-    if tcv is None:
-        tcv = compute_time_stream_common_vertices(quick_graph, source, target, window)
-    tight = TemporalGraph()
-    for edge in quick_graph.sorted_edges():
-        u, v, timestamp = edge.source, edge.target, edge.timestamp
-        if u == source or v == target:
-            # Lemma 2 / Algorithm 5 lines 4-6: edges incident to the query
-            # endpoints are always part of some temporal simple path.
-            tight.add_edge(u, v, timestamp)
-            continue
-        if _passes_tcv_filter(tcv, u, v, timestamp):
-            tight.add_edge(u, v, timestamp)
-    return tight
-
-
 def _passes_tcv_filter(
     tcv: TimeStreamCommonVertices, u: Vertex, v: Vertex, timestamp: int
 ) -> bool:
@@ -155,15 +107,3 @@ def _passes_tcv_filter(
     from_source = tcv.from_source_or_default(u, timestamp - 1)
     to_target = tcv.to_target_or_default(v, timestamp + 1)
     return not (from_source & to_target)
-
-
-def tight_upper_bound_with_tcv(
-    quick_graph: QuickGraph, source: Vertex, target: Vertex, interval
-) -> Tuple[QuickGraph, TimeStreamCommonVertices]:
-    """Convenience wrapper returning both ``Gt`` and the TCV tables."""
-    window = as_interval(interval)
-    tcv = compute_time_stream_common_vertices(quick_graph, source, target, window)
-    return (
-        tight_upper_bound_graph(quick_graph, source, target, window, tcv=tcv),
-        tcv,
-    )

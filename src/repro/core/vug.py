@@ -10,20 +10,16 @@ and returns the exact temporal simple path graph together with the
 intermediate upper-bound graphs and per-phase wall-clock timings (the raw
 material of Exp-4, Exp-5 and Exp-6).
 
-The default pipeline is **zero-materialization**: the intermediate
-upper-bound graphs ``Gq`` and ``Gt`` are edge-mask
-:class:`~repro.graph.views.SubgraphView` objects over the parent graph's
-frozen columnar :class:`~repro.graph.views.GraphView` — no
-:class:`TemporalGraph` is built anywhere on the hot path (call
-``.materialize()`` on a report's upper bounds if a mutable graph is
-needed).  QuickUBG is two pure-Python kernels over the view's columns:
-the id-space polarity sweeps
+The pipeline is view-in/view-out: the intermediate upper-bound graphs
+``Gq`` and ``Gt`` are edge-mask :class:`~repro.graph.views.SubgraphView`
+objects over the parent graph's frozen columnar
+:class:`~repro.graph.views.GraphView` — no :class:`TemporalGraph` is built
+anywhere on the hot path (call ``.materialize()`` on a report's upper
+bounds if a mutable graph is needed).  QuickUBG is two pure-Python kernels
+over the view's columns: the id-space polarity sweeps
 (:func:`~repro.core.polarity.compute_polarity_id_arrays`) and the
 frontier-driven Lemma 1 mask
-(:func:`~repro.core.quick_ubg.quick_mask_kernel`).  Constructing
-``VUG(zero_materialization=False)`` runs the pre-refactor pipeline that
-materializes a fresh graph per phase; it is kept as the reference pipeline
-the randomized equivalence tests compare against.
+(:func:`~repro.core.quick_ubg.quick_mask_kernel`).
 
 :func:`generate_tspg` is the one-call public entry point most users want.
 """
@@ -38,11 +34,11 @@ from ..graph.edge import Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from .deadline import Deadline, DeadlineExpired, poll
 from .eev import EEVStatistics, escaped_edges_verification
-from .polarity import compute_polarity_id_arrays, compute_polarity_times
-from .quick_ubg import quick_mask_kernel, quick_upper_bound_graph_materializing
+from .polarity import compute_polarity_id_arrays
+from .quick_ubg import quick_mask_kernel
 from .result import PathGraph, PhaseTimings, VUGReport
 from .tcv import compute_time_stream_common_vertices
-from .tight_ubg import tight_upper_bound_graph, tight_upper_bound_graph_materializing
+from .tight_ubg import tight_upper_bound_graph
 
 
 @dataclass
@@ -60,16 +56,11 @@ class VUG:
         bidirectional search for every escaped edge.
     collect_eev_statistics:
         Attach an :class:`EEVStatistics` to the report.
-    zero_materialization:
-        When ``True`` (the default) the phases exchange edge-mask views and
-        no intermediate :class:`TemporalGraph` is built; ``False`` selects
-        the pre-refactor materializing pipeline (the oracle baseline).
     """
 
     use_tight_upper_bound: bool = True
     use_lemma10: bool = True
     collect_eev_statistics: bool = False
-    zero_materialization: bool = True
 
     def effective_kernel_backend(self) -> str:
         """Always ``"python"``: the pipeline has one kernel implementation.
@@ -101,10 +92,8 @@ class VUG:
         the phases that finished and the phase timings accumulated so far
         (the cut-off phase's up to the poll that caught it).  The cut-off
         slack is therefore one polling interval of one kernel loop or one
-        EEV edge expansion, never a whole phase.  The reference pipeline
-        (``zero_materialization=False``) polls only at the phase boundaries
-        and in the TCV scans and EEV.  A query that finishes in budget is
-        bit-identical to a deadline-free run.
+        EEV edge expansion, never a whole phase.  A query that finishes in
+        budget is bit-identical to a deadline-free run.
         """
         window = as_interval(interval)
         timings = PhaseTimings()
@@ -115,28 +104,19 @@ class VUG:
         phase = "quick_ubg"
         started = time.perf_counter()
         try:
-            # Phase 1: quick upper-bound graph (temporal constraint).
-            if self.zero_materialization:
-                # Kernels over the frozen columnar view: the polarity sweeps
-                # run in interned-id space on the CSR-aligned timestamp
-                # columns and the Lemma 1 test produces an edge mask —
-                # nothing is materialized anywhere in this pipeline.  The
-                # mask reads only the out-edges of vertices the forward
-                # sweep reached, after their arrival time, then sorts the
-                # survivors.
-                view = graph.view()
-                arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
-                    view, source, target, window, deadline=deadline
-                )
-                quick = quick_mask_kernel(
-                    view, arrival_ids, departure_ids, window, frontier,
-                    deadline=deadline,
-                )
-            else:
-                polarity = compute_polarity_times(graph, source, target, window)
-                quick = quick_upper_bound_graph_materializing(
-                    graph, source, target, window, polarity=polarity
-                )
+            # Phase 1: quick upper-bound graph (temporal constraint).  The
+            # polarity sweeps run in interned-id space on the CSR-aligned
+            # timestamp columns, and the Lemma 1 test reads only the
+            # out-edges of vertices the forward sweep reached, after their
+            # arrival time, then sorts the survivors into an edge mask.
+            view = graph.view()
+            arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
+                view, source, target, window, deadline=deadline
+            )
+            quick = quick_mask_kernel(
+                view, arrival_ids, departure_ids, window, frontier,
+                deadline=deadline,
+            )
             timings.quick_ubg = time.perf_counter() - started
             poll(deadline)
 
@@ -147,14 +127,9 @@ class VUG:
                     quick, source, target, window, deadline=deadline
                 )
                 tcv_space = tcv.space_cost()
-                if self.zero_materialization:
-                    tight = tight_upper_bound_graph(
-                        quick, source, target, window, tcv=tcv, deadline=deadline
-                    )
-                else:
-                    tight = tight_upper_bound_graph_materializing(
-                        quick, source, target, window, tcv=tcv
-                    )
+                tight = tight_upper_bound_graph(
+                    quick, source, target, window, tcv=tcv, deadline=deadline
+                )
             else:
                 tight = quick
             timings.tight_ubg = time.perf_counter() - started

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets.registry import DatasetSpec
 from repro.graph.io import save_edge_list
 from repro.graph.temporal_graph import TemporalGraph
 
@@ -84,6 +85,28 @@ class TestOtherCommands:
             "experiment", "exp4", "--datasets", "D1", "--queries", "2",
         ]) == 0
         assert "Exp-4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["exp2", "--queries", "0"], "--queries must be at least 1"),
+        (["exp4", "--queries", "-3"], "--queries must be at least 1"),
+        (["exp5-fig10", "--thetas", "1"], "--thetas values must be at least 2"),
+        (["exp6", "--thetas", "6", "-4"], "--thetas values must be at least 2"),
+        (["exp5-fig10", "--thetas"], "--thetas needs at least one value"),
+        (["exp7", "--thetas"], "--thetas needs at least one value"),
+        (["exp2", "--dataset", "D99"], "unknown dataset 'D99'"),
+        (["exp9", "--dataset", "D99"], "unknown dataset 'D99'"),
+        (["exp1", "--datasets", "D1", "D99"], "unknown dataset 'D99'"),
+        (["exp13", "--workers", "0"], "--workers must be at least 1"),
+    ])
+    def test_experiment_rejects_bad_arguments_before_loading(
+        self, monkeypatch, argv, message
+    ):
+        def no_load(self):
+            raise AssertionError("a dataset loaded before the arguments were checked")
+
+        monkeypatch.setattr(DatasetSpec, "load", no_load)
+        with pytest.raises(SystemExit, match=message):
+            main(["experiment", *argv])
 
     def test_case_study(self, capsys):
         assert main(["case-study"]) == 0

@@ -1,7 +1,7 @@
 """Degenerate query windows: one empty-slice convention for every algorithm.
 
-The view kernels and the materializing reference pipeline must agree on
-what a degenerate interval means:
+Every registry algorithm and the brute-force oracle must agree on what a
+degenerate interval means:
 
 * an inverted interval (``begin > end``) is a construction error —
   :class:`TimeInterval` rejects it, so no kernel ever sees one;
@@ -20,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import available_algorithms, get_algorithm
+from repro.analysis.oracle import brute_force_tspg
 from repro.graph.edge import TimeInterval, as_interval
 from repro.graph.generators import bursty_email_graph
 from repro.graph.temporal_graph import TemporalGraph
@@ -111,21 +112,17 @@ class TestSingleInstantWindows:
     def test_instant_window_results_agree_across_registry(self, graph):
         vertices = sorted(graph.vertices())
         source, target = vertices[0], vertices[1]
-        reference_algorithm = get_algorithm("VUG-materializing")
         for timestamp in graph.timestamps()[:6]:
             window = (timestamp, timestamp)
-            reference = reference_algorithm.run(graph, source, target, window)
+            reference = brute_force_tspg(graph, source, target, window)
             # Any path within [τ, τ] has exactly one edge: s → t at τ.
             direct = {
                 (u, v, t)
                 for (u, v, t) in graph.edge_tuples()
                 if u == source and v == target and t == timestamp
             }
-            assert reference.result.edges == direct, window
+            assert reference.edges == direct, window
             for name in available_algorithms():
                 outcome = get_algorithm(name).run(graph, source, target, window)
-                assert outcome.result.vertices == reference.result.vertices, (
-                    name,
-                    window,
-                )
-                assert outcome.result.edges == reference.result.edges, (name, window)
+                assert outcome.result.vertices == reference.vertices, (name, window)
+                assert outcome.result.edges == reference.edges, (name, window)

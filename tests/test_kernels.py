@@ -2,12 +2,14 @@
 
 Four layers:
 
-* the id-space polarity sweeps against the label-space reference
-  :func:`compute_polarity_times`, re-keyed through ``view.labels``, over
-  degenerate windows, endpoint edge cases and a randomized multigraph —
-  the sparse id tables are expanded to every vertex id first, so equality
-  is checked entry by entry;
-* the Lemma 1 mask against Lemma 1 evaluated edge by edge;
+* the id-space polarity sweeps against the label-space reachability sweeps
+  of :mod:`repro.paths.reachability` (``A(·)`` never passing through ``t``,
+  ``D(·)`` never passing through ``s``), re-keyed through ``view.labels``,
+  over degenerate windows, endpoint edge cases and a randomized
+  multigraph — the sparse id tables are expanded to every vertex id first,
+  so equality is checked entry by entry;
+* the Lemma 1 mask against Lemma 1 evaluated edge by edge over those
+  reference tables;
 * the cost model — a query allocates for the vertices its sweeps reach,
   not for ``|V|`` of the view;
 * hash-seed determinism — the engine's results are identical across
@@ -30,12 +32,13 @@ import tracemalloc
 
 import pytest
 
-from repro.core.polarity import compute_polarity_id_arrays, compute_polarity_times
+from repro.core.polarity import compute_polarity_id_arrays
 from repro.core.quick_ubg import quick_mask_kernel
 from repro.core.vug import VUG
 from repro.graph.generators import bursty_email_graph, uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.views import GraphView
+from repro.paths.reachability import earliest_arrival_times, latest_departure_times
 from repro.store import boot_snapshot, save_snapshot
 
 
@@ -144,11 +147,12 @@ def _served_queries(graph):
 
 
 def _label_space_tables(graph, view, source, target, window):
-    """:func:`compute_polarity_times` re-keyed to interned-id lists."""
-    times = compute_polarity_times(graph, source, target, window)
+    """Algorithm 3's tables by the reachability sweeps, one entry per vertex id."""
+    arrival = earliest_arrival_times(graph, source, window, forbidden=target)
+    departure = latest_departure_times(graph, target, window, forbidden=source)
     return (
-        [times.earliest_arrival(label) for label in view.labels],
-        [times.latest_departure(label) for label in view.labels],
+        [arrival.get(label, math.inf) for label in view.labels],
+        [departure.get(label, -math.inf) for label in view.labels],
     )
 
 
@@ -168,7 +172,7 @@ def _expanded(view, arrival, departure):
 
 
 class TestPolarityMatchesLabelSpace:
-    """The id-space sweeps equal the label-space Algorithm 3, entry by entry."""
+    """The id-space sweeps equal the label-space reachability sweeps, entry by entry."""
 
     def test_tables_equal_label_space_sweeps(self, served):
         graph, view = served
@@ -210,12 +214,13 @@ class TestMaskMatchesLemma1:
             arrival, departure, frontier = compute_polarity_id_arrays(
                 view, source, target, window
             )
-            expected = _lemma1_mask(view, *_expanded(view, arrival, departure))
-            for given in (frontier, None):
-                mask = quick_mask_kernel(view, arrival, departure, window, given)
-                assert (mask.indices, list(mask.vertices())) == expected, (
-                    source, target, window, given is None,
-                )
+            expected = _lemma1_mask(
+                view, *_label_space_tables(graph, view, source, target, window)
+            )
+            mask = quick_mask_kernel(view, arrival, departure, window, frontier)
+            assert (mask.indices, list(mask.vertices())) == expected, (
+                source, target, window,
+            )
 
 
 def test_query_allocates_for_what_it_reaches():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.polarity import compute_polarity_times
-from repro.core.quick_ubg import quick_upper_bound_graph, quick_upper_bound_with_polarity
+from repro.core.quick_ubg import quick_upper_bound_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validation import is_subgraph
 
@@ -43,17 +43,17 @@ class TestPaperExample:
 
 class TestBehaviour:
     def test_precomputed_polarity_gives_same_graph(self, paper_query):
+        # Lemma 1 over the public label-keyed tables admits exactly Gq.
         graph, source, target, interval = paper_query
         polarity = compute_polarity_times(graph, source, target, interval)
-        with_polarity = quick_upper_bound_graph(graph, source, target, interval, polarity=polarity)
-        without = quick_upper_bound_graph(graph, source, target, interval)
-        assert with_polarity == without
+        admitted = {edge for edge in graph.edge_tuples() if polarity.admits_edge(*edge)}
+        quick = quick_upper_bound_graph(graph, source, target, interval)
+        assert set(quick.edge_tuples()) == admitted == PAPER_GQ_EDGES
 
-    def test_wrapper_returns_both_products(self, paper_query):
+    def test_view_input_gives_same_graph(self, paper_query):
         graph, source, target, interval = paper_query
-        quick, polarity = quick_upper_bound_with_polarity(graph, source, target, interval)
-        assert set(quick.edge_tuples()) == PAPER_GQ_EDGES
-        assert polarity.earliest_arrival("b") == 2
+        from_view = quick_upper_bound_graph(graph.view(), source, target, interval)
+        assert from_view == quick_upper_bound_graph(graph, source, target, interval)
 
     def test_unreachable_query_gives_empty_graph(self, unreachable_graph):
         quick = quick_upper_bound_graph(unreachable_graph, "s", "t", (1, 10))

@@ -519,10 +519,10 @@ class TestCacheProbe:
 
     def test_only_misses_of_a_deadline_bounded_algorithm_are_ready(self):
         service = TspgService(_probe_graph())
-        service.submit(SHARD_QUERY, "VUG-materializing")
+        service.submit(SHARD_QUERY, "EPdtTSG")
         other = TspgQuery(1, 2, (1, 6))
-        assert service.ready_within(SHARD_QUERY, "VUG-materializing")
-        assert not service.ready_within(other, "VUG-materializing", seconds=1.0)
+        assert service.ready_within(SHARD_QUERY, "EPdtTSG")
+        assert not service.ready_within(other, "EPdtTSG", seconds=1.0)
         service.submit(SHARD_QUERY)
         assert service.ready_within(other, "VUG", seconds=1.0)
 

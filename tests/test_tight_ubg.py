@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.oracle import brute_force_tspg
 from repro.core.quick_ubg import quick_upper_bound_graph
-from repro.core.tight_ubg import tight_upper_bound_graph, tight_upper_bound_with_tcv
+from repro.core.tcv import compute_time_stream_common_vertices
+from repro.core.tight_ubg import tight_upper_bound_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validation import is_subgraph
 
@@ -56,10 +57,19 @@ class TestPaperExample:
         assert set(tspg.edges) <= set(tight.edge_tuples())
 
     def test_wrapper_returns_tcv(self, paper_query, paper_quick):
+        # Precomputed TCV tables passed in give the same Gt.
         _, source, target, interval = paper_query
-        tight, tcv = tight_upper_bound_with_tcv(paper_quick, source, target, interval)
+        tcv = compute_time_stream_common_vertices(paper_quick, source, target, interval)
+        tight = tight_upper_bound_graph(paper_quick, source, target, interval, tcv=tcv)
         assert set(tight.edge_tuples()) == PAPER_GT_EDGES
         assert tcv.from_source("b", 2) == {"b"}
+
+    def test_graph_input_is_rejected(self, paper_query, paper_quick):
+        _, source, target, interval = paper_query
+        with pytest.raises(TypeError, match="quick_upper_bound_graph"):
+            tight_upper_bound_graph(
+                paper_quick.materialize(), source, target, interval
+            )
 
 
 class TestContainmentOnOtherGraphs:
