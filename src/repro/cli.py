@@ -316,12 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_query(args: argparse.Namespace) -> int:
+    if args.begin > args.end:
+        raise SystemExit(
+            f"--begin ({args.begin}) must not be after --end ({args.end})"
+        )
     if args.edge_list:
         graph = load_edge_list(args.edge_list)
     else:
         graph = get_dataset(args.dataset).load()
     source = _coerce_vertex(args.source, graph)
     target = _coerce_vertex(args.target, graph)
+    if source == target:
+        raise SystemExit("--source and --target must be different vertices")
     algorithm = get_algorithm(args.algorithm)
     outcome = algorithm.run(graph, source, target, (args.begin, args.end))
     result = outcome.result

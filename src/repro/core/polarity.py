@@ -15,9 +15,12 @@ relaxations of Algorithm 3, avoiding the ``O(log n)`` priority-queue factor of
 the Dijkstra-based ``tgTSG`` baseline — this is the asymptotic (and measured,
 Fig. 9) advantage of QuickUBG over tgTSG.
 
-The sweeps run once, in interned-id space over the graph's CSR view
-(:func:`compute_polarity_id_arrays`, the kernel VUG serves);
-:func:`compute_polarity_times` re-keys their sparse tables by vertex label.
+The sweeps VUG serves run in interned-id space over the graph's CSR view
+(:func:`compute_polarity_id_arrays`).  Their backward sweep departs from
+Algorithm 3 as printed: it stays inside the forward sweep's reach, so its
+table holds ``D(v)`` only where Lemma 1 can read it, and ``Gq`` is
+unchanged.  :func:`compute_polarity_times` is Definition 4 in full, keyed by
+vertex label, from the reference sweeps of :mod:`repro.paths.reachability`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Dict, Optional, Tuple
 from ..graph.edge import TimeInterval, Vertex, as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView
+from ..paths.reachability import earliest_arrival_times, latest_departure_times
 from .deadline import POLL_INTERVAL, Deadline, poll
 
 INFINITY = float("inf")
@@ -70,18 +74,22 @@ def compute_polarity_times(
     target: Vertex,
     interval,
 ) -> PolarityTimes:
-    """Compute ``A(·)`` and ``D(·)`` of a query, keyed by vertex label (Algorithm 3).
+    """Compute ``A(·)`` and ``D(·)`` of a query, keyed by vertex label (Definition 4).
 
-    The label-keyed form of :func:`compute_polarity_id_arrays` over
-    ``graph.view()``: only the vertices its sweeps reached are present.
+    The full tables, from the reachability sweeps
+    ``earliest_arrival_times(..., forbidden=t)`` and
+    ``latest_departure_times(..., forbidden=s)``; only finite entries are
+    stored.  The served kernel's departure table is pruned to what Lemma 1
+    reads (:func:`compute_polarity_id_arrays`), so it is not this one.
     """
     window = as_interval(interval)
-    view = graph.view()
-    arrival, departure, _ = compute_polarity_id_arrays(view, source, target, window)
-    labels = view.labels
+    arrival = earliest_arrival_times(graph, source, window, forbidden=target)
+    departure = latest_departure_times(graph, target, window, forbidden=source)
     return PolarityTimes(
-        arrival={labels[vid]: time for vid, time in arrival.items()},
-        departure={labels[vid]: time for vid, time in departure.items()},
+        arrival={v: time for v, time in arrival.items() if time != INFINITY},
+        departure={
+            v: time for v, time in departure.items() if time != NEG_INFINITY
+        },
         source=source,
         target=target,
         interval=window,
@@ -97,18 +105,28 @@ def compute_polarity_id_arrays(
 ) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
     """Algorithm 3 over the frozen CSR view, in interned-id space.
 
-    Returns ``(arrival, departure, frontier)``.  The two tables are sparse
-    maps from interned vertex id to ``A(v)`` and ``D(v)``: they hold only
-    the vertices the forward and backward sweeps reached, and an absent id
-    means ``+inf`` (arrival) or ``-inf`` (departure).  A query therefore
+    Returns ``(arrival, departure, frontier)``, sparse maps keyed by
+    interned vertex id, each vertex's timestamp run bisected *in place* on
+    the view's CSR-aligned ``out_ts``/``in_ts`` columns.  A query therefore
     allocates in proportion to what its sweeps reach, never to ``|V|`` of
-    the view, and each vertex's timestamp run is bisected *in place* on the
-    view's CSR-aligned ``out_ts``/``in_ts`` columns.
+    the view.
 
-    ``frontier`` maps every vertex the forward sweep expanded to the first
-    out-CSR position with ``τ > max(A(u), τb - 1)`` — where ``u``'s Lemma 1
-    candidates begin.  Vertices absent from it have none, so
-    :func:`~repro.core.quick_ubg.quick_mask_kernel` reads only these runs.
+    * ``arrival`` is ``A(v)`` for every vertex the forward sweep reached
+      (an absent id means ``+inf``).
+    * ``departure`` is exactly ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}``:
+      the backward sweep runs only inside the forward sweep's reach
+      (:func:`_sweep_departure_ids`).  This departs from Algorithm 3 as
+      printed, which fills ``D(v)`` for every vertex that reaches ``t``,
+      but Lemma 1 reads ``D(v)`` only as ``τ < D(v)`` for an edge
+      ``(u, v, τ)`` with ``A(u) < τ``, so ``A(v) ≤ τ`` (``v ≠ t``), and
+      ``τ < D(v)`` then puts ``v`` in the table: ``Gq`` is unchanged.
+    * ``frontier`` maps ``s`` and every vertex of the departure table the
+      forward sweep expanded to the first out-CSR position with
+      ``τ > max(A(u), τb - 1)`` — where ``u``'s Lemma 1 candidates begin.
+      Any other expanded vertex ``u ≠ s`` has none: an out-edge with
+      ``A(u) < τ < D(v)`` would give ``D(u) ≥ τ > A(u)``, putting ``u`` in
+      the table.  :func:`~repro.core.quick_ubg.quick_mask_kernel` reads
+      only these runs.
 
     Both sweeps poll ``deadline`` every
     :data:`~repro.core.deadline.POLL_INTERVAL` iterations of each of their
@@ -117,10 +135,16 @@ def compute_polarity_id_arrays(
     window = as_interval(interval)
     source_id = view.index_of.get(source)
     target_id = view.index_of.get(target)
-    arrival, frontier = _sweep_arrival_ids(
+    arrival, expanded = _sweep_arrival_ids(
         view, source_id, target_id, window, deadline
     )
-    departure = _sweep_departure_ids(view, source_id, target_id, window, deadline)
+    departure = _sweep_departure_ids(
+        view, source_id, target_id, window, arrival, deadline
+    )
+    # Every table vertex but t was expanded (it leaves at D(v) > A(v)).
+    frontier = {
+        u: expanded[u] for u in (source_id, *departure) if u in expanded
+    }
     return arrival, departure, frontier
 
 
@@ -133,7 +157,8 @@ def _sweep_arrival_ids(
 ) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Forward sweep from ``s``: ``A(·)`` without expanding through ``t``.
 
-    Returns the sparse arrival table and the ``processed_from`` frontier.
+    Returns the sparse arrival table and the ``processed_from`` frontier of
+    every expanded vertex.
     """
     arrival: Dict[int, int] = {}
     # Lowest out-CSR position already relaxed per vertex (exclusive stop).
@@ -192,11 +217,20 @@ def _sweep_departure_ids(
     source_id,
     target_id,
     window: TimeInterval,
+    arrival: Dict[int, int],
     deadline: Optional[Deadline] = None,
 ) -> Dict[int, int]:
-    """Backward sweep from ``t``: ``D(·)`` without expanding through ``s``.
+    """Backward sweep from ``t`` inside the forward sweep's reach.
 
-    Returns the sparse departure table.
+    ``arrival`` is the forward sweep's table.  The sweep relaxes an
+    in-edge ``(w, x, τ′)`` only when ``A(w) < τ′`` (never for ``w = s``),
+    and scans ``x``'s in-run from ``A(x)`` (``τb`` for ``t``) up to
+    ``D(x)``: an earlier in-edge would need ``A(w) < τ′ < A(x)``, which the
+    forward sweep rules out.  Every stored value is therefore ``> A(v)``,
+    and the table is exactly ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}``:
+    along a latest-departure path that leaves ``v`` after ``A(v)``, every
+    edge ``(w, x, τ′)`` has ``A(w) < τ′`` and ``τ′ ≥ A(x)`` by induction,
+    so this sweep still relaxes every edge of that path.
     """
     departure: Dict[int, int] = {}
     if target_id is None:
@@ -208,37 +242,36 @@ def _sweep_departure_ids(
     processed_to: Dict[int, int] = {}
     offsets, in_ts, in_src = view.in_offsets, view.in_ts, view.in_src
     window_begin = window.begin
-    ceiling = window.end + 1
+    # Stands in for A(w) = +inf: no in-window τ′ exceeds it.
+    unreached = window.end + 1
     ticks = POLL_INTERVAL
     while queue:
         ticks -= 1
         if not ticks:
             ticks = poll(deadline)
-        u = queue.popleft()
-        queued.discard(u)
-        current = departure[u]
-        begin, end = offsets[u], offsets[u + 1]
-        start = processed_to.get(u, begin)
-        bound = current if current < ceiling else ceiling
-        stop = bisect_left(in_ts, bound, begin, end)
+        x = queue.popleft()
+        queued.discard(x)
+        begin, end = offsets[x], offsets[x + 1]
+        start = processed_to.get(x)
+        if start is None:
+            start = bisect_left(in_ts, arrival.get(x, window_begin), begin, end)
+        stop = bisect_left(in_ts, departure[x], start, end)
         if stop <= start:
             continue
-        processed_to[u] = stop
+        processed_to[x] = stop
         for position in range(start, stop):
             ticks -= 1
             if not ticks:
                 ticks = poll(deadline)
             timestamp = in_ts[position]
-            if timestamp < window_begin:
+            w = in_src[position]
+            if arrival.get(w, unreached) >= timestamp or w == source_id:
+                # Unreached, reached too late, or s (never expanded through).
                 continue
-            v = in_src[position]
-            if v == source_id:
-                # Mirror of the forward sweep: never expand through s.
+            if w in departure and timestamp <= departure[w]:
                 continue
-            if v in departure and timestamp <= departure[v]:
-                continue
-            departure[v] = timestamp
-            if timestamp != window_begin and v not in queued:
-                queue.append(v)
-                queued.add(v)
+            departure[w] = timestamp
+            if w not in queued:
+                queue.append(w)
+                queued.add(w)
     return departure

@@ -9,13 +9,13 @@ removes every edge violating the temporal constraint.
 QuickUBG is two kernels over the graph's frozen CSR view, the same two calls
 :meth:`repro.core.vug.VUG.run` makes: the id-space polarity sweeps
 (:func:`~repro.core.polarity.compute_polarity_id_arrays`) and
-:func:`quick_mask_kernel`, which walks the out-CSR of the vertices the
-forward sweep reached, from each one's arrival time to ``τe``, tests
-``τ < D(v)`` there, and returns an edge-mask
-:class:`~repro.graph.views.SubgraphView` — no edge storage is copied.  An
-edge whose tail was never reached has ``A(u) = ∞`` and is never read, so the
-cost is the out-edges of reached vertices after their arrival time plus a
-sort of the survivors, not the query window's edge count.  Call
+:func:`quick_mask_kernel`, which walks the out-CSR of ``s`` and of the
+reached vertices that can still depart towards ``t`` after arriving, from
+each one's arrival time to ``τe``, tests ``τ < D(v)`` there, and returns an
+edge-mask :class:`~repro.graph.views.SubgraphView` — no edge storage is
+copied.  An edge whose tail was never reached has ``A(u) = ∞`` and is never
+read, so the cost is those out-edges plus a sort of the survivors, not the
+query window's edge count.  Call
 ``.materialize()`` on the result when a real graph is needed.
 """
 
@@ -73,16 +73,21 @@ def quick_mask_kernel(
 
     ``arrival``, ``departure`` and ``frontier`` are what
     :func:`~repro.core.polarity.compute_polarity_id_arrays` returns: the
-    sparse id-space polarity tables (an absent id means ``+inf`` /
-    ``-inf``) and, for each vertex ``u`` the forward sweep reached, the
-    out-CSR position where its edges with ``τ > A(u)`` begin.  Each run
-    ends at ``τe`` (one bisect), and an edge in it survives iff
-    ``τ < D(v)`` — the ``A(u) < τ`` half of Lemma 1 holds by construction
-    (so ``arrival`` itself is not read), and every survivor lies in
-    ``[τb, τe]``.  The cost is the out-edges of reached vertices after their
-    arrival time plus a sort of the survivors into the ascending order
-    :class:`SubgraphView` expects; in-window edges out of unreached vertices
-    are never read.  Both loops poll ``deadline`` every
+    sparse id-space arrival table, the pruned departure table
+    ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}`` (an absent id reads as
+    ``-inf``) and, for ``s`` and each table vertex the forward sweep
+    expanded, the out-CSR position where its edges with ``τ > A(u)``
+    begin.  Each run ends at ``τe`` (one bisect), and an edge in it
+    survives iff ``τ < D(v)`` — the ``A(u) < τ`` half of Lemma 1 holds by
+    construction (so ``arrival`` itself is not read), and every survivor
+    lies in ``[τb, τe]``.  The pruned table answers that test as the full
+    ``D(·)`` would: ``A(v) ≤ τ`` for ``v ≠ t``, so ``τ < D(v)`` implies
+    ``A(v) < D(v)`` and ``v`` is in it; and a vertex left out of
+    ``frontier`` has no edge that could survive.  The cost is the
+    out-edges of those vertices after their arrival time plus a sort of
+    the survivors into the ascending order :class:`SubgraphView` expects;
+    in-window edges out of unreached vertices are never read.  Both loops
+    poll ``deadline`` every
     :data:`~repro.core.deadline.POLL_INTERVAL` iterations and raise
     :class:`~repro.core.deadline.DeadlineExpired` past it.
     """

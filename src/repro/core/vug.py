@@ -82,6 +82,16 @@ class VUG:
     ) -> VUGReport:
         """Execute the full pipeline and return a :class:`VUGReport`.
 
+        QuickUBG's backward polarity sweep runs only inside the forward
+        sweep's reach, so its departure table is
+        ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}`` rather than Algorithm 3's
+        ``D(·)`` for every vertex that reaches ``t``.  Lemma 1 reads
+        ``D(v)`` only for an edge ``(u, v, τ)`` with ``A(u) < τ``, where
+        ``A(v) ≤ τ``, so ``Gq`` — and with it ``Gt`` and the tspG — is the
+        one Algorithm 3 as printed gives
+        (:func:`~repro.core.polarity.compute_polarity_id_arrays` has the
+        proof).
+
         ``deadline`` is the cooperative per-query cut-off.  It is polled at
         the three phase boundaries (before QuickUBG, before TightUBG,
         before EEV), every :data:`~repro.core.deadline.POLL_INTERVAL`
@@ -106,9 +116,10 @@ class VUG:
         try:
             # Phase 1: quick upper-bound graph (temporal constraint).  The
             # polarity sweeps run in interned-id space on the CSR-aligned
-            # timestamp columns, and the Lemma 1 test reads only the
-            # out-edges of vertices the forward sweep reached, after their
-            # arrival time, then sorts the survivors into an edge mask.
+            # timestamp columns, the backward one inside the forward one's
+            # reach, and the Lemma 1 test reads only the out-edges of s and
+            # of the vertices both sweeps kept, after their arrival time,
+            # then sorts the survivors into an edge mask.
             view = graph.view()
             arrival_ids, departure_ids, frontier = compute_polarity_id_arrays(
                 view, source, target, window, deadline=deadline

@@ -699,7 +699,7 @@ class RequestCore:
             if isinstance(entry, dict):
                 queries.append(self.parse_query(entry))
             else:
-                if len(entry) != 4:
+                if not isinstance(entry, (list, tuple)) or len(entry) != 4:
                     raise ValueError(
                         "each batch query must be [source, target, begin, end]"
                     )

@@ -60,6 +60,32 @@ class TestQueryCommand:
         assert exit_code == 0
         assert "EPdtTSG" in capsys.readouterr().out
 
+    def test_reversed_interval_is_rejected_before_the_graph_loads(
+        self, tmp_path, monkeypatch
+    ):
+        def no_load(key):
+            raise AssertionError("the dataset loaded before the interval check")
+
+        monkeypatch.setattr("repro.cli.get_dataset", no_load)
+        with pytest.raises(SystemExit, match=r"--begin \(40\) must not be after --end \(1\)"):
+            main([
+                "query", "--dataset", "D1", "--source", "0", "--target", "1",
+                "--begin", "40", "--end", "1",
+            ])
+        with pytest.raises(SystemExit, match="--begin"):
+            main([
+                "query", "--edge-list", str(tmp_path / "missing.txt"),
+                "--source", "s", "--target", "t", "--begin", "40", "--end", "1",
+            ])
+
+    @pytest.mark.parametrize("target", ["0", "00"])
+    def test_source_equal_to_target_is_rejected(self, target):
+        with pytest.raises(SystemExit, match="must be different vertices"):
+            main([
+                "query", "--dataset", "D1", "--source", "0", "--target", target,
+                "--begin", "1", "--end", "40",
+            ])
+
 
 class TestOtherCommands:
     def test_datasets_listing(self, capsys):

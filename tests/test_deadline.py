@@ -280,7 +280,7 @@ def _kernel_calls():
             view, s_id, t_id, window, d
         ),
         "backward polarity sweep": lambda d: _sweep_departure_ids(
-            view, s_id, t_id, window, d
+            view, s_id, t_id, window, arrival, d
         ),
         "Lemma 1 mask": lambda d: quick_mask_kernel(
             view, arrival, departure, window, frontier, deadline=d

@@ -5,13 +5,17 @@ Four layers:
 * the id-space polarity sweeps against the label-space reachability sweeps
   of :mod:`repro.paths.reachability` (``A(·)`` never passing through ``t``,
   ``D(·)`` never passing through ``s``), re-keyed through ``view.labels``,
-  over degenerate windows, endpoint edge cases and a randomized
-  multigraph — the sparse id tables are expanded to every vertex id first,
-  so equality is checked entry by entry;
+  over degenerate windows, endpoint edge cases, a randomized multigraph and
+  seeded workload queries on every registry dataset — the sparse id tables
+  are expanded to every vertex id first, so the contract is checked entry
+  by entry: the arrival table is ``A(·)``, and the departure table is
+  ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}``, the part of ``D(·)`` that
+  Lemma 1 reads;
 * the Lemma 1 mask against Lemma 1 evaluated edge by edge over those
   reference tables;
 * the cost model — a query allocates for the vertices its sweeps reach,
-  not for ``|V|`` of the view;
+  not for ``|V|`` of the view, and the backward sweep stays inside the
+  forward sweep's reach;
 * hash-seed determinism — the engine's results are identical across
   interpreters with different ``PYTHONHASHSEED`` values (set iteration
   order must never leak into kernel outputs).
@@ -35,10 +39,12 @@ import pytest
 from repro.core.polarity import compute_polarity_id_arrays
 from repro.core.quick_ubg import quick_mask_kernel
 from repro.core.vug import VUG
+from repro.datasets.registry import dataset_keys, get_dataset
 from repro.graph.generators import bursty_email_graph, uniform_random_temporal_graph
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.views import GraphView
 from repro.paths.reachability import earliest_arrival_times, latest_departure_times
+from repro.queries.workload import generate_workload
 from repro.store import boot_snapshot, save_snapshot
 
 
@@ -156,6 +162,21 @@ def _label_space_tables(graph, view, source, target, window):
     )
 
 
+def _contract_tables(graph, view, source, target, window):
+    """What the id-space sweeps must return, one entry per vertex id.
+
+    The arrival table is ``A(·)``.  The departure table is
+    ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}``: the backward sweep runs
+    only inside the forward sweep's reach, the one place Lemma 1 reads
+    ``D(v)``.
+    """
+    arrival, departure = _label_space_tables(graph, view, source, target, window)
+    return arrival, [
+        leave if label == target or reach < leave else -math.inf
+        for label, reach, leave in zip(view.labels, arrival, departure)
+    ]
+
+
 def _expanded(view, arrival, departure):
     """The sparse id tables as one list entry per vertex id.
 
@@ -171,38 +192,53 @@ def _expanded(view, arrival, departure):
     )
 
 
+def _assert_contract(graph, view, queries):
+    for (source, target), window in queries:
+        arrival, departure, frontier = compute_polarity_id_arrays(
+            view, source, target, window
+        )
+        assert _expanded(view, arrival, departure) == _contract_tables(
+            graph, view, source, target, window
+        ), (source, target, window)
+        # The mask reads only s and the departure table's vertices.
+        assert set(frontier) <= {view.index_of.get(source), *departure}
+
+
 class TestPolarityMatchesLabelSpace:
-    """The id-space sweeps equal the label-space reachability sweeps, entry by entry."""
+    """The id-space tables meet the contract over the reachability sweeps.
+
+    The arrival table equals ``A(·)`` entry by entry; the departure table
+    equals ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}``.
+    """
 
     def test_tables_equal_label_space_sweeps(self, served):
         graph, view = served
-        for (source, target), window in _served_queries(graph):
-            arrival, departure, _ = compute_polarity_id_arrays(
-                view, source, target, window
-            )
-            assert _expanded(view, arrival, departure) == _label_space_tables(
-                graph, view, source, target, window
-            ), (source, target, window)
+        _assert_contract(graph, view, _served_queries(graph))
 
     def test_randomized_multigraph(self):
         g = uniform_random_temporal_graph(
             num_vertices=15, num_edges=220, num_timestamps=30, seed=99
         )
         g.warm_indices()
-        view = g.view()
         rng = random.Random(5)
         vertices = sorted(g.vertices())
         span = g.time_interval()
+        queries = []
         for _ in range(60):
-            source, target = rng.sample(vertices, 2)
+            pair = tuple(rng.sample(vertices, 2))
             begin = rng.randint(span.begin, span.end)
-            window = (begin, rng.randint(begin, span.end))
-            arrival, departure, _ = compute_polarity_id_arrays(
-                view, source, target, window
-            )
-            assert _expanded(view, arrival, departure) == _label_space_tables(
-                g, view, source, target, window
-            ), (source, target, window)
+            queries.append((pair, (begin, rng.randint(begin, span.end))))
+        _assert_contract(g, g.view(), queries)
+
+    @pytest.mark.parametrize("key", dataset_keys())
+    def test_seeded_workload_queries(self, key):
+        spec = get_dataset(key)
+        g = spec.load()
+        workload = generate_workload(g, 30, spec.default_theta, seed=11)
+        _assert_contract(g, g.view(), [
+            ((query.source, query.target), query.interval)
+            for query in workload.queries
+        ])
 
 
 class TestMaskMatchesLemma1:
@@ -242,6 +278,34 @@ def test_query_allocates_for_what_it_reaches():
     finally:
         tracemalloc.stop()
     assert report.result.edges == {(0, 1, 1)}
+    assert peak < 64 * 1024, f"query peaked at {peak} bytes"
+
+
+def test_backward_sweep_allocates_inside_the_forward_reach():
+    """In-neighbours of ``t`` that ``s`` never reaches are scanned, not stored.
+
+    ``t = 2`` has 50,000 in-window in-neighbours besides ``1``, and none is
+    reachable from ``s = 0``, so the departure table holds ``t`` and ``1``
+    only; a backward sweep that stored ``D(·)`` for every vertex reaching
+    ``t`` would peak far above the bound.
+    """
+    g = TemporalGraph()
+    g.add_edges([(0, 1, 1), (1, 2, 2)] + [(w, 2, 2) for w in range(3, 50_003)])
+    engine = VUG()
+    warm = engine.run(g, 0, 2, (1, 10))  # builds and caches the view
+    assert warm.result.edges == {(0, 1, 1), (1, 2, 2)}
+    view = g.view()
+    _, departure, _ = compute_polarity_id_arrays(view, 0, 2, (1, 10))
+    assert {view.labels[vid]: time for vid, time in departure.items()} == {
+        2: 11, 1: 2,
+    }
+    tracemalloc.start()
+    try:
+        report = engine.run(g, 0, 2, (1, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.result.edges == {(0, 1, 1), (1, 2, 2)}
     assert peak < 64 * 1024, f"query peaked at {peak} bytes"
 
 

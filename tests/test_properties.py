@@ -9,6 +9,8 @@ The central properties:
 * Every edge of the ``tspG`` admits a witnessing temporal simple path and
   every temporal simple path's members belong to the ``tspG`` (soundness and
   completeness of Definition 2).
+* The served polarity kernel's tables are ``A(·)`` and
+  ``{t: τe + 1} ∪ {v: D(v) | A(v) < D(v)}`` over the reachability sweeps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.oracle import brute_force_tspg
 from repro.baselines.reductions import dt_tsg_reduction, es_tsg_reduction, tg_tsg_reduction
+from repro.core.polarity import compute_polarity_id_arrays
 from repro.core.quick_ubg import quick_upper_bound_graph
 from repro.core.tight_ubg import tight_upper_bound_graph
 from repro.core.vug import generate_tspg
@@ -24,6 +27,7 @@ from repro.graph.edge import TimeInterval
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validation import is_subgraph
 from repro.paths.enumerate import enumerate_temporal_simple_paths
+from repro.paths.reachability import earliest_arrival_times, latest_departure_times
 
 MAX_VERTICES = 8
 MAX_TIMESTAMP = 9
@@ -124,6 +128,26 @@ def test_quick_bound_respects_lemma1(query):
     departure = latest_departure_times(graph, target, interval, strict=True, forbidden=source)
     for u, v, t in quick.edge_tuples():
         assert arrival[u] < t < departure[v]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_queries())
+def test_polarity_kernel_tables_meet_the_contract(query):
+    graph, source, target, interval = query
+    view = graph.view()
+    arrival, departure, _ = compute_polarity_id_arrays(view, source, target, interval)
+    reach = earliest_arrival_times(graph, source, interval, forbidden=target)
+    leave = latest_departure_times(graph, target, interval, forbidden=source)
+    labels = view.labels
+    assert {labels[vid]: time for vid, time in arrival.items()} == {
+        v: time for v, time in reach.items() if time != float("inf")
+    }
+    # The backward sweep stays inside the forward sweep's reach: D(v) is
+    # kept exactly where Lemma 1 can read it.
+    assert {labels[vid]: time for vid, time in departure.items()} == {
+        target: interval.end + 1,
+        **{v: leave[v] for v in leave if reach[v] < leave[v]},
+    }
 
 
 @settings(max_examples=40, deadline=None)

@@ -858,6 +858,17 @@ class TestHelpers:
         assert response["ok"] is True and over is False
         assert core.stats.protocol_errors == 1
 
+    @pytest.mark.parametrize("entry", [5, "abcd", None, ["s", "t", 2]])
+    def test_a_malformed_batch_entry_answers_a_protocol_error(self, entry):
+        core = RequestCore(TspgService(small_graph()))
+        response = core.respond({"op": "batch", "queries": [entry]})
+        assert response == {
+            "ok": False,
+            "error": "each batch query must be [source, target, begin, end]",
+        }
+        # The session keeps serving.
+        assert core.respond(dict(QUERY))["ok"] is True
+
     def test_edge_lists_are_fresh_on_every_cache_hit(self):
         core = RequestCore(TspgService(small_graph()))
         request = dict(QUERY, include_edges=True)
