@@ -51,14 +51,7 @@ from .service import (
     WorkerPool,
     WorkerPoolError,
 )
-from .store import (
-    GraphStore,
-    InMemoryGraphStore,
-    SnapshotError,
-    SnapshotGraphStore,
-    load_snapshot,
-    save_snapshot,
-)
+from .store import SnapshotError, load_snapshot, save_snapshot
 from .analysis import brute_force_tspg
 
 __version__ = "1.0.0"
@@ -101,9 +94,6 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolError",
     "Deadline",
-    "GraphStore",
-    "InMemoryGraphStore",
-    "SnapshotGraphStore",
     "SnapshotError",
     "load_snapshot",
     "save_snapshot",

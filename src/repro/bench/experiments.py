@@ -57,7 +57,7 @@ from ..queries.runner import QueryRunner
 from ..queries.workload import generate_workload
 from ..service import TspgService, WorkerPool
 from ..service.pool import available_cpus
-from ..store import SnapshotGraphStore
+from ..store import save_snapshot
 from .reporting import ExperimentReport
 
 #: Default number of queries per workload used by the pytest benches.  The
@@ -600,7 +600,7 @@ def exp13_serving_pool(
         handle, snapshot_path = tempfile.mkstemp(suffix=".tspgsnap")
         os.close(handle)
     try:
-        SnapshotGraphStore(snapshot_path).save(graph)
+        save_snapshot(graph, snapshot_path)
         service = TspgService.from_snapshot(
             snapshot_path, default_algorithm=algorithm
         )

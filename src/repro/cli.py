@@ -22,12 +22,13 @@ main operations:
   a service experiment (exp9, exp13);
 * ``case-study``  — reproduce the SFMTA transit case study (Fig. 13).
 
-``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the v4/v5
-columnar boot then maps the file zero-copy instead of decoding it (pre-v4
-files degrade to the eager boot with a printed note).  ``--residency``
-additionally drives ``madvise`` page advice over the mappings (see
-:mod:`repro.store.residency`), and ``serve --evict-every N`` periodically
-releases cold pages so a long session's memory tracks its working set.
+``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the
+columnar boot then maps the file zero-copy instead of reading it (a boot
+that cannot map degrades to the eager boot with a printed note).
+``--residency`` additionally drives ``madvise`` page advice over the
+mappings (see :mod:`repro.store.residency`), and ``serve --evict-every N``
+periodically releases cold pages so a long session's memory tracks its
+working set.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ from .service import (
 from .service.server import coerce_vertex as _coerce_vertex
 from .store import (
     SnapshotError,
-    SnapshotGraphStore,
     inspect_journal,
     inspect_snapshot,
     journal_path,
+    load_snapshot,
+    save_snapshot,
 )
 
 
@@ -138,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--mmap", action="store_true",
-        help="boot --snapshot / --shard-snapshots via the mmap-backed v4/v5 "
-        "columnar path (zero-copy; pre-v4 files degrade to the eager boot "
-        "with a note)",
+        help="boot --snapshot / --shard-snapshots via the mmap-backed "
+        "columnar path (zero-copy; a boot that cannot map degrades to the "
+        "eager boot with a note)",
     )
     batch.add_argument(
         "--residency", "--madvise", action="store_true", dest="residency",
@@ -198,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=1024, help="LRU capacity (0 disables)")
     serve.add_argument(
         "--mmap", action="store_true",
-        help="boot --snapshot / --shard-snapshots via the mmap-backed v4/v5 "
-        "columnar path (zero-copy; pre-v4 files degrade to the eager boot "
-        "with a note)",
+        help="boot --snapshot / --shard-snapshots via the mmap-backed "
+        "columnar path (zero-copy; a boot that cannot map degrades to the "
+        "eager boot with a note)",
     )
     serve.add_argument(
         "--residency", "--madvise", action="store_true", dest="residency",
@@ -434,6 +436,12 @@ def _command_batch(args: argparse.Namespace) -> int:
         raise SystemExit("--mmap requires --snapshot or --shard-snapshots")
     if args.residency and not args.mmap:
         raise SystemExit("--residency requires --mmap (advice needs mappings)")
+    if args.residency and args.shards > 1:
+        raise SystemExit(
+            "--residency conflicts with --shards (the shards are built in "
+            "memory, so no mapping is left to advise; warm a shard set and "
+            "boot it with --shard-snapshots)"
+        )
     service = None
     if args.edge_list:
         graph = load_edge_list(args.edge_list)
@@ -452,7 +460,7 @@ def _command_batch(args: argparse.Namespace) -> int:
     elif args.snapshot:
         try:
             if args.shards > 1:
-                graph = SnapshotGraphStore(args.snapshot, mmap=args.mmap).load()
+                graph = load_snapshot(args.snapshot, mmap=args.mmap)
             else:
                 # Boot through from_snapshot so the snapshot stays attached
                 # and pool workers have a file to boot from.
@@ -790,7 +798,7 @@ def _command_warm(args: argparse.Namespace) -> int:
             f"{elapsed:.3f}s); boot it with 'tspg batch --shard-snapshots'"
         )
         return 0
-    info = SnapshotGraphStore(args.output).save(graph)
+    info = save_snapshot(graph, args.output)
     elapsed = time.perf_counter() - started
     print(
         f"warmed {source}: |V|={info.num_vertices} |E|={info.num_edges} "
@@ -815,12 +823,6 @@ def _command_inspect(args: argparse.Namespace) -> int:
         f"|T|={info.num_timestamps} ({info.payload_bytes} payload bytes)"
     )
     print(render_table([section.as_row() for section in sections]))
-    if info.version < 4:
-        print(
-            "note: pre-v4 format — the payload is one opaque "
-            "zlib-compressed pickle; re-save with this build for the "
-            "mmap-able section layout"
-        )
     sidecar = journal_path(args.snapshot)
     if os.path.exists(sidecar):
         try:

@@ -2,16 +2,11 @@
 
 Every interned integer column of a :class:`~repro.graph.views.GraphView` is
 a builtin int64 buffer: an ``array('q')`` in private memory, or, on an mmap
-boot of a v4 or v5 snapshot, a ``memoryview`` of the mapped extent cast to
-``"q"``.  Both index, slice, iterate and ``bisect`` in C, so the query
-kernels never call back into Python to read a column.  Code that builds a
-column builds an ``array``; a built view never mutates its columns, so a
-mapped column is never written and its pages stay shared with the file.
-
-:class:`IndexColumn` survives only as a name: snapshot formats v1–v3
-pickled their view columns as instances of it, so unpickling an old file
-needs the class to exist.  Loaders rebuild such a file from its sorted edge
-list and never read those columns.
+boot of a snapshot, a ``memoryview`` of the mapped extent cast to ``"q"``.
+Both index, slice, iterate and ``bisect`` in C, so the query kernels never
+call back into Python to read a column.  Code that builds a column builds
+an ``array``; a built view never mutates its columns, so a mapped column is
+never written and its pages stay shared with the file.
 """
 
 from __future__ import annotations
@@ -21,16 +16,6 @@ from typing import Iterable, Union
 
 #: Array typecode of every interned column: signed 64-bit integers.
 INDEX_TYPECODE = "q"
-
-
-class IndexColumn(array):
-    """The class pre-v4 snapshot payloads pickle their view columns as.
-
-    Nothing builds one except the v3 writer of
-    :func:`~repro.store.snapshot.write_legacy_snapshot`.
-    """
-
-    __slots__ = ()
 
 
 def index_column(initializer: Union[bytes, Iterable[int]] = b"") -> array:

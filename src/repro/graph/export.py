@@ -18,7 +18,6 @@ The exporters take either a :class:`TemporalGraph` or a :class:`PathGraph`.
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple, Union
-from xml.sax.saxutils import escape, quoteattr
 
 from .edge import Timestamp, Vertex
 from .temporal_graph import TemporalGraph
@@ -94,6 +93,10 @@ def _dot_node(vertex: Vertex) -> str:
 
 def to_graphml(graph: GraphLike, name: str = "tspG") -> str:
     """Render as a GraphML document with a ``timestamp`` edge attribute."""
+    # Deferred: xml.sax.saxutils imports urllib.request, http.client and
+    # email, which every process importing the package would pay for.
+    from xml.sax.saxutils import quoteattr
+
     vertices, edges = _members(graph)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -42,7 +42,7 @@ import time
 from concurrent.futures import Future
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..algorithms import get_algorithm
 from ..baselines.interface import AlgorithmResult, TspgAlgorithm
@@ -52,9 +52,6 @@ from ..graph.temporal_graph import EdgeDelta, TemporalGraph
 from ..queries.query import QueryWorkload, TspgQuery
 from .cache import CacheKey, CacheStats, ResultCache
 from .pool import WorkerPool
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..store.graph_store import GraphStore
 
 AlgorithmSpec = Union[str, TspgAlgorithm]
 
@@ -731,13 +728,8 @@ class TspgService:
         return _Engine(graph, self._cache_size)
 
     # ------------------------------------------------------------------
-    # alternate constructors (the GraphStore layer)
+    # alternate constructor: boot from a snapshot file
     # ------------------------------------------------------------------
-    @classmethod
-    def from_store(cls, store: "GraphStore", **kwargs) -> "TspgService":
-        """Build a service over the warmed graph a :class:`GraphStore` loads."""
-        return cls(store.load(), **kwargs)
-
     @classmethod
     def from_snapshot(
         cls,
@@ -745,7 +737,7 @@ class TspgService:
         *,
         mmap: bool = False,
         interval=None,
-        residency=False,
+        residency: bool = False,
         **kwargs,
     ) -> "TspgService":
         """Boot a service from a binary index snapshot in O(read).
@@ -757,13 +749,12 @@ class TspgService:
         :class:`~repro.store.SnapshotError` on a corrupt or incompatible
         file.
 
-        ``mmap=True`` requests the zero-copy columnar boot (snapshot
-        format v4+): the file is mapped instead of decompressed and the
-        view columns serve straight out of the page cache, so boot cost
-        and resident memory scale with the pages queries actually touch.
-        Pre-v4 snapshots degrade to the eager boot with the reasons
-        recorded on :meth:`mmap_fallback_reasons` — a readable snapshot
-        always boots.
+        ``mmap=True`` requests the zero-copy columnar boot: the file is
+        mapped instead of read and the view columns serve straight out of
+        the page cache, so boot cost and resident memory scale with the
+        pages queries actually touch.  A boot that cannot map degrades to
+        eager with the reasons recorded on :meth:`mmap_fallback_reasons` —
+        a readable snapshot always boots.
 
         The snapshot path is remembered: it is what :meth:`run_batch`
         hands to the attached pool's workers so each can boot an identical
@@ -784,24 +775,21 @@ class TspgService:
         driving ``madvise`` page advice over the boot's mappings:
         ``MADV_SEQUENTIAL`` for the warm scan, ``MADV_RANDOM`` once
         serving starts, and :meth:`evict_cold_pages` for the serve loop's
-        periodic ``MADV_DONTNEED``.  A pre-built policy may be passed
-        instead of ``True``.  Advice degrades to a recorded no-op where
-        unsupported — it never changes results, only paging behaviour.
+        periodic ``MADV_DONTNEED``.  Advice degrades to a recorded no-op
+        where unsupported — it never changes results, only paging
+        behaviour.
         """
-        from ..store.graph_store import SnapshotGraphStore  # deferred: cycle
+        from ..store import snapshot  # deferred: cycle
         from ..store.residency import ResidencyPolicy  # deferred: cycle
 
-        policy = None
-        if residency:
-            policy = (
-                residency
-                if isinstance(residency, ResidencyPolicy)
-                else ResidencyPolicy()
-            )
-        store = SnapshotGraphStore(
+        path = os.fspath(path)
+        policy = ResidencyPolicy() if residency else None
+        # Looked up on the module at call time, where perfbench's traced
+        # launcher wraps it.
+        boot = snapshot.boot_snapshot(
             path, mmap=mmap, interval=interval, residency=policy
         )
-        graph = store.load()
+        graph = boot.graph
         if policy is not None:
             policy.advise_warm()  # sequential read-ahead for the warm scan
         service = cls(graph, **kwargs)
@@ -809,18 +797,16 @@ class TspgService:
             policy.advise_serve()  # point queries from here on
         for engine in service._topology.engines:
             if engine.graph is graph:  # not a projection of it
-                engine.snapshot_path = store.path
+                engine.snapshot_path = path
                 engine.snapshot_interval = interval
         service._snapshot_epoch = service._journal_epoch = graph.epoch
-        service._journal_base = store.path
-        service._snapshot_mmap_requested = store.mmap_requested
-        service._snapshot_mmap = store.mmap_active
-        service._snapshot_mmap_reasons = (
-            store.mmap_fallback_reasons() if mmap else []
-        )
+        service._journal_base = path
+        service._snapshot_mmap_requested = bool(mmap)
+        service._snapshot_mmap = boot.mmap_active
+        service._snapshot_mmap_reasons = list(boot.fallback_reasons)
         service._residency = policy
         service._policies = () if policy is None else (policy,)
-        service._snapshot_boot = store.last_boot
+        service._snapshot_boot = boot
         return service
 
     # ------------------------------------------------------------------
@@ -1412,7 +1398,7 @@ class TspgService:
         Mirrors :meth:`process_fallback_reasons`: human-readable reasons
         the CLI renders, never an exception.  When ``mmap=True`` was
         passed but the boot degraded to eager, each degradation is listed
-        (e.g. a pre-v4 snapshot, labelled with its shard on a router);
+        (e.g. a refused mapping, labelled with its shard on a router);
         when mmap was never requested the single reason says so.
         """
         if not self._snapshot_mmap_requested:

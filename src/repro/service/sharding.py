@@ -279,11 +279,11 @@ class ShardedTspgService(TspgService):
         (shard extents cover the whole span, so the union is exactly the
         edge set the snapshots were cut from).
 
-        ``mmap=True`` boots every shard through the v4 zero-copy columnar
+        ``mmap=True`` boots every shard through the zero-copy columnar
         path (see :meth:`TspgService.from_snapshot`): each shard's view
         columns are mapped straight out of its file, so router boot cost
-        and resident memory scale with the pages queries touch.  Shards
-        whose file predates v4 degrade to the eager boot individually;
+        and resident memory scale with the pages queries touch.  A shard
+        whose mapping fails degrades to the eager boot individually;
         :meth:`mmap_fallback_reasons` lists each degradation labelled with
         its shard.
 

@@ -1,13 +1,14 @@
-"""Persistent storage layer: graph stores and warmed-index snapshots.
+"""Persistent storage layer: warmed-graph snapshots, journals and shard sets.
 
 This package is the boundary between *building* a temporal graph and
-*serving* it.  :class:`GraphStore` abstracts where a warmed graph comes from
-(process memory or a binary snapshot file), and :mod:`repro.store.snapshot`
-implements the versioned on-disk format — header with format version, graph
-epoch, counts and a CRC-32 checksum, followed by the complete warmed index
-state (including, since format version 2, the columnar ``GraphView``
-arrays) — so ``TspgService.from_snapshot(path)`` cold-starts in O(read)
-instead of rebuilding and re-sorting every index.
+*serving* it.  :mod:`repro.store.snapshot` implements the versioned
+on-disk format — a header with format version, graph epoch, counts and a
+CRC-32 checksum, followed by a section table and the graph's frozen CSR
+``GraphView`` columns as raw int64 extents — so
+``TspgService.from_snapshot(path)`` cold-starts in O(read), eagerly or
+over a mapping of the file, instead of rebuilding and re-sorting every
+index.  :mod:`repro.store.journal` keeps the epoch-delta sidecar that live
+ingest appends to.
 
 :class:`ShardSnapshotSet` (:mod:`repro.store.shard_set`) extends the same
 format to time-range-sharded serving: a directory of one snapshot per
@@ -24,18 +25,17 @@ Quickstart
 ----------
 >>> import tempfile, os
 >>> from repro import TemporalGraph
->>> from repro.store import SnapshotGraphStore
+>>> from repro.store import load_snapshot, save_snapshot
 >>> graph = TemporalGraph(edges=[("s", "b", 2), ("b", "t", 6)])
 >>> path = os.path.join(tempfile.mkdtemp(), "g.tspgsnap")
->>> info = SnapshotGraphStore(path).save(graph)
+>>> info = save_snapshot(graph, path)
 >>> info.num_edges
 2
->>> reloaded = SnapshotGraphStore(path).load()
+>>> reloaded = load_snapshot(path)
 >>> reloaded == graph
 True
 """
 
-from .graph_store import GraphStore, InMemoryGraphStore, SnapshotGraphStore, store_for
 from .journal import (
     JOURNAL_MAGIC,
     JOURNAL_SUFFIX,
@@ -72,14 +72,15 @@ from .snapshot import (
     peek_snapshot,
     save_snapshot,
     snapshot_bytes,
-    write_legacy_snapshot,
 )
 
+# perfbench's traced launcher times the flat boot by wrapping
+# ``repro.store.graph_store.boot_snapshot``; that name resolves to the
+# snapshot module, whose ``boot_snapshot`` ``TspgService.from_snapshot``
+# looks up at call time.
+from . import snapshot as graph_store
+
 __all__ = [
-    "GraphStore",
-    "InMemoryGraphStore",
-    "SnapshotGraphStore",
-    "store_for",
     "ResidencyPolicy",
     "madvise_supported",
     "madvise_unsupported_reason",
@@ -93,7 +94,6 @@ __all__ = [
     "peek_snapshot",
     "save_snapshot",
     "snapshot_bytes",
-    "write_legacy_snapshot",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "V4_COLUMN_SECTIONS",

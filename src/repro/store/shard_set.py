@@ -10,7 +10,7 @@ Directory layout::
 
     <path>/
         manifest.json             # versioned metadata, see below
-        shard-0000.g0.tspgsnap    # snapshot (current format, v3) of shard 0's
+        shard-0000.g0.tspgsnap    # snapshot (current format, v5) of shard 0's
                                   # extent projection
         shard-0001.g0.tspgsnap
         ...
@@ -47,7 +47,7 @@ fsync so the rename itself is durable), mirroring the single-snapshot
 format's crash safety.
 
 ``mmap=True`` on the read side (:meth:`ShardSnapshotSet.boot_shard`)
-boots each shard through the v4+ zero-copy columnar path.  The manifest's
+boots each shard through the zero-copy columnar path.  The manifest's
 *whole-file* CRC is deliberately skipped on that path — checksumming the
 file would fault in every page and defeat the mapping; the format's own
 table/meta section CRCs are still verified, and the decoded counts are

@@ -40,18 +40,20 @@ edge set and epoch, so equal graphs write equal bytes.
 Version 4 is the same layout plus a pickled ``adjacency`` section (the
 per-vertex neighbour dicts of builds that kept them); it still loads eagerly
 or mapped, its ``adjacency`` section CRC-checked on eager loads but never
-decoded.  Versions 1–3 are the legacy single-section layout (``payload
-length`` bytes of zlib-compressed pickled state, header CRC over that
-payload); they still load eagerly, by rebuilding the graph from their
-sorted edge list, with the CRC streamed in chunks so validating a multi-GB
-file does not double its RSS.
+decoded.  Versions 1–3 (one zlib-pickled payload, no column extents) are
+not read: loading one raises :class:`SnapshotError` naming the version and
+saying to re-warm the graph with ``tspg warm``.
 
 Every load validates magic, version and sizes *before* decoding, checks the
-relevant CRCs before unpickling anything, and cross-checks the header counts
-against the decoded graph; any mismatch raises :class:`SnapshotError`
-instead of returning garbage.  The pickled sections use :mod:`pickle`
-because graph vertices may be arbitrary hashables (ints, transit-stop
-strings, tuples); snapshots are trusted local artifacts, not a wire format.
+table and section CRCs before unpickling anything, and cross-checks the
+header counts against the decoded graph; any mismatch raises
+:class:`SnapshotError` instead of returning garbage.  The header is decoded
+once into a :class:`SnapshotInfo` that every reader takes, and the eager
+and mmap readers share one decode sequence (:func:`_decode`); they differ
+only in how a column extent becomes a column.  The pickled sections use
+:mod:`pickle` because graph vertices may be arbitrary hashables (ints,
+transit-stop strings, tuples); snapshots are trusted local artifacts, not a
+wire format.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..graph.columns import INDEX_TYPECODE, IndexColumn
+from ..graph.columns import INDEX_TYPECODE
 from ..graph.edge import as_interval
 from ..graph.temporal_graph import TemporalGraph
 from ..graph.views import GraphView, _csr
@@ -74,29 +76,18 @@ from ..graph.views import GraphView, _csr
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"TSPGSNAP"
 
-#: Current format version; bump when the layout changes.
-#: Version 2 added the columnar GraphView arrays to the warmed state.
-#: Version 3 changed no bytes but tightened the ordering contract: the
-#: persisted sorted-edge backing (and the view columns aligned with it)
-#: break equal-timestamp ties with the deterministic repr-based key, not
-#: the writer's hash-seed-dependent set order.
-#: Version 4 replaced the single zlib-pickle payload with the columnar
-#: section layout documented above (mmap-able raw extents + two small
-#: pickled sections); the CSR-aligned timestamp/endpoint columns are now
-#: persisted too, so neither boot flavour rebuilds them.
-#: Version 5 dropped the pickled ``adjacency`` section: the view's columns
-#: are the graph's only edge storage.
+#: Current format version; bump when the layout changes.  Version 4
+#: introduced the columnar section layout documented above; version 5
+#: dropped the pickled ``adjacency`` section, so the view's columns are the
+#: graph's only edge storage.
 SNAPSHOT_VERSION = 5
 
-#: Versions this build can still read.  Versions 1–3 load by rebuilding the
-#: graph from their pickled sorted edge list; versions 4 and 5 adopt their
-#: columns, and only they can boot via ``mmap=True`` — older files degrade
-#: to the eager boot with a recorded reason.
-SUPPORTED_SNAPSHOT_VERSIONS = (1, 2, 3, 4, SNAPSHOT_VERSION)
+#: Versions this build reads, eagerly or mapped.  Versions 1–3 are rejected
+#: with a :class:`SnapshotError` that says to re-warm the graph.
+SUPPORTED_SNAPSHOT_VERSIONS = (4, 5)
 
 #: Header layout: magic, version, epoch, |V|, |E|, |T|, payload length, CRC-32.
-#: For v≤3 the CRC covers the whole payload; for v4 and v5 it covers the
-#: section table block (each section then carries its own CRC).
+#: The CRC covers the section table block; each section carries its own.
 _HEADER_STRUCT = struct.Struct(">8sHQQQQQI")
 
 HEADER_SIZE = _HEADER_STRUCT.size
@@ -127,9 +118,6 @@ V4_COLUMN_SECTIONS = (
     "view.in_ts",
     "view.in_src",
 )
-
-#: Streamed-read chunk size for the legacy (v≤3) CRC/decompress loop.
-_STREAM_CHUNK = 1 << 20
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -326,58 +314,6 @@ def _encode(graph: TemporalGraph) -> Tuple[bytes, bytes, SnapshotInfo]:
     return header, body, info
 
 
-def write_legacy_snapshot(
-    graph: TemporalGraph, path: PathLike, *, version: int = 3
-) -> SnapshotInfo:
-    """Write a pre-v4 (single zlib-pickle payload) snapshot to ``path``.
-
-    Produces the payload shape the v1/v2/v3 writers emitted, built from the
-    graph's public read API — the cross-version compatibility tests use
-    this so old-format files don't have to be vendored as fixtures.
-    """
-    if version not in (1, 2, 3):
-        raise ValueError(f"legacy snapshot versions are 1..3, got {version}")
-    vertices = list(graph.vertices())
-    state = {
-        "out": {v: graph.out_neighbors(v) for v in vertices},
-        "in": {v: graph.in_neighbors(v) for v in vertices},
-        "sorted_edges": list(graph.edge_tuples()),
-        "timestamps": graph.timestamps(),
-        "out_timestamps": {v: graph.out_timestamps(v) for v in vertices},
-        "in_timestamps": {v: graph.in_timestamps(v) for v in vertices},
-        "epoch": graph.epoch,
-    }
-    if version >= 2:  # v1 predates the columnar view arrays
-        view = graph.view()
-        # v3 writers pickled every view column as an IndexColumn
-        column = IndexColumn if version == 3 else array
-        state["view"] = {"labels": view.labels}
-        for name in ("src", "dst", "ts", "out_offsets", "out_edges",
-                     "in_offsets", "in_edges"):
-            state["view"][name] = column(INDEX_TYPECODE, getattr(view, name))
-    payload = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-    info = SnapshotInfo(
-        version=version,
-        epoch=graph.epoch,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        num_timestamps=len(graph.timestamps()),
-        payload_bytes=len(payload),
-    )
-    header = _HEADER_STRUCT.pack(
-        SNAPSHOT_MAGIC,
-        info.version,
-        info.epoch,
-        info.num_vertices,
-        info.num_edges,
-        info.num_timestamps,
-        info.payload_bytes,
-        zlib.crc32(payload) & 0xFFFFFFFF,
-    )
-    _commit_bytes(path, (header, payload))
-    return info
-
-
 def _fsync_directory(dirpath: str) -> None:
     """Flush the directory entry after an :func:`os.replace` commit."""
     try:
@@ -456,13 +392,25 @@ def snapshot_bytes(graph: TemporalGraph) -> bytes:
 # ----------------------------------------------------------------------
 # decoding
 # ----------------------------------------------------------------------
-def _read_header(handle: BinaryIO, path: str) -> tuple:
+def _open_snapshot(path: str) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise SnapshotError(f"{path}: cannot open snapshot: {exc}") from exc
+
+
+def _read_header(handle: BinaryIO, path: str) -> Tuple[SnapshotInfo, int]:
+    """Decode and validate the fixed header: ``(info, table_crc)``.
+
+    The one place a :class:`SnapshotInfo` is read off disk; every reader
+    takes this record instead of re-deriving the counts.
+    """
     raw = handle.read(HEADER_SIZE)
     if len(raw) < HEADER_SIZE:
         raise SnapshotError(
             f"{path}: truncated snapshot header ({len(raw)} of {HEADER_SIZE} bytes)"
         )
-    magic, version, epoch, n_vertices, n_edges, n_ts, payload_len, crc = (
+    magic, version, epoch, n_vertices, n_edges, n_ts, payload_len, table_crc = (
         _HEADER_STRUCT.unpack(raw)
     )
     if magic != SNAPSHOT_MAGIC:
@@ -471,23 +419,10 @@ def _read_header(handle: BinaryIO, path: str) -> tuple:
         raise SnapshotError(
             f"{path}: unsupported snapshot format version {version} "
             f"(this build reads versions "
-            f"{', '.join(str(v) for v in SUPPORTED_SNAPSHOT_VERSIONS)})"
+            f"{', '.join(str(v) for v in SUPPORTED_SNAPSHOT_VERSIONS)}): "
+            "re-warm the graph with 'tspg warm'"
         )
-    return version, epoch, n_vertices, n_edges, n_ts, payload_len, crc
-
-
-def peek_snapshot(path: PathLike) -> SnapshotInfo:
-    """Read and validate only the header of the snapshot at ``path``."""
-    path = os.fspath(path)
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise SnapshotError(f"{path}: cannot open snapshot: {exc}") from exc
-    with handle:
-        version, epoch, n_vertices, n_edges, n_ts, payload_len, _ = _read_header(
-            handle, path
-        )
-    return SnapshotInfo(
+    info = SnapshotInfo(
         version=version,
         epoch=epoch,
         num_vertices=n_vertices,
@@ -495,18 +430,39 @@ def peek_snapshot(path: PathLike) -> SnapshotInfo:
         num_timestamps=n_ts,
         payload_bytes=payload_len,
     )
+    return info, table_crc
+
+
+def peek_snapshot(path: PathLike) -> SnapshotInfo:
+    """Read and validate only the header of the snapshot at ``path``."""
+    path = os.fspath(path)
+    with _open_snapshot(path) as handle:
+        return _read_header(handle, path)[0]
+
+
+def _read_table_block(handle: BinaryIO, info: SnapshotInfo) -> bytes:
+    """Read just the section-table block with ordinary file reads."""
+    handle.seek(HEADER_SIZE)
+    table = handle.read(min(info.payload_bytes, _TABLE_HEADER_STRUCT.size))
+    if len(table) >= _TABLE_HEADER_STRUCT.size:
+        _, table_bytes = _TABLE_HEADER_STRUCT.unpack(table)
+        if 0 < table_bytes <= info.payload_bytes:
+            table += handle.read(table_bytes - len(table))
+    return table
 
 
 def _parse_table(
-    buf, path: str, *, version: int, payload_len: int, table_crc: int
+    buf, path: str, info: SnapshotInfo, table_crc: int
 ) -> Dict[str, SnapshotSection]:
-    """Decode and verify a v4/v5 section table from the payload region.
+    """Decode and verify the section table at the start of ``buf``.
 
-    ``buf`` is a bytes-like view of the ``payload_len`` bytes after the
-    fixed header.  The table CRC (stored in the header) is verified before
-    any record is trusted — a flipped byte anywhere in the block surfaces
-    as a checksum mismatch, not a parse error.
+    ``buf`` is a bytes-like view of the payload region after the fixed
+    header (or of just its table block).  The table CRC (stored in the
+    header) is verified before any record is trusted — a flipped byte
+    anywhere in the block surfaces as a checksum mismatch, not a parse
+    error.
     """
+    payload_len = info.payload_bytes
     if payload_len < _TABLE_HEADER_STRUCT.size:
         raise SnapshotError(f"{path}: truncated snapshot payload (no section table)")
     num_sections, table_bytes = _TABLE_HEADER_STRUCT.unpack(
@@ -548,7 +504,7 @@ def _parse_table(
             name=name, offset=offset, length=length, elements=elements, crc32=crc
         )
     required_sections = ("meta", *V4_COLUMN_SECTIONS)
-    if version == 4:
+    if info.version == 4:
         required_sections += ("adjacency",)
     for required in required_sections:
         if required not in sections:
@@ -560,55 +516,21 @@ def _parse_table(
 
 
 def inspect_snapshot(path: PathLike) -> Tuple[SnapshotInfo, List[SnapshotSection]]:
-    """Decode the header and (for v4/v5) the per-section table of a snapshot.
+    """Decode the header and the per-section table of a snapshot.
 
     Cheap by construction: reads the fixed header plus the section-table
-    block — never a section payload.  Pre-v4 files report their single
-    opaque payload as one pseudo-section named ``payload``.
+    block — never a section payload.
     """
     path = os.fspath(path)
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise SnapshotError(f"{path}: cannot open snapshot: {exc}") from exc
-    with handle:
-        version, epoch, n_vertices, n_edges, n_ts, payload_len, crc = _read_header(
-            handle, path
-        )
-        info = SnapshotInfo(
-            version=version,
-            epoch=epoch,
-            num_vertices=n_vertices,
-            num_edges=n_edges,
-            num_timestamps=n_ts,
-            payload_bytes=payload_len,
-        )
-        if version < 4:
-            return info, [
-                SnapshotSection(
-                    name="payload",
-                    offset=HEADER_SIZE,
-                    length=payload_len,
-                    elements=0,
-                    crc32=crc,
-                )
-            ]
-        table = handle.read(min(payload_len, _TABLE_HEADER_STRUCT.size))
-        if len(table) >= _TABLE_HEADER_STRUCT.size:
-            _, table_bytes = _TABLE_HEADER_STRUCT.unpack(table)
-            if 0 < table_bytes <= payload_len:
-                table += handle.read(table_bytes - len(table))
-    sections = _parse_table(
-        table, path, version=version, payload_len=payload_len, table_crc=crc
-    )
-    ordered = sorted(sections.values(), key=lambda record: record.offset)
-    return info, ordered
+    with _open_snapshot(path) as handle:
+        info, table_crc = _read_header(handle, path)
+        table = _read_table_block(handle, info)
+    sections = _parse_table(table, path, info, table_crc)
+    return info, sorted(sections.values(), key=lambda record: record.offset)
 
 
-def _section_bytes(buf, record: SnapshotSection, path: str) -> bytes:
-    """The verified bytes of ``record`` out of the payload region ``buf``."""
-    start = record.offset - HEADER_SIZE
-    data = bytes(buf[start : start + record.length])
+def _checked(data: bytes, record: SnapshotSection, path: str) -> bytes:
+    """``data`` (the bytes of ``record``) once its CRC-32 matches."""
     if (zlib.crc32(data) & 0xFFFFFFFF) != record.crc32:
         raise SnapshotError(
             f"{path}: snapshot section {record.name!r} checksum mismatch"
@@ -616,46 +538,40 @@ def _section_bytes(buf, record: SnapshotSection, path: str) -> bytes:
     return data
 
 
-def _decode_section(buf, record: SnapshotSection, path: str):
-    """CRC-check and unpickle the pickled ``meta`` section."""
-    data = _section_bytes(buf, record, path)
+def _section_bytes(buf, record: SnapshotSection, path: str) -> bytes:
+    """The verified bytes of ``record`` out of the payload region ``buf``."""
+    start = record.offset - HEADER_SIZE
+    return _checked(bytes(buf[start : start + record.length]), record, path)
+
+
+def _decode_meta(data: bytes, path: str) -> dict:
+    """Unpickle the CRC-checked bytes of the ``meta`` section."""
     try:
         return pickle.loads(zlib.decompress(data))
     except Exception as exc:  # zlib.error, pickle errors, ...
         raise SnapshotError(
-            f"{path}: cannot decode snapshot section {record.name!r}: {exc}"
+            f"{path}: cannot decode snapshot section 'meta': {exc}"
         ) from exc
 
 
-def _check_counts(
-    graph: TemporalGraph,
-    path: str,
-    *,
-    epoch: int,
-    n_vertices: int,
-    n_edges: int,
-    n_ts: int,
+def _validate_shapes(
+    sections: Dict[str, SnapshotSection], path: str, info: SnapshotInfo
 ) -> None:
-    if (
-        graph.num_vertices != n_vertices
-        or graph.num_edges != n_edges
-        or len(graph.timestamps()) != n_ts
-        or graph.epoch != epoch
-    ):
-        raise SnapshotError(
-            f"{path}: snapshot header does not match payload "
-            f"(header says |V|={n_vertices}, |E|={n_edges}, |T|={n_ts}, "
-            f"epoch={epoch}; payload decodes to |V|={graph.num_vertices}, "
-            f"|E|={graph.num_edges}, |T|={len(graph.timestamps())}, "
-            f"epoch={graph.epoch})"
-        )
+    """Cross-check extent element counts against the header counts."""
+    expected = {name: info.num_edges for name in V4_COLUMN_SECTIONS}
+    expected["view.out_offsets"] = info.num_vertices + 1
+    expected["view.in_offsets"] = info.num_vertices + 1
+    for name, count in expected.items():
+        if sections[name].elements != count:
+            raise SnapshotError(
+                f"{path}: snapshot header does not match payload "
+                f"(section {name!r} has {sections[name].elements} elements, "
+                f"header implies {count})"
+            )
 
 
 def _wrap_columns(meta: dict, columns: Dict[str, object], path: str) -> TemporalGraph:
-    """Wrap decoded or mapped v4/v5 columns in a graph, adopting them as-is.
-
-    The caller cross-checks the result against the header counts.
-    """
+    """Wrap decoded or mapped columns in a graph, adopting them as-is."""
     try:
         view = GraphView(
             list(meta["labels"]),
@@ -675,58 +591,61 @@ def _wrap_columns(meta: dict, columns: Dict[str, object], path: str) -> Temporal
         raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
 
 
-def _validate_shapes(
-    sections: Dict[str, SnapshotSection],
+def _check_counts(graph: TemporalGraph, path: str, info: SnapshotInfo) -> None:
+    if (
+        graph.num_vertices != info.num_vertices
+        or graph.num_edges != info.num_edges
+        or len(graph.timestamps()) != info.num_timestamps
+        or graph.epoch != info.epoch
+    ):
+        raise SnapshotError(
+            f"{path}: snapshot header does not match payload "
+            f"(header says |V|={info.num_vertices}, |E|={info.num_edges}, "
+            f"|T|={info.num_timestamps}, epoch={info.epoch}; payload decodes "
+            f"to |V|={graph.num_vertices}, |E|={graph.num_edges}, "
+            f"|T|={len(graph.timestamps())}, epoch={graph.epoch})"
+        )
+
+
+def _decode(
+    buf,
     path: str,
-    *,
-    n_vertices: int,
-    n_edges: int,
-) -> None:
-    """Cross-check extent element counts against the header counts."""
-    expected = {name: n_edges for name in V4_COLUMN_SECTIONS}
-    expected["view.out_offsets"] = n_vertices + 1
-    expected["view.in_offsets"] = n_vertices + 1
-    for name, count in expected.items():
-        if sections[name].elements != count:
-            raise SnapshotError(
-                f"{path}: snapshot header does not match payload "
-                f"(section {name!r} has {sections[name].elements} elements, "
-                f"header implies {count})"
-            )
+    info: SnapshotInfo,
+    table_crc: int,
+    column: Callable[[SnapshotSection], object],
+) -> Tuple[TemporalGraph, Dict[str, SnapshotSection]]:
+    """The one decode sequence: table, shapes, meta, wrap, count check.
+
+    ``buf`` is the payload region (read into memory, or a view of the
+    mapping); ``column(record)`` turns one column extent into a view
+    column.  Returns the graph and the section table.
+    """
+    sections = _parse_table(buf, path, info, table_crc)
+    _validate_shapes(sections, path, info)
+    meta = _decode_meta(_section_bytes(buf, sections["meta"], path), path)
+    columns = {name: column(sections[name]) for name in V4_COLUMN_SECTIONS}
+    graph = _wrap_columns(meta, columns, path)
+    _check_counts(graph, path, info)
+    return graph, sections
 
 
 def _load_eager(
-    buf,
-    path: str,
-    *,
-    version: int,
-    epoch: int,
-    n_vertices: int,
-    n_edges: int,
-    n_ts: int,
-    payload_len: int,
-    table_crc: int,
+    buf: bytes, path: str, info: SnapshotInfo, table_crc: int
 ) -> TemporalGraph:
-    """Read a v4/v5 snapshot whole: every section it has, every CRC checked.
+    """Decode a snapshot read whole, CRC-checking and copying every extent.
 
     A v4 file's ``adjacency`` section is CRC-checked and skipped; the
     columns hold every edge it describes.
     """
-    sections = _parse_table(
-        buf, path, version=version, payload_len=payload_len, table_crc=table_crc
+    graph, sections = _decode(
+        buf,
+        path,
+        info,
+        table_crc,
+        lambda record: _extent_column(_section_bytes(buf, record, path)),
     )
-    _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
-    meta = _decode_section(buf, sections["meta"], path)
-    if version == 4:
+    if info.version == 4:
         _section_bytes(buf, sections["adjacency"], path)
-    columns = {
-        name: _extent_column(_section_bytes(buf, sections[name], path))
-        for name in V4_COLUMN_SECTIONS
-    }
-    graph = _wrap_columns(meta, columns, path)
-    _check_counts(
-        graph, path, epoch=epoch, n_vertices=n_vertices, n_edges=n_edges, n_ts=n_ts
-    )
     return graph
 
 
@@ -749,79 +668,46 @@ def _total_column_bytes(sections: Dict[str, SnapshotSection]) -> int:
 
 
 def _boot_mmap(
-    path: str,
-    *,
-    version: int,
-    epoch: int,
-    n_vertices: int,
-    n_edges: int,
-    n_ts: int,
-    payload_len: int,
-    table_crc: int,
-    residency=None,
-) -> Tuple[TemporalGraph, int]:
-    """Map a v4/v5 snapshot and wrap its column extents in a graph.
+    path: str, info: SnapshotInfo, table_crc: int, residency=None
+) -> SnapshotBoot:
+    """Map the snapshot and wrap its column extents in a graph.
 
-    Eagerly verified: file size, the section table CRC and the small
-    ``meta`` section (so the boot fails fast on a corrupt table or
-    metadata).  The raw column extents are *not* CRC-checked on this path —
+    Eagerly verified: the section table CRC and the small ``meta``
+    section (so the boot fails fast on a corrupt table or metadata).  The
+    raw column extents are cast out of the mapping *without* a CRC check —
     checking them would fault in every page and defeat the mapping (the
     eager loader and the shard set's whole-file check cover them) — and a
     v4 file's ``adjacency`` section is never read.
 
-    Returns ``(graph, column_bytes)`` where ``column_bytes`` is the total
-    size of the raw column extents now present in the address space.  When a
-    :class:`~repro.store.residency.ResidencyPolicy` is passed, the mapping's
-    column region is registered with it for page advice.
+    When a :class:`~repro.store.residency.ResidencyPolicy` is passed, the
+    mapping's column region is registered with it for page advice.
     """
     with open(path, "rb") as handle:
         mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-    buf = memoryview(mapped)[HEADER_SIZE : HEADER_SIZE + payload_len]
-    sections = _parse_table(
-        buf, path, version=version, payload_len=payload_len, table_crc=table_crc
-    )
-    _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
+    buf = memoryview(mapped)[HEADER_SIZE : HEADER_SIZE + info.payload_bytes]
+
+    def column(record: SnapshotSection) -> memoryview:
+        start = record.offset - HEADER_SIZE
+        return buf[start : start + record.length].cast(INDEX_TYPECODE)
+
+    graph, sections = _decode(buf, path, info, table_crc, column)
     if residency is not None:
-        span_offset, span_length = _column_payload_span(sections)
-        residency.register(mapped, span_offset, span_length)
-    meta = _decode_section(buf, sections["meta"], path)
-    columns = {}
-    for name in V4_COLUMN_SECTIONS:
-        start = sections[name].offset - HEADER_SIZE
-        end = start + sections[name].length
-        columns[name] = buf[start:end].cast(INDEX_TYPECODE)
-    graph = _wrap_columns(meta, columns, path)
-    _check_counts(
-        graph, path, epoch=epoch, n_vertices=n_vertices, n_edges=n_edges, n_ts=n_ts
+        residency.register(mapped, *_column_payload_span(sections))
+    column_bytes = _total_column_bytes(sections)
+    return SnapshotBoot(
+        graph=graph,
+        info=info,
+        mmap_requested=True,
+        mmap_active=True,
+        row_range=(0, info.num_edges),
+        mapped_column_bytes=column_bytes,
+        total_column_bytes=column_bytes,
     )
-    return graph, _total_column_bytes(sections)
 
 
 # ----------------------------------------------------------------------
 # extent-local (interval-restricted) boot
 # ----------------------------------------------------------------------
-def _read_table_block(handle: BinaryIO, path: str, *, payload_len: int) -> bytes:
-    """Read just the v4/v5 section-table block with ordinary file reads."""
-    handle.seek(HEADER_SIZE)
-    table = handle.read(min(payload_len, _TABLE_HEADER_STRUCT.size))
-    if len(table) >= _TABLE_HEADER_STRUCT.size:
-        _, table_bytes = _TABLE_HEADER_STRUCT.unpack(table)
-        if 0 < table_bytes <= payload_len:
-            table += handle.read(table_bytes - len(table))
-    return table
-
-
-def _read_section(handle: BinaryIO, record: SnapshotSection, path: str) -> bytes:
-    """Seek-read and CRC-check one section without mapping anything."""
-    handle.seek(record.offset)
-    data = handle.read(record.length)
-    if (zlib.crc32(data) & 0xFFFFFFFF) != record.crc32:
-        raise SnapshotError(
-            f"{path}: snapshot section {record.name!r} checksum mismatch"
-        )
-    return data
-
-
 _TS_CELL_STRUCT = struct.Struct("<q")
 
 
@@ -879,24 +765,13 @@ def _map_rows(fileno: int, start: int, length: int) -> Tuple[memoryview, int]:
 
 
 def _boot_extent(
-    path: str,
-    *,
-    interval,
-    version: int,
-    epoch: int,
-    n_vertices: int,
-    n_edges: int,
-    n_ts: int,
-    payload_len: int,
-    table_crc: int,
-    residency=None,
-):
+    path: str, info: SnapshotInfo, table_crc: int, interval, residency=None
+) -> Optional[SnapshotBoot]:
     """Interval-restricted mmap boot: map only the interval's rows.
 
-    Returns ``(graph, (row_lo, row_hi), mapped_bytes, total_bytes)`` for a
-    proper row subset, or ``None`` when the interval covers every row — the
-    caller then uses the whole-file mapping, which additionally adopts the
-    persisted CSR extents instead of rebuilding them.
+    Returns ``None`` when the interval covers every row — the caller then
+    uses the whole-file mapping, which additionally adopts the persisted
+    CSR extents instead of rebuilding them.
 
     The restricted graph keeps the **full vertex label table** (so vertex
     interning, absent-vertex handling and result shapes match the
@@ -912,30 +787,24 @@ def _boot_extent(
     """
     window = as_interval(interval)
     with open(path, "rb") as handle:
-        table = _read_table_block(handle, path, payload_len=payload_len)
         sections = _parse_table(
-            table, path, version=version, payload_len=payload_len, table_crc=table_crc
+            _read_table_block(handle, info), path, info, table_crc
         )
-        _validate_shapes(sections, path, n_vertices=n_vertices, n_edges=n_edges)
+        _validate_shapes(sections, path, info)
         row_lo, row_hi = _bisect_rows(
-            handle, sections["view.ts"].offset, n_edges, window
+            handle, sections["view.ts"].offset, info.num_edges, window
         )
-        if row_lo == 0 and row_hi == n_edges:
+        if row_lo == 0 and row_hi == info.num_edges:
             return None
-        meta_blob = _read_section(handle, sections["meta"], path)
-        try:
-            meta = pickle.loads(zlib.decompress(meta_blob))
-        except Exception as exc:  # zlib.error, pickle errors, ...
-            raise SnapshotError(
-                f"{path}: cannot decode snapshot section 'meta': {exc}"
-            ) from exc
+        record = sections["meta"]
+        handle.seek(record.offset)
+        meta = _decode_meta(_checked(handle.read(record.length), record, path), path)
         rows = row_hi - row_lo
         columns: Dict[str, memoryview] = {}
         mapped_bytes = 0
         for name in ("view.src", "view.dst", "view.ts"):
-            record = sections[name]
             column, nbytes = _map_rows(
-                handle.fileno(), record.offset + 8 * row_lo, 8 * rows
+                handle.fileno(), sections[name].offset + 8 * row_lo, 8 * rows
             )
             columns[name] = column
             mapped_bytes += nbytes
@@ -943,18 +812,19 @@ def _boot_extent(
                 residency.register(column.obj)
     try:
         labels = list(meta["labels"])
-        if len(labels) != n_vertices:
+        if len(labels) != info.num_vertices:
             raise SnapshotError(
                 f"{path}: snapshot header does not match payload "
-                f"(header says |V|={n_vertices}, metadata has {len(labels)})"
+                f"(header says |V|={info.num_vertices}, metadata has "
+                f"{len(labels)})"
             )
         src, dst, ts = (
             columns["view.src"],
             columns["view.dst"],
             columns["view.ts"],
         )
-        out_offsets, out_edges = _csr(src, n_vertices, rows)
-        in_offsets, in_edges = _csr(dst, n_vertices, rows)
+        out_offsets, out_edges = _csr(src, info.num_vertices, rows)
+        in_offsets, in_edges = _csr(dst, info.num_vertices, rows)
         view = GraphView(
             labels, src, dst, ts,
             out_offsets, out_edges, in_offsets, in_edges,
@@ -965,15 +835,23 @@ def _boot_extent(
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
-    return graph, (row_lo, row_hi), mapped_bytes, _total_column_bytes(sections)
+    return SnapshotBoot(
+        graph=graph,
+        info=info,
+        mmap_requested=True,
+        mmap_active=True,
+        row_range=(row_lo, row_hi),
+        mapped_column_bytes=mapped_bytes,
+        total_column_bytes=_total_column_bytes(sections),
+    )
 
 
 def _restrict_graph_eager(graph: TemporalGraph, interval) -> TemporalGraph:
     """Rebuild ``graph`` keeping only the edges inside ``interval``.
 
-    The eager twin of :func:`_boot_extent` for boots that cannot map
-    (pre-v4 files, big-endian hosts, failed mappings, ``mmap=False``): the
-    full vertex set is preserved and the restricted edge rows keep the same
+    The eager twin of :func:`_boot_extent` for boots that do not map
+    (``mmap=False``, big-endian hosts, failed mappings): the full vertex
+    set is preserved and the restricted edge rows keep the same
     deterministic order, so query results inside ``interval`` match the
     extent-local boot bit-for-bit.  The snapshot's epoch is carried over so
     epoch-keyed caches treat both restrictions as the same graph state.
@@ -992,53 +870,6 @@ def _restrict_graph_eager(graph: TemporalGraph, interval) -> TemporalGraph:
     return restricted
 
 
-def _load_legacy_state(
-    handle: BinaryIO, path: str, *, payload_len: int, crc: int
-) -> dict:
-    """Stream-read, CRC-check and decode a v≤3 single-section payload.
-
-    The CRC and the zlib decompression are fed chunk by chunk, so resident
-    memory peaks at the *decompressed* state size — the compressed payload
-    is never held whole.  The checksum verdict is always reached (and
-    reported first) even when a corrupt chunk makes the decompressor choke
-    mid-stream.
-    """
-    crc_calc = 0
-    remaining = payload_len
-    read_total = 0
-    decompressor = zlib.decompressobj()
-    parts: List[bytes] = []
-    decode_error: Optional[Exception] = None
-    while remaining > 0:
-        chunk = handle.read(min(_STREAM_CHUNK, remaining))
-        if not chunk:
-            break
-        read_total += len(chunk)
-        remaining -= len(chunk)
-        crc_calc = zlib.crc32(chunk, crc_calc)
-        if decode_error is None:
-            try:
-                parts.append(decompressor.decompress(chunk))
-            except zlib.error as exc:
-                decode_error = exc  # keep streaming: finish the CRC verdict
-    if read_total < payload_len:
-        raise SnapshotError(
-            f"{path}: truncated snapshot payload "
-            f"({read_total} of {payload_len} bytes)"
-        )
-    if handle.read(1):
-        raise SnapshotError(f"{path}: trailing data after snapshot payload")
-    if (crc_calc & 0xFFFFFFFF) != crc:
-        raise SnapshotError(f"{path}: snapshot payload checksum mismatch")
-    try:
-        if decode_error is not None:
-            raise decode_error
-        parts.append(decompressor.flush())
-        return pickle.loads(b"".join(parts))
-    except Exception as exc:  # zlib.error, pickle errors, ...
-        raise SnapshotError(f"{path}: cannot decode snapshot payload: {exc}") from exc
-
-
 def _boot_snapshot_file(
     path: PathLike,
     *,
@@ -1048,13 +879,13 @@ def _boot_snapshot_file(
 ) -> SnapshotBoot:
     """Load the snapshot *file* at ``path`` — journal replay lives one level up.
 
-    With ``mmap=True`` and a v4/v5 file, the returned graph's view reads
-    straight out of the page cache: its columns are ``memoryview`` slices
-    of the mapping, and the graph holds nothing else per edge.  Pre-v4
-    files — and platforms whose native byte order can't alias the
-    little-endian extents — degrade to the eager boot, with the reason
-    recorded on the returned :class:`SnapshotBoot` rather than raised: a
-    readable snapshot always boots.
+    With ``mmap=True`` the returned graph's view reads straight out of the
+    page cache: its columns are ``memoryview`` slices of the mapping, and
+    the graph holds nothing else per edge.  A platform whose native byte
+    order can't alias the little-endian extents, or a mapping the OS
+    refuses, degrades to the eager boot, with the reason recorded on the
+    returned :class:`SnapshotBoot` rather than raised: a readable snapshot
+    always boots.
 
     ``interval`` restricts the boot to the edges whose timestamp lies in
     the (inclusive) interval, preserving the full vertex set.  Combined
@@ -1077,137 +908,36 @@ def _boot_snapshot_file(
         undecodable section, or header counts that contradict the payload.
     """
     path = os.fspath(path)
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise SnapshotError(f"{path}: cannot open snapshot: {exc}") from exc
     reasons: List[str] = []
-    with handle:
-        version, epoch, n_vertices, n_edges, n_ts, payload_len, crc = _read_header(
-            handle, path
-        )
-        info = SnapshotInfo(
-            version=version,
-            epoch=epoch,
-            num_vertices=n_vertices,
-            num_edges=n_edges,
-            num_timestamps=n_ts,
-            payload_bytes=payload_len,
-        )
-        if version >= 4:
-            file_size = os.fstat(handle.fileno()).st_size
-            if file_size < HEADER_SIZE + payload_len:
-                raise SnapshotError(
-                    f"{path}: truncated snapshot payload "
-                    f"({file_size - HEADER_SIZE} of {payload_len} bytes)"
-                )
-            if file_size > HEADER_SIZE + payload_len:
-                raise SnapshotError(f"{path}: trailing data after snapshot payload")
-            if mmap:
-                if sys.byteorder != "little":
-                    reasons.append(
-                        "snapshot extents are little-endian and this platform "
-                        f"is {sys.byteorder}-endian: booted eagerly (byteswap)"
-                    )
-                else:
-                    try:
-                        if interval is not None:
-                            extent_boot = _boot_extent(
-                                path,
-                                interval=interval,
-                                version=version,
-                                epoch=epoch,
-                                n_vertices=n_vertices,
-                                n_edges=n_edges,
-                                n_ts=n_ts,
-                                payload_len=payload_len,
-                                table_crc=crc,
-                                residency=residency,
-                            )
-                            if extent_boot is not None:
-                                graph, rows, mapped_bytes, total = extent_boot
-                                return SnapshotBoot(
-                                    graph=graph,
-                                    info=info,
-                                    mmap_requested=True,
-                                    mmap_active=True,
-                                    row_range=rows,
-                                    mapped_column_bytes=mapped_bytes,
-                                    total_column_bytes=total,
-                                )
-                        graph, column_bytes = _boot_mmap(
-                            path,
-                            version=version,
-                            epoch=epoch,
-                            n_vertices=n_vertices,
-                            n_edges=n_edges,
-                            n_ts=n_ts,
-                            payload_len=payload_len,
-                            table_crc=crc,
-                            residency=residency,
-                        )
-                        return SnapshotBoot(
-                            graph=graph,
-                            info=info,
-                            mmap_requested=True,
-                            mmap_active=True,
-                            row_range=(0, n_edges),
-                            mapped_column_bytes=column_bytes,
-                            total_column_bytes=column_bytes,
-                        )
-                    except (OSError, _mmap.error) as exc:
-                        reasons.append(
-                            f"mmap of the snapshot failed ({exc}): booted eagerly"
-                        )
-            handle.seek(HEADER_SIZE)
-            buf = handle.read(payload_len)
-            graph = _load_eager(
-                buf,
-                path,
-                version=version,
-                epoch=epoch,
-                n_vertices=n_vertices,
-                n_edges=n_edges,
-                n_ts=n_ts,
-                payload_len=payload_len,
-                table_crc=crc,
+    with _open_snapshot(path) as handle:
+        info, table_crc = _read_header(handle, path)
+        file_size = os.fstat(handle.fileno()).st_size
+        if file_size < HEADER_SIZE + info.payload_bytes:
+            raise SnapshotError(
+                f"{path}: truncated snapshot payload "
+                f"({file_size - HEADER_SIZE} of {info.payload_bytes} bytes)"
             )
-            if interval is not None:
-                graph = _restrict_graph_eager(graph, interval)
-            return SnapshotBoot(
-                graph=graph,
-                info=info,
-                mmap_requested=mmap,
-                mmap_active=False,
-                fallback_reasons=reasons,
-            )
-        if mmap:
+        if file_size > HEADER_SIZE + info.payload_bytes:
+            raise SnapshotError(f"{path}: trailing data after snapshot payload")
+        if mmap and sys.byteorder != "little":
             reasons.append(
-                f"snapshot format v{version} predates the mmap-able columnar "
-                "layout (v4): booted eagerly; re-save with this build to "
-                "enable mmap boot"
+                "snapshot extents are little-endian and this platform "
+                f"is {sys.byteorder}-endian: booted eagerly (byteswap)"
             )
-        state = _load_legacy_state(handle, path, payload_len=payload_len, crc=crc)
-    try:
-        # Rebuilt from the sorted edge list, in the vertices' insertion
-        # order: the pickled adjacency and view are never adopted, so a
-        # pre-v3 file's hash-seed-dependent tie order cannot leak in.
-        graph = TemporalGraph(vertices=state["out"], edges=state["sorted_edges"])
-        graph._epoch = int(state["epoch"])
-        graph.warm_indices()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
-    _check_counts(
-        graph, path, epoch=epoch, n_vertices=n_vertices, n_edges=n_edges, n_ts=n_ts
-    )
+        elif mmap:
+            try:
+                if interval is not None:
+                    boot = _boot_extent(path, info, table_crc, interval, residency)
+                    if boot is not None:
+                        return boot
+                return _boot_mmap(path, info, table_crc, residency)
+            except (OSError, _mmap.error) as exc:
+                reasons.append(f"mmap of the snapshot failed ({exc}): booted eagerly")
+        graph = _load_eager(handle.read(info.payload_bytes), path, info, table_crc)
     if interval is not None:
         graph = _restrict_graph_eager(graph, interval)
     return SnapshotBoot(
-        graph=graph,
-        info=info,
-        mmap_requested=mmap,
-        mmap_active=False,
-        fallback_reasons=reasons,
+        graph=graph, info=info, mmap_requested=mmap, fallback_reasons=reasons
     )
 
 
@@ -1276,10 +1006,10 @@ def load_snapshot(
 ) -> TemporalGraph:
     """Load the :class:`TemporalGraph` stored in the snapshot at ``path``.
 
-    ``mmap=True`` requests the zero-copy columnar boot (v4/v5 files only; older
-    formats degrade to eager — use :func:`boot_snapshot` to observe the
-    recorded fallback reasons).  ``interval`` restricts the boot to that
-    time range's edges (extent-local mapping when combined with ``mmap``).
+    ``mmap=True`` requests the zero-copy columnar boot (use
+    :func:`boot_snapshot` to observe the reasons when it degrades to
+    eager).  ``interval`` restricts the boot to that time range's edges
+    (extent-local mapping when combined with ``mmap``).
 
     Raises
     ------

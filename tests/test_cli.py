@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["query", "--source", "a", "--target", "b",
                                        "--begin", "1", "--end", "2"])
+
+
+class TestImportCost:
+    def test_importing_the_cli_does_not_load_the_graphml_dependencies(self):
+        # xml.sax.saxutils pulls in urllib.request, http.client and email;
+        # only to_graphml needs it, so a serving process never should.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('xml.sax.saxutils' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestQueryCommand:
@@ -276,6 +295,36 @@ class TestBatchCommand:
         bad.write_bytes(b"not a snapshot at all")
         with pytest.raises(SystemExit, match="not a tspG snapshot|truncated"):
             main(["batch", "--snapshot", str(bad), "--num-queries", "2"])
+
+    def test_residency_with_shards_fails_before_the_graph_loads(self, tmp_path):
+        # The snapshot does not exist: a check that ran after the load
+        # would fail there instead, and without the check the router
+        # silently served with no page advice.
+        with pytest.raises(SystemExit, match="--residency conflicts with --shards"):
+            main(["batch", "--snapshot", str(tmp_path / "missing.tspgsnap"),
+                  "--shards", "3", "--mmap", "--residency",
+                  "--num-queries", "2"])
+
+    @pytest.mark.parametrize("command", ["inspect", "batch"])
+    def test_a_pre_v4_snapshot_exits_with_one_re_warm_line(
+        self, tmp_path, command
+    ):
+        from repro.store import save_snapshot
+
+        path = tmp_path / "old.tspgsnap"
+        save_snapshot(TemporalGraph(edges=[("s", "b", 2), ("b", "t", 6)]), path)
+        raw = bytearray(path.read_bytes())
+        raw[8:10] = (3).to_bytes(2, "big")  # the header's format version
+        path.write_bytes(bytes(raw))
+        argv = (
+            ["inspect", str(path)] if command == "inspect"
+            else ["batch", "--snapshot", str(path), "--num-queries", "2"]
+        )
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        message = exited.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "version 3" in message and "re-warm" in message
 
     def test_batch_validates_shard_flags(self, tmp_path):
         edge_list = self._edge_list(tmp_path)

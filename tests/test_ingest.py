@@ -30,7 +30,6 @@ from repro.store import (
     ResidencyPolicy,
     ShardSnapshotSet,
     SnapshotError,
-    SnapshotGraphStore,
     append_journal_delta,
     boot_snapshot,
     clear_journal,
@@ -199,10 +198,9 @@ class TestJournal:
 
     def test_store_append_journals_and_boot_replays(self, tmp_path):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        graph = store.load()
-        store.append([("t", "z", 9)])
-        store.append([("z", "q", 11)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
+        append_journal_delta(path, graph.append_edges([("z", "q", 11)]))
         sidecar = journal_path(path)
         assert os.path.exists(sidecar)
         info, records = read_journal(sidecar)
@@ -215,9 +213,8 @@ class TestJournal:
 
     def test_compact_save_folds_the_journal(self, tmp_path):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        graph = store.load()
-        store.append([("t", "z", 9)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
         save_snapshot(graph, path, compact=True)
         assert not os.path.exists(journal_path(path))
         boot = boot_snapshot(path)
@@ -227,9 +224,8 @@ class TestJournal:
 
     def test_stale_journal_from_a_compaction_crash_is_skipped(self, tmp_path):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        graph = store.load()
-        store.append([("t", "z", 9)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
         # A crash between the snapshot rewrite and the journal unlink
         # leaves a sidecar whose base epoch predates the snapshot.
         save_snapshot(graph, path)
@@ -252,9 +248,8 @@ class TestJournal:
         self, tmp_path
     ):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        store.load()
-        store.append([("t", "z", 9)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
         sidecar = journal_path(path)
         blob = bytearray(open(sidecar, "rb").read())
         blob[-1] ^= 0xFF
@@ -280,9 +275,10 @@ class TestJournal:
         self, tmp_path
     ):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        graph = store.load()
-        store.append([("t", "z", 9), ("z", "q", 30)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(
+            path, graph.append_edges([("t", "z", 9), ("z", "q", 30)])
+        )
         clipped = boot_snapshot(path, interval=(1, 9)).graph
         assert ("t", "z", 9) in set(clipped.edge_tuples())
         assert ("z", "q", 30) not in set(clipped.edge_tuples())
@@ -293,17 +289,15 @@ class TestJournal:
     ):
         path = self._snapshot(tmp_path)
         assert not clear_journal(path)
-        store = SnapshotGraphStore(path)
-        store.load()
-        store.append([("t", "z", 9)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
         assert clear_journal(path)
         assert not os.path.exists(journal_path(path))
 
     def test_replay_journal_is_idempotent_per_boot(self, tmp_path):
         path = self._snapshot(tmp_path)
-        store = SnapshotGraphStore(path)
-        store.load()
-        store.append([("t", "z", 9)])
+        graph = boot_snapshot(path).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9)]))
         graph = boot_snapshot(path).graph
         # A second replay of the same sidecar starts from the already
         # advanced epoch — the chain no longer lines up.

@@ -2,14 +2,18 @@
 
 Covers the columnar layout end to end — the mapped int64 columns a
 :class:`TemporalGraph` boot wraps without copying, cross-version
-compatibility (the committed v4 fixture loads every way; v1/v2/v3 still
-load; ``mmap=True`` on them degrades cleanly with a recorded reason),
+compatibility (the committed v4 fixture loads every way; a v1–v3 header
+is rejected by every reader with a message that says to re-warm),
 per-section corruption detection, write durability (fsync + no temp
 siblings after a failed write), and the mmap flag's surfaces on the store,
-service and sharded-router layers.
+service and sharded-router layers (a refused mapping degrades cleanly with
+a recorded reason).
 """
 
+import errno
 import gc
+import json
+import mmap as mmap_module
 import os
 import struct
 import tracemalloc
@@ -27,17 +31,15 @@ from repro.store import (
     HEADER_SIZE,
     ShardSnapshotSet,
     SnapshotError,
-    SnapshotGraphStore,
     V4_COLUMN_SECTIONS,
+    append_journal_delta,
     boot_snapshot,
     inspect_snapshot,
     load_snapshot,
     peek_snapshot,
     save_snapshot,
     snapshot_bytes,
-    write_legacy_snapshot,
 )
-from repro.store.snapshot import _HEADER_STRUCT
 
 #: A format-v4 snapshot of the paper's running example, written by the last
 #: build whose writer emitted v4 (meta + adjacency + 11 column extents).
@@ -57,6 +59,27 @@ def scale_graph(num_edges=3000):
     graph = TemporalGraph(vertices=range(400))
     graph.add_edges(synth_scale_edges(400, num_edges, num_timestamps=80, seed=11))
     return graph
+
+
+def _mmap_refusing(path):
+    """An ``mmap.mmap`` stand-in that refuses to map ``path`` only."""
+    real = mmap_module.mmap
+    refused = os.stat(path)
+
+    def mapping(fileno, *args, **kwargs):
+        opened = os.fstat(fileno)
+        if (opened.st_dev, opened.st_ino) == (refused.st_dev, refused.st_ino):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        return real(fileno, *args, **kwargs)
+
+    return mapping
+
+
+def _forge_version(path, version):
+    """Rewrite the header's format version field in place."""
+    raw = bytearray(open(path, "rb").read())
+    raw[8:10] = struct.pack(">H", version)
+    open(path, "wb").write(bytes(raw))
 
 
 # ----------------------------------------------------------------------
@@ -165,15 +188,6 @@ def _appended(graph):
     return graph
 
 
-def _legacy(graph, path, version):
-    write_legacy_snapshot(graph, path, version=version)
-    if version == 3:
-        raw = open(path, "rb").read()
-        payload = zlib.decompress(raw[HEADER_SIZE:])
-        assert b"repro.graph.columns" in payload and b"IndexColumn" in payload
-    return load_snapshot(path)
-
-
 D1_BOOTS = {
     "built": lambda graph, path, tmp: graph,
     "eager": lambda graph, path, tmp: boot_snapshot(path).graph,
@@ -181,9 +195,6 @@ D1_BOOTS = {
     "mmap-interval": lambda graph, path, tmp: boot_snapshot(
         path, mmap=True, interval=(10, 40)
     ).graph,
-    "v1": lambda graph, path, tmp: _legacy(graph, tmp / "v1.tspgsnap", 1),
-    "v2": lambda graph, path, tmp: _legacy(graph, tmp / "v2.tspgsnap", 2),
-    "v3": lambda graph, path, tmp: _legacy(graph, tmp / "v3.tspgsnap", 3),
     "eager-appended": lambda graph, path, tmp: _appended(load_snapshot(path)),
     "mmap-appended": lambda graph, path, tmp: _appended(
         load_snapshot(path, mmap=True)
@@ -242,39 +253,6 @@ class TestLazyWarmStats:
 # cross-version compatibility
 # ----------------------------------------------------------------------
 class TestCrossVersionCompat:
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_legacy_versions_still_load_eagerly(self, tmp_path, version):
-        graph = sample_graph()
-        path = str(tmp_path / f"g.v{version}.tspgsnap")
-        if version == 2:
-            # v2's payload layout equals v3's; only the header version (and
-            # the loader's tie-order trust) differ, so forge the field.
-            write_legacy_snapshot(graph, path, version=3)
-            raw = bytearray(open(path, "rb").read())
-            fields = list(_HEADER_STRUCT.unpack(bytes(raw[:HEADER_SIZE])))
-            fields[1] = 2
-            raw[:HEADER_SIZE] = _HEADER_STRUCT.pack(*fields)
-            open(path, "wb").write(bytes(raw))
-        else:
-            info = write_legacy_snapshot(graph, path, version=version)
-            assert info.version == version
-        assert peek_snapshot(path).version == version
-        loaded = load_snapshot(path)
-        assert loaded == graph
-        assert loaded.warm_indices() == graph.warm_indices()
-
-    @pytest.mark.parametrize("version", [1, 3])
-    def test_mmap_on_legacy_degrades_with_recorded_reason(self, tmp_path, version):
-        graph = sample_graph()
-        path = str(tmp_path / f"g.v{version}.tspgsnap")
-        write_legacy_snapshot(graph, path, version=version)
-        boot = boot_snapshot(path, mmap=True)
-        assert boot.mmap_requested and not boot.mmap_active
-        assert boot.graph == graph
-        assert len(boot.fallback_reasons) == 1
-        reason = boot.fallback_reasons[0]
-        assert f"v{version}" in reason and "mmap" in reason
-
     def test_v4_loads_both_ways_and_reports_sections(self, tmp_path):
         graph = paper_running_example()
         info, sections = inspect_snapshot(V4_FIXTURE)
@@ -299,7 +277,7 @@ class TestCrossVersionCompat:
         _, sections = inspect_snapshot(path)
         target = next(s for s in sections if s.name == "view.dst")
         raw = bytearray(open(path, "rb").read())
-        raw[HEADER_SIZE + target.offset] ^= 0xFF
+        raw[target.offset] ^= 0xFF  # section offsets are absolute
         open(path, "wb").write(bytes(raw))
         with pytest.raises(SnapshotError, match="'view.dst' checksum mismatch"):
             load_snapshot(path)
@@ -323,6 +301,50 @@ class TestCrossVersionCompat:
         open(path, "wb").write(bytes(raw))
         with pytest.raises(SnapshotError, match="section table checksum mismatch"):
             load_snapshot(path)
+
+
+# ----------------------------------------------------------------------
+# formats v1–v3 are not read: every reader says to re-warm
+# ----------------------------------------------------------------------
+RETIRED_READERS = {
+    "eager": boot_snapshot,
+    "mmap": lambda path: boot_snapshot(path, mmap=True),
+    "extent-local": lambda path: boot_snapshot(path, mmap=True, interval=(3, 5)),
+    "peek": peek_snapshot,
+    "inspect": inspect_snapshot,
+    "service": TspgService.from_snapshot,
+}
+
+
+class TestRetiredVersions:
+    @pytest.mark.parametrize("reader", sorted(RETIRED_READERS))
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_pre_v4_header_is_rejected_with_a_re_warm_message(
+        self, tmp_path, version, reader
+    ):
+        path = str(tmp_path / "g.tspgsnap")
+        save_snapshot(sample_graph(), path)
+        _forge_version(path, version)
+        with pytest.raises(SnapshotError, match=f"version {version} .*re-warm"):
+            RETIRED_READERS[reader](path)
+
+    @pytest.mark.parametrize("mmap", [False, True], ids=["eager", "mmap"])
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_shard_set_with_one_pre_v4_shard_is_rejected(
+        self, tmp_path, version, mmap
+    ):
+        shard_dir = tmp_path / "shards"
+        ShardedTspgService(sample_graph(), 2).save_shards(str(shard_dir))
+        manifest = json.loads((shard_dir / "manifest.json").read_text())
+        entry = manifest["shards"][1]
+        shard_path = shard_dir / entry["filename"]
+        _forge_version(shard_path, version)
+        # The manifest CRC matches the file, as in a set an old build
+        # wrote: only the format version is out of range.
+        entry["file_crc32"] = zlib.crc32(shard_path.read_bytes()) & 0xFFFFFFFF
+        (shard_dir / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match=f"version {version} .*re-warm"):
+            ShardedTspgService.from_shard_snapshots(str(shard_dir), mmap=mmap)
 
 
 # ----------------------------------------------------------------------
@@ -371,9 +393,8 @@ class TestV4Fixture:
         path = str(tmp_path / "old.tspgsnap")
         with open(V4_FIXTURE, "rb") as source, open(path, "wb") as target:
             target.write(source.read())
-        store = SnapshotGraphStore(path, mmap=True)
-        store.load()
-        store.append([("t", "z", 9), ("e", "t", 8)])
+        graph = boot_snapshot(path, mmap=True).graph
+        append_journal_delta(path, graph.append_edges([("t", "z", 9), ("e", "t", 8)]))
         expected = paper_running_example()
         expected.append_edges([("t", "z", 9), ("e", "t", 8)])
         for options in ({}, {"mmap": True}):
@@ -519,27 +540,27 @@ class TestMmapSurfaces:
         graph = sample_graph()
         path = str(tmp_path / "g.tspgsnap")
         save_snapshot(graph, path)
-        store = SnapshotGraphStore(path, mmap=True)
-        assert store.mmap_requested and not store.mmap_active
-        store.load()
-        assert store.mmap_active
-        assert store.mmap_fallback_reasons() == []
-        assert store.describe()["mmap"] == "active"
-        plain = SnapshotGraphStore(path)
-        plain.load()
-        assert plain.mmap_fallback_reasons() == [
-            "mmap boot was not requested (pass mmap=True / --mmap)"
-        ]
+        boot = boot_snapshot(path, mmap=True)
+        assert boot.mmap_requested and boot.mmap_active
+        assert boot.fallback_reasons == []
+        assert boot.row_range == (0, graph.num_edges)
+        assert boot.mapped_column_bytes == boot.total_column_bytes > 0
+        plain = boot_snapshot(path)
+        assert not plain.mmap_requested and not plain.mmap_active
+        assert plain.fallback_reasons == []
+        assert plain.mapped_column_bytes == 0
 
-    def test_service_surfaces_fallback_reasons(self, tmp_path):
+    def test_service_surfaces_fallback_reasons(self, tmp_path, monkeypatch):
         graph = sample_graph()
-        v3_path = str(tmp_path / "g.v3.tspgsnap")
-        write_legacy_snapshot(graph, v3_path, version=3)
-        service = TspgService.from_snapshot(v3_path, mmap=True)
+        path = str(tmp_path / "g.tspgsnap")
+        save_snapshot(graph, path)
+        monkeypatch.setattr(mmap_module, "mmap", _mmap_refusing(path))
+        service = TspgService.from_snapshot(path, mmap=True)
         assert not service.snapshot_mmap_active
+        assert service.graph == graph
         reasons = service.mmap_fallback_reasons()
-        assert len(reasons) == 1 and "v3" in reasons[0]
-        plain = TspgService.from_snapshot(v3_path)
+        assert len(reasons) == 1 and "mmap of the snapshot failed" in reasons[0]
+        plain = TspgService.from_snapshot(path)
         assert plain.mmap_fallback_reasons() == [
             "mmap boot was not requested (pass mmap=True / --mmap)"
         ]
@@ -559,22 +580,14 @@ class TestMmapSurfaces:
         assert mapped_router.snapshot_mmap_active
         assert mapped_router.mmap_fallback_reasons() == []
 
-    def test_router_labels_per_shard_degradations(self, tmp_path):
+    def test_router_labels_per_shard_degradations(self, tmp_path, monkeypatch):
         graph = sample_graph()
         router = ShardedTspgService(graph, 2)
         shard_dir = tmp_path / "shards"
-        router.save_shards(str(shard_dir))
-        # Rewrite shard 1's file as v3 and patch the manifest CRC so the
-        # set stays consistent — only the format version degrades.
-        import json
-
-        manifest = json.loads((shard_dir / "manifest.json").read_text())
-        entry = manifest["shards"][1]
-        shard_path = shard_dir / entry["filename"]
-        shard_graph = load_snapshot(str(shard_path))
-        write_legacy_snapshot(shard_graph, str(shard_path), version=3)
-        entry["file_crc32"] = zlib.crc32(shard_path.read_bytes()) & 0xFFFFFFFF
-        (shard_dir / "manifest.json").write_text(json.dumps(manifest))
+        manifest = router.save_shards(str(shard_dir))
+        # Only shard 1's file refuses to map; shard 0 boots mapped.
+        shard_path = str(shard_dir / manifest.shards[1].filename)
+        monkeypatch.setattr(mmap_module, "mmap", _mmap_refusing(shard_path))
         mapped_router = ShardedTspgService.from_shard_snapshots(
             str(shard_dir), mmap=True
         )
@@ -582,7 +595,8 @@ class TestMmapSurfaces:
         reasons = mapped_router.mmap_fallback_reasons()
         assert len(reasons) == 1
         assert reasons[0].startswith("shard 1 (")
-        assert "v3" in reasons[0]
+        assert "mmap of the snapshot failed" in reasons[0]
+        assert mapped_router.graph == graph
 
 
 # ----------------------------------------------------------------------
@@ -676,12 +690,12 @@ class TestExtentLocalBoot:
         path = str(tmp_path / "g.tspgsnap")
         save_snapshot(graph, path)
         interval = self.restriction(graph)
-        store = SnapshotGraphStore(path, mmap=True, interval=interval)
-        store.load()
-        row = store.describe()
-        assert "interval" in row
-        assert row["mapped_column_bytes"] > 0
-        assert store.last_boot.row_range is not None
+        service = TspgService.from_snapshot(path, mmap=True, interval=interval)
+        boot = service.snapshot_boot
+        assert boot.mmap_active and service.residency_stats() is None
+        lo, hi = boot.row_range
+        assert hi - lo == service.graph.num_edges < graph.num_edges
+        assert 0 < boot.mapped_column_bytes < boot.total_column_bytes
 
     def test_service_from_snapshot_with_interval_and_residency(self, tmp_path):
         graph = scale_graph()

@@ -440,40 +440,6 @@ class TestProcessBackend:
         assert report.executor == "serial"
         assert report.num_completed == num_queries
 
-    def test_pre_v3_snapshots_do_not_leak_stale_tie_order(self, tmp_path):
-        # A snapshot written by an older build may carry hash-seed-dependent
-        # equal-timestamp tie order; loading one must not adopt that order
-        # (the graph is rebuilt under the deterministic key).
-        import pickle
-        import zlib
-
-        from repro.store import load_snapshot, write_legacy_snapshot
-        from repro.store.snapshot import _HEADER_STRUCT
-
-        graph, _ = _random_case(seed=58)
-        path = tmp_path / "old.tspgsnap"
-        write_legacy_snapshot(graph, path, version=3)
-        blob = path.read_bytes()
-        fields = list(_HEADER_STRUCT.unpack(blob[: _HEADER_STRUCT.size]))
-        assert fields[1] == 3
-        state = pickle.loads(zlib.decompress(blob[_HEADER_STRUCT.size :]))
-        # A stale order: equal-timestamp ties reversed in the sorted list.
-        stale = sorted(
-            state["sorted_edges"], key=lambda edge: edge[2], reverse=True
-        )[::-1]
-        assert stale != state["sorted_edges"]
-        state["sorted_edges"] = stale
-        payload = zlib.compress(pickle.dumps(state))
-        fields[1] = 2  # a v2 file
-        fields[6] = len(payload)
-        fields[7] = zlib.crc32(payload) & 0xFFFFFFFF
-        path.write_bytes(_HEADER_STRUCT.pack(*fields) + payload)
-        loaded = load_snapshot(path)
-        assert loaded == graph
-        assert tuple(loaded.edge_tuples()) == tuple(graph.edge_tuples())
-        for vertex in graph.vertices():
-            assert loaded.out_neighbors(vertex) == graph.out_neighbors(vertex)
-
     def test_worker_exception_propagates_from_processes(self, tmp_path, worker_pool):
         # An unknown option set makes the algorithm's registry lookup blow
         # up; the error must re-raise in the caller.

@@ -1,4 +1,4 @@
-"""Tests for repro.store: snapshot round-trips, corruption handling, stores."""
+"""Tests for repro.store: snapshot round-trips and corruption handling."""
 
 from __future__ import annotations
 
@@ -12,16 +12,11 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.service import TspgService
 from repro.store import (
     HEADER_SIZE,
-    SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
-    GraphStore,
-    InMemoryGraphStore,
     SnapshotError,
-    SnapshotGraphStore,
     load_snapshot,
     peek_snapshot,
     save_snapshot,
-    store_for,
 )
 
 
@@ -58,6 +53,8 @@ class TestRoundTrip:
         assert info.num_vertices == graph.num_vertices
         assert info.num_edges == graph.num_edges
         assert info.epoch == graph.epoch
+        assert peek_snapshot(path) == info
+        assert os.listdir(tmp_path) == [path.name]  # no temp sibling left
         _assert_graphs_identical(load_snapshot(path), graph)
 
     def test_string_and_tuple_vertices(self, tmp_path):
@@ -170,45 +167,6 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="unsupported snapshot format version 99"):
             load_snapshot(bad)
 
-    def test_version1_snapshot_still_loads(self, tmp_path):
-        # A pre-view snapshot (format v1: no "view" columns in the payload)
-        # loads by rebuilding the graph from its sorted edge list.
-        import pickle
-        import zlib
-
-        graph = _random_graph(seed=21)
-        vertices = list(graph.vertices())
-        state = {
-            "out": {v: graph.out_neighbors(v) for v in vertices},
-            "in": {v: graph.in_neighbors(v) for v in vertices},
-            "sorted_edges": list(graph.edge_tuples()),
-            "timestamps": graph.timestamps(),
-            "out_timestamps": {v: graph.out_timestamps(v) for v in vertices},
-            "in_timestamps": {v: graph.in_timestamps(v) for v in vertices},
-            "epoch": graph.epoch,
-        }
-        payload = zlib.compress(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-        header = struct.pack(
-            ">8sHQQQQQI",
-            SNAPSHOT_MAGIC,
-            1,
-            graph.epoch,
-            graph.num_vertices,
-            graph.num_edges,
-            len(graph.timestamps()),
-            len(payload),
-            zlib.crc32(payload) & 0xFFFFFFFF,
-        )
-        old = tmp_path / "v1.tspgsnap"
-        old.write_bytes(header + payload)
-        assert peek_snapshot(old).version == 1
-        loaded = load_snapshot(old)
-        assert loaded == graph
-        assert loaded.epoch == graph.epoch
-        assert list(loaded.vertices()) == vertices
-        assert loaded.edge_tuples() == graph.edge_tuples()
-        assert loaded.view().num_edges == graph.num_edges
-
     def test_truncated_payload(self, tmp_path, snapshot):
         raw = snapshot.read_bytes()
         bad = tmp_path / "trunc.bin"
@@ -264,55 +222,3 @@ class TestCorruption:
         path.write_bytes(bytes(rng.randrange(256) for _ in range(512)))
         with pytest.raises(SnapshotError):
             load_snapshot(path)
-
-
-# ----------------------------------------------------------------------
-# the GraphStore layer
-# ----------------------------------------------------------------------
-class TestGraphStore:
-    def test_in_memory_store_warms_and_returns_same_graph(self, monkeypatch):
-        from repro.graph.views import GraphView
-
-        graph = _random_graph(seed=21)
-        store = InMemoryGraphStore(graph)
-        loaded = store.load()
-        assert loaded is graph
-
-        def fold(self, delta):
-            raise AssertionError("a read after load() folded staged rows")
-
-        monkeypatch.setattr(GraphView, "extended_with", fold)
-        assert loaded.timestamps() and loaded.edge_tuples()
-        assert store.describe()["backend"] == "memory"
-
-    def test_snapshot_store_save_load_info(self, tmp_path):
-        graph = _random_graph(seed=22)
-        store = SnapshotGraphStore(tmp_path / "s.tspgsnap")
-        assert not store.exists()
-        info = store.save(graph)
-        assert store.exists()
-        assert store.info() == info
-        _assert_graphs_identical(store.load(), graph)
-        assert store.describe()["backend"] == "snapshot"
-
-    def test_atomic_save_leaves_no_tmp_file(self, tmp_path):
-        graph = _random_graph(seed=23)
-        store = SnapshotGraphStore(tmp_path / "atomic.tspgsnap")
-        store.save(graph)
-        assert os.listdir(tmp_path) == ["atomic.tspgsnap"]
-
-    def test_store_for_coercions(self, tmp_path):
-        graph = _random_graph(seed=24)
-        assert isinstance(store_for(graph), InMemoryGraphStore)
-        path_store = store_for(tmp_path / "x.tspgsnap")
-        assert isinstance(path_store, SnapshotGraphStore)
-        assert store_for(path_store) is path_store
-        assert isinstance(store_for(graph), GraphStore)
-
-    def test_service_from_store(self, tmp_path):
-        graph = _random_graph(seed=25)
-        store = SnapshotGraphStore(tmp_path / "svc.tspgsnap")
-        store.save(graph)
-        service = TspgService.from_store(store)
-        assert service.graph == graph
-        assert service.index_stats["sorted_edges"] == graph.num_edges

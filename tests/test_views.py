@@ -213,17 +213,6 @@ class TestViewPersistence:
             ), name
         assert adopted.labels == graph.view().labels
 
-    def test_from_warmed_state_without_view_rebuilds_lazily(self, tmp_path):
-        from repro.store import load_snapshot, write_legacy_snapshot
-
-        graph = _random_graph()
-        path = tmp_path / "g.v1.tspgsnap"
-        write_legacy_snapshot(graph, path, version=1)  # v1: no view columns
-        rebuilt = load_snapshot(path)
-        view = rebuilt.view()
-        assert view.num_edges == graph.num_edges
-        assert list(view.ts) == list(graph.view().ts)
-
     def test_snapshot_boot_is_view_servable(self, tmp_path):
         from repro.service import TspgService
         from repro.store import save_snapshot
