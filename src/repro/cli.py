@@ -25,10 +25,6 @@ main operations:
 ``batch`` and ``serve`` accept ``--mmap`` on their snapshot sources: the
 columnar boot then maps the file zero-copy instead of reading it (a boot
 that cannot map degrades to the eager boot with a printed note).
-``--residency`` additionally drives ``madvise`` page advice over the
-mappings (see :mod:`repro.store.residency`), and ``serve --evict-every N``
-periodically releases cold pages so a long session's memory tracks its
-working set.
 """
 
 from __future__ import annotations
@@ -37,7 +33,9 @@ import argparse
 import asyncio
 import json
 import os
+import signal
 import sys
+import threading
 import time
 from typing import List, Optional, Sequence, TextIO
 
@@ -61,6 +59,7 @@ from .service import (
     TspgService,
     WorkerPool,
 )
+from .service.server import check_at_least_one, check_finite_non_negative
 from .service.server import coerce_vertex as _coerce_vertex
 from .store import (
     SnapshotError,
@@ -144,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "columnar path (zero-copy; a boot that cannot map degrades to the "
         "eager boot with a note)",
     )
-    batch.add_argument(
-        "--residency", "--madvise", action="store_true", dest="residency",
-        help="with --mmap: drive madvise page advice over the mapped "
-        "snapshot columns (SEQUENTIAL for warm-up, RANDOM for serving) "
-        "and report resident-byte counters; a no-op where madvise is "
-        "unavailable",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -203,19 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="boot --snapshot / --shard-snapshots via the mmap-backed "
         "columnar path (zero-copy; a boot that cannot map degrades to the "
         "eager boot with a note)",
-    )
-    serve.add_argument(
-        "--residency", "--madvise", action="store_true", dest="residency",
-        help="with --mmap: drive madvise page advice over the mapped "
-        "snapshot columns (SEQUENTIAL for warm-up, RANDOM for serving) "
-        "and report resident-byte counters under the stats op; a no-op "
-        "where madvise is unavailable",
-    )
-    serve.add_argument(
-        "--evict-every", type=int, default=0, metavar="N",
-        help="with --residency: drop cold mapped pages (MADV_DONTNEED) "
-        "after every N served requests; evicted pages re-fault from the "
-        "snapshot file on the next touch (0 disables, the default)",
     )
     serve.add_argument(
         "--input", default=None,
@@ -391,20 +370,12 @@ def _print_mmap_note(args: argparse.Namespace, service) -> None:
         print("note: mmap boot degraded to eager — " + "; ".join(reasons))
 
 
-def _print_residency_line(service, file: Optional[TextIO] = None) -> None:
-    """One-line page-advice summary (both service flavours expose it)."""
-    stats = service.residency_stats()
-    if stats is None:
-        return
-    if stats.get("supported"):
-        detail = (
-            f"{stats['mapped_bytes']} mapped bytes across "
-            f"{stats['mappings']} mappings, {stats['advised_bytes']} "
-            f"advised, {stats['evictions']} evictions"
-        )
-    else:
-        detail = f"no-op — {stats.get('unsupported_reason')}"
-    print(f"residency: {detail}", file=file)
+def _require(check, value, flag: str) -> None:
+    """Run one of the serving tier's bound checks on a flag before any boot."""
+    try:
+        check(value, flag)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _command_batch(args: argparse.Namespace) -> int:
@@ -416,6 +387,7 @@ def _command_batch(args: argparse.Namespace) -> int:
         raise SystemExit("--theta must be at least 2")
     if args.repeat < 1:
         raise SystemExit("--repeat must be at least 1")
+    _require(check_finite_non_negative, args.budget, "--budget")
     if args.cache_size < 0:
         raise SystemExit("--cache-size must be non-negative")
     if args.shards < 1:
@@ -434,21 +406,13 @@ def _command_batch(args: argparse.Namespace) -> int:
         )
     if args.mmap and not (args.snapshot or args.shard_snapshots):
         raise SystemExit("--mmap requires --snapshot or --shard-snapshots")
-    if args.residency and not args.mmap:
-        raise SystemExit("--residency requires --mmap (advice needs mappings)")
-    if args.residency and args.shards > 1:
-        raise SystemExit(
-            "--residency conflicts with --shards (the shards are built in "
-            "memory, so no mapping is left to advise; warm a shard set and "
-            "boot it with --shard-snapshots)"
-        )
     service = None
     if args.edge_list:
         graph = load_edge_list(args.edge_list)
     elif args.shard_snapshots:
         try:
             service = ShardedTspgService.from_shard_snapshots(
-                args.shard_snapshots, mmap=args.mmap, residency=args.residency,
+                args.shard_snapshots, mmap=args.mmap,
                 default_algorithm=args.algorithm, cache_size=args.cache_size,
             )
         except SnapshotError as exc:
@@ -465,7 +429,7 @@ def _command_batch(args: argparse.Namespace) -> int:
                 # Boot through from_snapshot so the snapshot stays attached
                 # and pool workers have a file to boot from.
                 service = TspgService.from_snapshot(
-                    args.snapshot, mmap=args.mmap, residency=args.residency,
+                    args.snapshot, mmap=args.mmap,
                     default_algorithm=args.algorithm, cache_size=args.cache_size,
                 )
                 _print_mmap_note(args, service)
@@ -529,8 +493,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         f"cache: {stats.hits} hits, {stats.misses} misses, {stats.evictions} evictions "
         f"(hit rate {stats.hit_rate:.0%}); indices warmed once: {service.index_stats}"
     )
-    if args.residency:
-        _print_residency_line(service)
     if args.workers > 1 and all(row["executor"] != "processes" for row in rows):
         # Name the *specific* condition(s) instead of re-listing every
         # possibility: the service knows exactly why it ran serially.
@@ -566,14 +528,14 @@ def _serve_service(args: argparse.Namespace, pool: Optional[WorkerPool]):
     """Boot the service a ``tspg serve`` session answers from."""
     if args.shard_snapshots:
         service = ShardedTspgService.from_shard_snapshots(
-            args.shard_snapshots, mmap=args.mmap, residency=args.residency,
+            args.shard_snapshots, mmap=args.mmap,
             default_algorithm=args.algorithm, cache_size=args.cache_size,
             pool=pool,
         )
         return service, f"shard snapshots {args.shard_snapshots}"
     if args.snapshot:
         service = TspgService.from_snapshot(
-            args.snapshot, mmap=args.mmap, residency=args.residency,
+            args.snapshot, mmap=args.mmap,
             default_algorithm=args.algorithm, cache_size=args.cache_size,
             pool=pool,
         )
@@ -623,6 +585,13 @@ def _serve_listen(args: argparse.Namespace, core: RequestCore, source: str) -> i
     host, port = _parse_listen(args.listen)
 
     async def _main() -> None:
+        if threading.current_thread() is threading.main_thread():
+            # Unlike asyncio.run's own handler, this sets the loop's wakeup
+            # fd, so a SIGINT the kernel delivers to a worker thread still
+            # wakes an idle loop.
+            asyncio.get_running_loop().add_signal_handler(
+                signal.SIGINT, asyncio.current_task().cancel
+            )
         server = TspgServer(
             core,
             host,
@@ -657,12 +626,10 @@ def _serve_listen(args: argparse.Namespace, core: RequestCore, source: str) -> i
                 f"{stats.protocol_errors} protocol errors)",
                 file=sys.stderr,
             )
-            if args.residency:
-                _print_residency_line(core.service, file=sys.stderr)
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0
 
@@ -680,24 +647,18 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
     session.  With ``--listen`` the same protocol is served over TCP to
     many concurrent clients (see :class:`~repro.service.TspgServer`).
     """
-    if args.workers < 1:
-        raise SystemExit("--workers must be at least 1")
+    _require(check_at_least_one, args.workers, "--workers")
     if args.cache_size < 0:
         raise SystemExit("--cache-size must be non-negative")
-    if args.residency and not args.mmap:
-        raise SystemExit("--residency requires --mmap (advice needs mappings)")
-    if args.evict_every < 0:
-        raise SystemExit("--evict-every must be non-negative")
-    if args.evict_every and not args.residency:
-        raise SystemExit("--evict-every requires --residency")
     if args.listen and args.stdio:
         raise SystemExit("--listen and --stdio are mutually exclusive")
     if args.listen and args.input:
         raise SystemExit("--input reads stdio requests; it conflicts with --listen")
-    if args.max_inflight < 1:
-        raise SystemExit("--max-inflight must be at least 1")
-    if args.max_pending < 1:
-        raise SystemExit("--max-pending must be at least 1")
+    _require(check_at_least_one, args.max_inflight, "--max-inflight")
+    _require(check_at_least_one, args.max_pending, "--max-pending")
+    _require(check_at_least_one, args.max_line_bytes, "--max-line-bytes")
+    _require(check_finite_non_negative, args.admission_margin_ms, "--admission-margin-ms")
+    _require(check_finite_non_negative, args.budget, "--budget")
     # Forks lazily, on the first batch that runs on it.
     pool = WorkerPool(max_workers=args.workers) if args.workers > 1 else None
     opened = None
@@ -716,7 +677,6 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
             service,
             default_workers=args.workers,
             default_budget_seconds=args.budget,
-            evict_every=args.evict_every,
         )
         if args.listen:
             return _serve_listen(args, core, source)
@@ -744,8 +704,6 @@ def _command_serve(args: argparse.Namespace, stdin: Optional[TextIO] = None) -> 
             f"served {core.stats.responses_sent} requests from {source}",
             file=sys.stderr,
         )
-        if args.residency:
-            _print_residency_line(service, file=sys.stderr)
     finally:
         if opened is not None:
             opened.close()

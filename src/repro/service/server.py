@@ -215,6 +215,18 @@ def arrival_deadline(request: dict) -> Optional[Deadline]:
     return Deadline.after(request_milliseconds(raw, key) / 1000.0)
 
 
+def check_at_least_one(value: int, name: str) -> None:
+    """The bound on counts and sizes: :class:`ValueError` below 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
+def check_finite_non_negative(value: Optional[float], name: str) -> None:
+    """The bound on budgets and margins: ``None``, or finite and >= 0."""
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite, non-negative number, got {value}")
+
+
 # ----------------------------------------------------------------------
 # latency + counter surface
 # ----------------------------------------------------------------------
@@ -412,17 +424,14 @@ class RequestCore:
         *,
         default_workers: int = 1,
         default_budget_seconds: Optional[float] = None,
-        evict_every: int = 0,
         stats: Optional[ServerStats] = None,
     ) -> None:
+        check_finite_non_negative(default_budget_seconds, "default_budget_seconds")
         self.service = service
         self.default_workers = default_workers
         self.default_budget_seconds = default_budget_seconds
-        self.evict_every = evict_every
         self.stats = stats or ServerStats()
         self._gauges: Optional[Callable[[], Dict[str, int]]] = None
-        self._evict_lock = threading.Lock()
-        self._handled = 0
 
     def attach_gauges(self, gauges: Callable[[], Dict[str, int]]) -> None:
         """Let the TCP server contribute live queue/in-flight gauges."""
@@ -592,18 +601,8 @@ class RequestCore:
         return response
 
     def _note_handled(self, operation: str, started: float) -> None:
-        """Record one answered request (and run the periodic eviction)."""
+        """Record one answered request."""
         self.stats.note_op(operation, (time.perf_counter() - started) * 1000.0)
-        if self.evict_every:
-            with self._evict_lock:
-                self._handled += 1
-                due = self._handled % self.evict_every == 0
-            if due:
-                # Periodic DONTNEED keeps a long session's resident set
-                # proportional to its recent working set; dropped pages
-                # re-fault from the snapshot file, so this trades a little
-                # tail latency for bounded memory.
-                self.service.evict_cold_pages()
 
     def _handle_query(
         self,
@@ -770,9 +769,6 @@ class RequestCore:
             },
             "index": dict(self.service.index_stats),
         }
-        residency = self.service.residency_stats()
-        if residency is not None:
-            response["residency"] = residency
         pool = self.service.pool
         if pool is not None:
             response["pool"] = pool.stats()
@@ -990,12 +986,11 @@ class TspgServer:
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         admission_margin_ms: float = 0.0,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
-        if max_pending_per_client < 1:
-            raise ValueError("max_pending_per_client must be at least 1")
+        check_at_least_one(workers, "workers")
+        check_at_least_one(max_inflight, "max_inflight")
+        check_at_least_one(max_pending_per_client, "max_pending_per_client")
+        check_at_least_one(max_line_bytes, "max_line_bytes")
+        check_finite_non_negative(admission_margin_ms, "admission_margin_ms")
         self._core = core
         self._host = host
         self._port = port
@@ -1016,6 +1011,7 @@ class TspgServer:
         self._queued = 0
         self._inflight = 0
         self._server: Optional[asyncio.base_events.Server] = None
+        self._closing = False
         core.attach_gauges(
             lambda: {"queue_depth": self.queue_depth, "inflight": self._inflight}
         )
@@ -1051,28 +1047,44 @@ class TspgServer:
         )
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller then runs :meth:`aclose`.
+
+        Not ``asyncio.Server.serve_forever``: from Python 3.12.1 that one
+        answers a cancel by awaiting ``wait_closed()``, which waits for
+        every open connection to drop, so a connected client would keep
+        the server from stopping.
+        """
         if self._server is None:
             await self.start()
-        await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def aclose(self) -> None:
+        self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Closing the transports EOFs every reader; the handlers then
-        # drain their processors and exit on their own.
+        # drain their processors and exit on their own.  This comes
+        # before wait_closed(), which (from Python 3.12.1) returns only
+        # once every connection has dropped.
         for session in list(self._sessions):
             session.alive = False
             with contextlib.suppress(Exception):
                 session.writer.close()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._closing:
+            # Accepted just before aclose() stopped the listener, but
+            # started after it closed the open sessions.
+            writer.close()
+            return
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)

@@ -91,7 +91,7 @@ def _chunk_positions(count: int, chunks: int) -> List[List[int]]:
 #: counters and *can* coincide across different graphs, but a rewritten
 #: file cannot keep its ``(mtime_ns, inode, size)``.
 _WORKER_SERVICES: Dict[
-    Tuple[str, Optional[int], str, str, bool, str, bool],
+    Tuple[str, Optional[int], str, str, bool],
     Tuple["TspgService", Optional[Tuple[int, int, int]]],
 ] = {}
 
@@ -130,8 +130,6 @@ def _snapshot_worker_run_batch(
     deadline_at: Optional[float] = None,
     snapshot_epoch: Optional[int] = None,
     snapshot_mmap: bool = False,
-    snapshot_interval=None,
-    snapshot_residency: bool = False,
 ) -> BatchReport:
     """Pool worker: boot from a snapshot, answer a sub-batch serially.
 
@@ -156,10 +154,7 @@ def _snapshot_worker_run_batch(
     ``snapshot_mmap`` propagates the parent's active mmap boot: each
     worker then maps the same snapshot file instead of unpickling a
     private copy, so the column payload lives once in the page cache no
-    matter how many workers serve from it.  ``snapshot_interval`` narrows
-    the worker's boot to its time extent (extent-local mapping: the
-    worker's address space holds its extent's rows, not the file), and
-    ``snapshot_residency`` attaches a per-worker page-advice policy.
+    matter how many workers serve from it.
     """
     cache_key = (
         snapshot_path,
@@ -167,8 +162,6 @@ def _snapshot_worker_run_batch(
         default_algorithm,
         repr(algorithm_options),
         bool(snapshot_mmap),
-        repr(snapshot_interval),
-        bool(snapshot_residency),
     )
     file_sig = _snapshot_file_signature(snapshot_path)
     cached = _WORKER_SERVICES.get(cache_key)
@@ -178,8 +171,6 @@ def _snapshot_worker_run_batch(
         service = TspgService.from_snapshot(
             snapshot_path,
             mmap=snapshot_mmap,
-            interval=snapshot_interval,
-            residency=snapshot_residency,
             default_algorithm=default_algorithm,
             algorithm_options=algorithm_options,
         )
@@ -354,9 +345,8 @@ class _Engine:
     answers the lock-free :meth:`ready_within` verdict.  It *runs* one
     query, or a batch serially, and keeps the time its caller recorded
     for its last miss.  The owning service resolves algorithm names and
-    hands instances in.  ``snapshot_path`` and ``snapshot_interval`` name
-    the file (and time extent) a pool worker boots an identical engine
-    from; ``None`` when there is none.
+    hands instances in.  ``snapshot_path`` names the file a pool worker
+    boots an identical engine from; ``None`` when there is none.
     """
 
     def __init__(self, graph: TemporalGraph, cache_size: int) -> None:
@@ -377,7 +367,6 @@ class _Engine:
         #: The graph epoch the warmed indices (and cache entries) describe.
         self.warmed_epoch: int = graph.epoch
         self.snapshot_path: Optional[str] = None
-        self.snapshot_interval = None
         #: Seconds the last recorded miss held its caller's thread (0.0
         #: until one is recorded); see :meth:`TspgService.record_miss`.
         self.last_miss_seconds: float = 0.0
@@ -709,16 +698,11 @@ class TspgService:
         # state waits for all of it.
         self._rewarm_lock = threading.RLock()
         # The service epoch the attached snapshot files reproduce for
-        # pool workers (None: nothing attached), how they booted, and
-        # their page-advice policies.
+        # pool workers (None: nothing attached) and how they booted.
         self._snapshot_epoch: Optional[int] = None
         self._snapshot_mmap_requested = False
         self._snapshot_mmap = False
         self._snapshot_mmap_reasons: List[str] = []
-        self._snapshot_boot = None
-        self._residency = None  # what the residency property reports
-        self._policies: Tuple[object, ...] = ()
-        self._residency_retired = 0
         # Where ingest journals its deltas, and the epoch the journal chain
         # ends at (None: not journaling).
         self._journal_base: Optional[str] = None
@@ -731,15 +715,7 @@ class TspgService:
     # alternate constructor: boot from a snapshot file
     # ------------------------------------------------------------------
     @classmethod
-    def from_snapshot(
-        cls,
-        path,
-        *,
-        mmap: bool = False,
-        interval=None,
-        residency: bool = False,
-        **kwargs,
-    ) -> "TspgService":
+    def from_snapshot(cls, path, *, mmap: bool = False, **kwargs) -> "TspgService":
         """Boot a service from a binary index snapshot in O(read).
 
         The snapshot (written by :func:`repro.store.save_snapshot` or the
@@ -754,7 +730,7 @@ class TspgService:
         the page cache, so boot cost and resident memory scale with the
         pages queries actually touch.  A boot that cannot map degrades to
         eager with the reasons recorded on :meth:`mmap_fallback_reasons` —
-        a readable snapshot always boots.
+        a readable snapshot always boots, and always whole.
 
         The snapshot path is remembered: it is what :meth:`run_batch`
         hands to the attached pool's workers so each can boot an identical
@@ -764,49 +740,23 @@ class TspgService:
         deltas.  The association is epoch-guarded — mutating the graph
         outside :meth:`ingest` makes batches run serially (workers would
         boot a stale graph) until a fresh snapshot is attached.
-
-        ``interval`` restricts the boot to that (inclusive) time range's
-        edges — combined with ``mmap`` this is the extent-local boot that
-        maps only the range's rows (see :func:`repro.store.boot_snapshot`).
-        Queries whose window lies inside the interval answer bit-identically
-        to an unrestricted boot.
-
-        ``residency=True`` attaches a :class:`~repro.store.ResidencyPolicy`
-        driving ``madvise`` page advice over the boot's mappings:
-        ``MADV_SEQUENTIAL`` for the warm scan, ``MADV_RANDOM`` once
-        serving starts, and :meth:`evict_cold_pages` for the serve loop's
-        periodic ``MADV_DONTNEED``.  Advice degrades to a recorded no-op
-        where unsupported — it never changes results, only paging
-        behaviour.
         """
         from ..store import snapshot  # deferred: cycle
-        from ..store.residency import ResidencyPolicy  # deferred: cycle
 
         path = os.fspath(path)
-        policy = ResidencyPolicy() if residency else None
         # Looked up on the module at call time, where perfbench's traced
         # launcher wraps it.
-        boot = snapshot.boot_snapshot(
-            path, mmap=mmap, interval=interval, residency=policy
-        )
+        boot = snapshot.boot_snapshot(path, mmap=mmap)
         graph = boot.graph
-        if policy is not None:
-            policy.advise_warm()  # sequential read-ahead for the warm scan
         service = cls(graph, **kwargs)
-        if policy is not None:
-            policy.advise_serve()  # point queries from here on
         for engine in service._topology.engines:
             if engine.graph is graph:  # not a projection of it
                 engine.snapshot_path = path
-                engine.snapshot_interval = interval
         service._snapshot_epoch = service._journal_epoch = graph.epoch
         service._journal_base = path
         service._snapshot_mmap_requested = bool(mmap)
         service._snapshot_mmap = boot.mmap_active
         service._snapshot_mmap_reasons = list(boot.fallback_reasons)
-        service._residency = policy
-        service._policies = () if policy is None else (policy,)
-        service._snapshot_boot = boot
         return service
 
     # ------------------------------------------------------------------
@@ -1254,8 +1204,6 @@ class TspgService:
                     deadline_at=deadline_at,
                     snapshot_epoch=engine.graph.epoch,
                     snapshot_mmap=self._snapshot_mmap,
-                    snapshot_interval=engine.snapshot_interval,
-                    snapshot_residency=bool(self._policies),
                 )
                 tasks.append((engine, chunk, future))
             if tasks:
@@ -1385,7 +1333,7 @@ class TspgService:
         return reasons
 
     # ------------------------------------------------------------------
-    # snapshot boot: mmap and page residency
+    # snapshot boot: mmap
     # ------------------------------------------------------------------
     @property
     def snapshot_mmap_active(self) -> bool:
@@ -1404,54 +1352,3 @@ class TspgService:
         if not self._snapshot_mmap_requested:
             return ["mmap boot was not requested (pass mmap=True / --mmap)"]
         return list(self._snapshot_mmap_reasons)
-
-    @property
-    def snapshot_boot(self):
-        """The :class:`~repro.store.SnapshotBoot` this service booted from.
-
-        Carries the extent-local accounting (``row_range``,
-        ``mapped_column_bytes``, ``total_column_bytes``); ``None`` for
-        services not built by :meth:`from_snapshot`.
-        """
-        return self._snapshot_boot
-
-    @property
-    def residency(self):
-        """The attached page-advice policy.
-
-        One :class:`~repro.store.ResidencyPolicy` (or ``None``) on a flat
-        service; a router's per-shard tuple (empty without residency).
-        """
-        return self._residency
-
-    def residency_stats(self) -> Optional[Dict[str, object]]:
-        """Page-advice counters, or ``None`` when no policy is attached.
-
-        A router merges its shard policies (see
-        :meth:`~repro.store.ResidencyPolicy.merged_with`) and counts the
-        mappings retired with superseded generations.
-        """
-        if not self._policies:
-            return None
-        first, *rest = self._policies
-        stats = first.merged_with(rest)
-        stats["retirements"] = (
-            int(stats.get("retirements", 0)) + self._residency_retired
-        )
-        boot = self._snapshot_boot
-        if boot is not None:
-            stats["mapped_column_bytes"] = boot.mapped_column_bytes
-            stats["total_column_bytes"] = boot.total_column_bytes
-            stats["row_range"] = boot.row_range
-        return stats
-
-    def evict_cold_pages(self) -> int:
-        """``MADV_DONTNEED`` the boot's mappings; returns bytes advised.
-
-        The ``tspg serve`` loop calls this periodically so a long-running
-        server's resident set tracks the recent query mix instead of
-        accreting every page ever touched; evicted pages re-fault from the
-        files on the next access.  A no-op (returning 0) without a policy
-        or on platforms without madvise support.
-        """
-        return sum(policy.evict_cold() for policy in self._policies)

@@ -31,7 +31,7 @@ case of the same router; this subclass adds only what sharding needs:
   boot replays, and :meth:`ShardedTspgService.rewarm_shards` folds them
   into the next generation.
 
-Batches, caching, pools and residency are the service's own, written once
+Batches, caching and pools are the service's own, written once
 in :mod:`repro.service.service`; a pool worker boots from its shard's
 snapshot file.
 """
@@ -245,7 +245,6 @@ class ShardedTspgService(TspgService):
         self._extra_vertices: Tuple[Vertex, ...] = ()
         # The attached shard-set directory (booted from / saved to).
         self._shard_set_path: Optional[str] = None
-        self._shard_residency_requested = False
         # Ingested rows outside every shard extent of a snapshot-booted
         # router: answerable via the fallback, folded into the next
         # generation by rewarm_shards.  The two sets beside them index the
@@ -263,7 +262,6 @@ class ShardedTspgService(TspgService):
         path,
         *,
         mmap: bool = False,
-        residency: bool = False,
         default_algorithm: str = "VUG",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_workers: int = 1,
@@ -285,19 +283,13 @@ class ShardedTspgService(TspgService):
         and resident memory scale with the pages queries touch.  A shard
         whose mapping fails degrades to the eager boot individually;
         :meth:`mmap_fallback_reasons` lists each degradation labelled with
-        its shard.
-
-        Shard boots are *extent-local*: each shard maps only the rows of
-        its manifest time extent (a no-op for well-formed shard files,
-        whose rows are exactly the extent — see
-        :meth:`~repro.store.ShardSnapshotSet.boot_shard`).
-        ``residency=True`` attaches one page-advice policy per shard;
-        :meth:`residency_stats` aggregates their counters and
-        :meth:`evict_cold_pages` drives periodic eviction across all of
-        them.  The set-level ingest journal is replayed last.
+        its shard.  Every shard file boots whole, eagerly or mapped, and
+        is checked against its manifest counts either way.  The set-level
+        ingest journal is replayed last.
 
         Raises :class:`~repro.store.SnapshotError` on a missing/malformed
-        manifest or any per-shard checksum or count mismatch.
+        manifest, any per-shard count mismatch, or (eager boots) a
+        per-shard checksum mismatch.
         """
         shard_set = ShardSnapshotSet(path)
         manifest = shard_set.manifest()
@@ -312,7 +304,6 @@ class ShardedTspgService(TspgService):
             algorithm_options=algorithm_options,
         )
         router._snapshot_mmap_requested = bool(mmap)
-        router._shard_residency_requested = bool(residency)
         router._attach_set(path)
         router._adopt_generation(shard_set, manifest)
         router._replay_set_journal(manifest)
@@ -354,7 +345,6 @@ class ShardedTspgService(TspgService):
         )
         for engine, entry in zip(topology.engines, manifest.shards):
             engine.snapshot_path = shard_set.file_path(entry.filename)
-            engine.snapshot_interval = None
         self._snapshot_epoch = self._journal_epoch = topology.epoch
         self._attach_set(path)
         return manifest
@@ -373,22 +363,15 @@ class ShardedTspgService(TspgService):
 
         Shared by :meth:`from_shard_snapshots` (initial boot) and the
         generation-swap re-warm, so both produce identically configured
-        engines.  The previous generation's page-advice policies are
-        retired; the new topology is published in one assignment.
+        engines.  The new topology is published in one assignment.
         """
-        from ..store.residency import ResidencyPolicy  # deferred: cycle
-
         mmap = self._snapshot_mmap_requested
         shards: List[ShardSpec] = []
         engines: List[_Engine] = []
-        policies: List[ResidencyPolicy] = []
         mmap_reasons: List[str] = []
         mmap_active = mmap and bool(manifest.shards)
         for entry in manifest.shards:
-            policy = ResidencyPolicy() if self._shard_residency_requested else None
-            boot = shard_set.boot_shard(entry, mmap=mmap, residency=policy)
-            if policy is not None:
-                policy.advise_warm()
+            boot = shard_set.boot_shard(entry, mmap=mmap)
             if mmap and not boot.mmap_active:
                 mmap_active = False
                 mmap_reasons.extend(
@@ -407,25 +390,12 @@ class ShardedTspgService(TspgService):
             engine = self._new_engine(boot.graph)
             engine.snapshot_path = shard_set.file_path(entry.filename)
             engines.append(engine)
-            if policy is not None:
-                # Index warm-up (engine construction) is the sequential
-                # scan; from here on access is query-driven.
-                policy.advise_serve()
-                policies.append(policy)
-        for engine, spec in zip(engines, shards):
-            # Workers mirror the extent-local mapping, so each maps only
-            # its shard's rows (a no-op for well-formed shard files, but it
-            # bounds resident bytes either way).
-            engine.snapshot_interval = spec.extent.as_tuple() if mmap_active else None
-        for policy in self._policies:
-            self._residency_retired += policy.retire_all()
         self._topology = _Topology(
             tuple(shards),
             tuple(engines),
             None if manifest.span is None else TimeInterval(*manifest.span),
             manifest.epoch,
         )
-        self._residency = self._policies = tuple(policies)
         self._snapshot_mmap = mmap_active
         self._snapshot_mmap_reasons = mmap_reasons
         self._snapshot_epoch = self._journal_epoch = manifest.epoch
@@ -575,10 +545,7 @@ class ShardedTspgService(TspgService):
         generation files first, manifest committed atomically last), clears
         the set-level ingest journal, then boots the new generation and
         swaps the serving topology in one assignment.  Queries keep
-        answering from generation N throughout the build; page-advice
-        policies of the old generation are retired
-        (:meth:`~repro.store.ResidencyPolicy.retire_all`) as part of the
-        swap.
+        answering from generation N throughout the build.
 
         A crash before the manifest commit leaves generation N plus the
         journal fully serveable (the next boot replays the journal); a

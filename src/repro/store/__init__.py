@@ -5,10 +5,10 @@ This package is the boundary between *building* a temporal graph and
 on-disk format — a header with format version, graph epoch, counts and a
 CRC-32 checksum, followed by a section table and the graph's frozen CSR
 ``GraphView`` columns as raw int64 extents — so
-``TspgService.from_snapshot(path)`` cold-starts in O(read), eagerly or
-over a mapping of the file, instead of rebuilding and re-sorting every
-index.  :mod:`repro.store.journal` keeps the epoch-delta sidecar that live
-ingest appends to.
+``TspgService.from_snapshot(path)`` cold-starts in O(read) instead of
+rebuilding and re-sorting every index.  A file always boots whole:
+eagerly, or mapped as one file.  :mod:`repro.store.journal` keeps the
+epoch-delta sidecar that live ingest appends to.
 
 :class:`ShardSnapshotSet` (:mod:`repro.store.shard_set`) extends the same
 format to time-range-sharded serving: a directory of one snapshot per
@@ -18,8 +18,9 @@ count, overlap, source-graph epoch and per-shard CRC-32 checksums.
 ``ShardedTspgService.from_shard_snapshots(path)`` boots a router's N shard
 services from it in O(read) without touching the full graph — it is also
 what a router's batches hand to the worker processes of its attached
-:class:`~repro.service.WorkerPool`, one shard file per chunk.  Any checksum, count or manifest
-mismatch raises :class:`SnapshotError` on load.
+:class:`~repro.service.WorkerPool`, one shard file per chunk.  A count or
+manifest mismatch raises :class:`SnapshotError` on every load, mapped or
+eager, and a whole-file checksum mismatch on an eager one.
 
 Quickstart
 ----------
@@ -49,7 +50,6 @@ from .journal import (
     read_journal,
     replay_journal,
 )
-from .residency import ResidencyPolicy, madvise_supported, madvise_unsupported_reason
 from .shard_set import (
     SHARD_MANIFEST_NAME,
     SHARD_MANIFEST_VERSION,
@@ -81,9 +81,6 @@ from .snapshot import (
 from . import snapshot as graph_store
 
 __all__ = [
-    "ResidencyPolicy",
-    "madvise_supported",
-    "madvise_unsupported_reason",
     "SnapshotBoot",
     "SnapshotError",
     "SnapshotInfo",

@@ -34,7 +34,7 @@ import os
 import pickle
 import struct
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.temporal_graph import EdgeDelta, TemporalGraph
 from .snapshot import PathLike, SnapshotError, _commit_bytes
@@ -310,12 +310,7 @@ def clear_journal(snapshot_path: PathLike) -> bool:
     return True
 
 
-def replay_journal(
-    graph: TemporalGraph,
-    path: PathLike,
-    *,
-    interval: Optional[Tuple[int, int]] = None,
-) -> int:
+def replay_journal(graph: TemporalGraph, path: PathLike) -> int:
     """Replay a journal's records onto ``graph`` via the delta append path.
 
     The graph must sit at the journal's base epoch (the caller checks the
@@ -323,41 +318,25 @@ def replay_journal(
     continuity).  Returns the number of records applied.  Replay routes
     through :meth:`TemporalGraph.append_edges`, so the graph's view is
     extended, not rebuilt.
-
-    ``interval`` restricts replay to rows inside the closed window — the
-    extent-local boot path uses it so a restricted graph receives exactly
-    the projection of each delta.  Because clipping can change row counts
-    (and hence epoch arithmetic), interval replay pins the graph's epoch to
-    each record's ``epoch_after`` instead of verifying the +1-per-record
-    chain, mirroring how restricted boots pin their epoch to the source's.
     """
-    info, records = read_journal(path)
-    applied = 0
+    _info, records = read_journal(path)
     for index, record in enumerate(records):
         if record.op != OP_APPEND_EDGES:
             raise SnapshotError(
                 f"{os.fspath(path)}: unsupported journal op {record.op} "
                 f"in record #{index}"
             )
-        rows: Iterable = record.rows
-        if interval is not None:
-            begin, end = interval
-            rows = [row for row in record.rows if begin <= row[2] <= end]
-        else:
-            if graph.epoch != record.epoch_before:
-                raise SnapshotError(
-                    f"{os.fspath(path)}: journal record #{index} expects "
-                    f"epoch {record.epoch_before} but the graph is at "
-                    f"epoch {graph.epoch}"
-                )
-        graph.append_edges(rows)
-        if interval is not None:
-            graph._epoch = record.epoch_after
-        elif graph.epoch != record.epoch_after:
+        if graph.epoch != record.epoch_before:
+            raise SnapshotError(
+                f"{os.fspath(path)}: journal record #{index} expects "
+                f"epoch {record.epoch_before} but the graph is at "
+                f"epoch {graph.epoch}"
+            )
+        graph.append_edges(record.rows)
+        if graph.epoch != record.epoch_after:
             raise SnapshotError(
                 f"{os.fspath(path)}: journal record #{index} lands on "
                 f"epoch {record.epoch_after} but replay produced "
                 f"epoch {graph.epoch}"
             )
-        applied += 1
-    return applied
+    return len(records)

@@ -396,8 +396,6 @@ class ShardSnapshotSet:
         expected_edges: int,
         *,
         mmap: bool = False,
-        interval=None,
-        residency=None,
     ) -> SnapshotBoot:
         """Boot one snapshot of the set, verifying integrity and counts.
 
@@ -409,11 +407,6 @@ class ShardSnapshotSet:
         actually decoded).  The decoded counts are cross-checked against the manifest
         *after* either way; any mismatch raises :class:`SnapshotError`
         naming the offending ``label``.
-
-        ``interval`` restricts the boot to the rows inside that time range
-        (extent-local mapping on the mmap path).  The manifest count
-        cross-check only applies when the boot's row range covers the whole
-        file — a proper restriction legitimately decodes fewer edges.
         """
         file_path = os.path.join(self._path, filename)
         if not mmap:
@@ -428,12 +421,7 @@ class ShardSnapshotSet:
                     f"{file_path}: {label} snapshot checksum mismatch "
                     f"(manifest says {expected_crc32:#010x}, file is {crc:#010x})"
                 )
-        boot = boot_snapshot(
-            file_path, mmap=mmap, interval=interval, residency=residency
-        )
-        if boot.graph.num_edges != expected_edges and interval is not None:
-            # An interval that excludes rows makes edge counts incomparable.
-            return boot
+        boot = boot_snapshot(file_path, mmap=mmap)
         graph = boot.graph
         if (
             graph.num_vertices != expected_vertices
@@ -452,23 +440,15 @@ class ShardSnapshotSet:
         entry: ShardSnapshotEntry,
         *,
         mmap: bool = False,
-        extent_local: bool = True,
-        residency=None,
     ) -> SnapshotBoot:
         """Boot one shard's graph, reporting how the boot went.
 
         Like :meth:`load_shard` but returns the full
         :class:`~repro.store.snapshot.SnapshotBoot` so callers can surface
         whether the mmap request held and, if not, why (the router's
-        ``mmap_fallback_reasons()`` aggregates these per shard).
-
-        With ``mmap=True`` and ``extent_local=True`` (the default) the boot
-        is restricted to the entry's time extent, so the address space maps
-        only the extent's rows.  A well-formed shard file contains exactly
-        those rows, making the restriction a no-op that keeps the
-        whole-file fast path — but a file holding more than its manifest
-        extent (e.g. a full snapshot reused across entries) maps only its
-        slice.  ``residency`` registers the mappings for page advice.
+        ``mmap_fallback_reasons()`` aggregates these per shard).  A shard
+        file holds exactly its extent's rows, so it boots whole: eagerly, or
+        mapped as one file.
 
         Raises
         ------
@@ -477,7 +457,6 @@ class ShardSnapshotSet:
             manifest checksum (eager path), the snapshot itself is corrupt,
             or the decoded graph contradicts the manifest's counts.
         """
-        interval = entry.extent if (mmap and extent_local) else None
         return self._boot_verified(
             entry.filename,
             "shard",
@@ -485,8 +464,6 @@ class ShardSnapshotSet:
             entry.num_vertices,
             entry.num_edges,
             mmap=mmap,
-            interval=interval,
-            residency=residency,
         )
 
     def load_shard(

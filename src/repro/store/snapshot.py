@@ -69,9 +69,8 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..graph.columns import INDEX_TYPECODE
-from ..graph.edge import as_interval
 from ..graph.temporal_graph import TemporalGraph
-from ..graph.views import GraphView, _csr
+from ..graph.views import GraphView
 
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"TSPGSNAP"
@@ -178,13 +177,6 @@ class SnapshotBoot:
     :meth:`TspgService.process_fallback_reasons`: when ``mmap=True`` was
     requested but the boot degraded to eager, each reason records why, so
     callers surface the degradation instead of silently eating it.
-
-    ``row_range`` / ``mapped_column_bytes`` / ``total_column_bytes`` account
-    for extent-local mapping: an interval-restricted mmap boot maps only the
-    ``[row_lo, row_hi)`` rows of the edge columns, so ``mapped_column_bytes``
-    (actual bytes of column extents placed in the address space, including
-    page-alignment slop) can be far below ``total_column_bytes`` (the file's
-    full column payload).  Eager boots map nothing and report 0.
     """
 
     graph: TemporalGraph
@@ -192,9 +184,6 @@ class SnapshotBoot:
     mmap_requested: bool = False
     mmap_active: bool = False
     fallback_reasons: List[str] = field(default_factory=list)
-    row_range: Optional[Tuple[int, int]] = None
-    mapped_column_bytes: int = 0
-    total_column_bytes: int = 0
     #: Sidecar journal replayed on top of the booted graph (live ingest):
     #: the journal's path and how many of its records were applied.  ``None``
     #: / ``0`` when no (current) journal sat next to the snapshot.
@@ -649,27 +638,7 @@ def _load_eager(
     return graph
 
 
-def _column_payload_span(
-    sections: Dict[str, SnapshotSection]
-) -> Tuple[int, int]:
-    """``(offset, length)`` of the contiguous raw-column region of the file."""
-    offsets = [sections[name].offset for name in V4_COLUMN_SECTIONS]
-    ends = [
-        sections[name].offset + sections[name].length
-        for name in V4_COLUMN_SECTIONS
-    ]
-    lo = min(offsets)
-    return lo, max(ends) - lo
-
-
-def _total_column_bytes(sections: Dict[str, SnapshotSection]) -> int:
-    """Sum of the raw column extents' lengths (the mmap-able payload)."""
-    return sum(sections[name].length for name in V4_COLUMN_SECTIONS)
-
-
-def _boot_mmap(
-    path: str, info: SnapshotInfo, table_crc: int, residency=None
-) -> SnapshotBoot:
+def _boot_mmap(path: str, info: SnapshotInfo, table_crc: int) -> SnapshotBoot:
     """Map the snapshot and wrap its column extents in a graph.
 
     Eagerly verified: the section table CRC and the small ``meta``
@@ -678,9 +647,6 @@ def _boot_mmap(
     checking them would fault in every page and defeat the mapping (the
     eager loader and the shard set's whole-file check cover them) — and a
     v4 file's ``adjacency`` section is never read.
-
-    When a :class:`~repro.store.residency.ResidencyPolicy` is passed, the
-    mapping's column region is registered with it for page advice.
     """
     with open(path, "rb") as handle:
         mapped = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
@@ -690,193 +656,11 @@ def _boot_mmap(
         start = record.offset - HEADER_SIZE
         return buf[start : start + record.length].cast(INDEX_TYPECODE)
 
-    graph, sections = _decode(buf, path, info, table_crc, column)
-    if residency is not None:
-        residency.register(mapped, *_column_payload_span(sections))
-    column_bytes = _total_column_bytes(sections)
-    return SnapshotBoot(
-        graph=graph,
-        info=info,
-        mmap_requested=True,
-        mmap_active=True,
-        row_range=(0, info.num_edges),
-        mapped_column_bytes=column_bytes,
-        total_column_bytes=column_bytes,
-    )
+    graph, _sections = _decode(buf, path, info, table_crc, column)
+    return SnapshotBoot(graph=graph, info=info, mmap_requested=True, mmap_active=True)
 
 
-# ----------------------------------------------------------------------
-# extent-local (interval-restricted) boot
-# ----------------------------------------------------------------------
-_TS_CELL_STRUCT = struct.Struct("<q")
-
-
-def _bisect_rows(
-    handle: BinaryIO, ts_offset: int, n_edges: int, window
-) -> Tuple[int, int]:
-    """``[row_lo, row_hi)`` of the rows whose timestamp lies in ``window``.
-
-    Binary search over the sorted on-disk ``view.ts`` extent with 8-byte
-    seek-reads — O(log E) tiny I/Os, no mapping, no page faults beyond the
-    probed cells.  Mirrors :meth:`GraphView.slice_bounds` exactly.
-    """
-
-    def cell(index: int) -> int:
-        handle.seek(ts_offset + 8 * index)
-        return _TS_CELL_STRUCT.unpack(handle.read(8))[0]
-
-    lo, hi = 0, n_edges
-    while lo < hi:  # leftmost row with ts >= window.begin
-        mid = (lo + hi) // 2
-        if cell(mid) < window.begin:
-            lo = mid + 1
-        else:
-            hi = mid
-    row_lo = lo
-    hi = n_edges
-    while lo < hi:  # leftmost row with ts > window.end
-        mid = (lo + hi) // 2
-        if cell(mid) <= window.end:
-            lo = mid + 1
-        else:
-            hi = mid
-    return row_lo, lo
-
-
-def _map_rows(fileno: int, start: int, length: int) -> Tuple[memoryview, int]:
-    """Map ``length`` bytes at file offset ``start`` as an int64 column.
-
-    The mapping offset is aligned down to ``mmap.ALLOCATIONGRANULARITY`` (the
-    OS requires it) and the column is the exact ``[start, start + length)``
-    sub-view, so alignment slop costs at most one extra page of address
-    space.  The view's ``obj`` is the mapping, which it keeps open.
-    Returns ``(column, mapped_bytes)``.
-    """
-    if length <= 0:
-        return memoryview(b"").cast(INDEX_TYPECODE), 0
-    granularity = _mmap.ALLOCATIONGRANULARITY
-    aligned = (start // granularity) * granularity
-    delta = start - aligned
-    mapped = _mmap.mmap(
-        fileno, delta + length, access=_mmap.ACCESS_READ, offset=aligned
-    )
-    column = memoryview(mapped)[delta : delta + length].cast(INDEX_TYPECODE)
-    return column, delta + length
-
-
-def _boot_extent(
-    path: str, info: SnapshotInfo, table_crc: int, interval, residency=None
-) -> Optional[SnapshotBoot]:
-    """Interval-restricted mmap boot: map only the interval's rows.
-
-    Returns ``None`` when the interval covers every row — the caller then
-    uses the whole-file mapping, which additionally adopts the persisted
-    CSR extents instead of rebuilding them.
-
-    The restricted graph keeps the **full vertex label table** (so vertex
-    interning, absent-vertex handling and result shapes match the
-    unrestricted boot bit-for-bit) but holds only the ``[row_lo, row_hi)``
-    edge rows: three page-aligned mappings (``src``/``dst``/``ts`` row
-    ranges) instead of eleven whole-column extents.  CSR adjacency is
-    rebuilt over the rows — O(rows + V), proportional to the extent, and
-    backed by private ``array('q')`` storage rather than mapped pages.
-    Queries whose window lies inside ``interval`` see exactly the rows they
-    would have seen on the full boot (the window slice of a restricted
-    column equals the restricted slice of the full column), so results are
-    bit-identical by construction.
-    """
-    window = as_interval(interval)
-    with open(path, "rb") as handle:
-        sections = _parse_table(
-            _read_table_block(handle, info), path, info, table_crc
-        )
-        _validate_shapes(sections, path, info)
-        row_lo, row_hi = _bisect_rows(
-            handle, sections["view.ts"].offset, info.num_edges, window
-        )
-        if row_lo == 0 and row_hi == info.num_edges:
-            return None
-        record = sections["meta"]
-        handle.seek(record.offset)
-        meta = _decode_meta(_checked(handle.read(record.length), record, path), path)
-        rows = row_hi - row_lo
-        columns: Dict[str, memoryview] = {}
-        mapped_bytes = 0
-        for name in ("view.src", "view.dst", "view.ts"):
-            column, nbytes = _map_rows(
-                handle.fileno(), sections[name].offset + 8 * row_lo, 8 * rows
-            )
-            columns[name] = column
-            mapped_bytes += nbytes
-            if residency is not None and nbytes:
-                residency.register(column.obj)
-    try:
-        labels = list(meta["labels"])
-        if len(labels) != info.num_vertices:
-            raise SnapshotError(
-                f"{path}: snapshot header does not match payload "
-                f"(header says |V|={info.num_vertices}, metadata has "
-                f"{len(labels)})"
-            )
-        src, dst, ts = (
-            columns["view.src"],
-            columns["view.dst"],
-            columns["view.ts"],
-        )
-        out_offsets, out_edges = _csr(src, info.num_vertices, rows)
-        in_offsets, in_edges = _csr(dst, info.num_vertices, rows)
-        view = GraphView(
-            labels, src, dst, ts,
-            out_offsets, out_edges, in_offsets, in_edges,
-            epoch=int(meta["epoch"]),
-        )
-        graph = TemporalGraph.from_view(
-            view, [t for t in meta["timestamps"] if window.begin <= t <= window.end]
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SnapshotError(f"{path}: malformed snapshot state: {exc}") from exc
-    return SnapshotBoot(
-        graph=graph,
-        info=info,
-        mmap_requested=True,
-        mmap_active=True,
-        row_range=(row_lo, row_hi),
-        mapped_column_bytes=mapped_bytes,
-        total_column_bytes=_total_column_bytes(sections),
-    )
-
-
-def _restrict_graph_eager(graph: TemporalGraph, interval) -> TemporalGraph:
-    """Rebuild ``graph`` keeping only the edges inside ``interval``.
-
-    The eager twin of :func:`_boot_extent` for boots that do not map
-    (``mmap=False``, big-endian hosts, failed mappings): the full vertex
-    set is preserved and the restricted edge rows keep the same
-    deterministic order, so query results inside ``interval`` match the
-    extent-local boot bit-for-bit.  The snapshot's epoch is carried over so
-    epoch-keyed caches treat both restrictions as the same graph state.
-    """
-    window = as_interval(interval)
-    restricted = TemporalGraph(
-        vertices=graph.vertices(),
-        edges=(
-            (u, v, t)
-            for (u, v, t) in graph.edge_tuples()
-            if window.begin <= t <= window.end
-        ),
-    )
-    restricted._epoch = graph.epoch
-    restricted.warm_indices()
-    return restricted
-
-
-def _boot_snapshot_file(
-    path: PathLike,
-    *,
-    mmap: bool = False,
-    interval=None,
-    residency=None,
-) -> SnapshotBoot:
+def _boot_snapshot_file(path: PathLike, *, mmap: bool = False) -> SnapshotBoot:
     """Load the snapshot *file* at ``path`` — journal replay lives one level up.
 
     With ``mmap=True`` the returned graph's view reads straight out of the
@@ -885,20 +669,7 @@ def _boot_snapshot_file(
     order can't alias the little-endian extents, or a mapping the OS
     refuses, degrades to the eager boot, with the reason recorded on the
     returned :class:`SnapshotBoot` rather than raised: a readable snapshot
-    always boots.
-
-    ``interval`` restricts the boot to the edges whose timestamp lies in
-    the (inclusive) interval, preserving the full vertex set.  Combined
-    with ``mmap=True`` this is the *extent-local* boot: only the interval's
-    rows of the edge columns are mapped (see :func:`_boot_extent`), so a
-    shard worker's address space holds its time extent, not the file.  An
-    interval spanning every row is a no-op and keeps the whole-file fast
-    path.  Eager boots honour the restriction by rebuilding the in-interval
-    subgraph after loading.
-
-    ``residency`` is an optional :class:`~repro.store.residency.
-    ResidencyPolicy`; every mapping the boot creates is registered with it
-    so the serving layer can drive ``madvise`` page advice.
+    always boots, and always whole.
 
     Raises
     ------
@@ -926,34 +697,22 @@ def _boot_snapshot_file(
             )
         elif mmap:
             try:
-                if interval is not None:
-                    boot = _boot_extent(path, info, table_crc, interval, residency)
-                    if boot is not None:
-                        return boot
-                return _boot_mmap(path, info, table_crc, residency)
+                return _boot_mmap(path, info, table_crc)
             except (OSError, _mmap.error) as exc:
                 reasons.append(f"mmap of the snapshot failed ({exc}): booted eagerly")
         graph = _load_eager(handle.read(info.payload_bytes), path, info, table_crc)
-    if interval is not None:
-        graph = _restrict_graph_eager(graph, interval)
     return SnapshotBoot(
         graph=graph, info=info, mmap_requested=mmap, fallback_reasons=reasons
     )
 
 
-def boot_snapshot(
-    path: PathLike,
-    *,
-    mmap: bool = False,
-    interval=None,
-    residency=None,
-) -> SnapshotBoot:
+def boot_snapshot(path: PathLike, *, mmap: bool = False) -> SnapshotBoot:
     """Load the snapshot at ``path``, optionally mmap-backed, with provenance.
 
-    See :func:`_boot_snapshot_file` for the file-level semantics (mmap,
-    extent-local interval boots, residency registration, fallback reasons).
-    On top of that, this wrapper replays the epoch-delta journal sidecar
-    (``path + ".tspgjournal"``) if one is present:
+    See :func:`_boot_snapshot_file` for the file-level semantics (mmap and
+    its fallback reasons).  On top of that, this wrapper replays the
+    epoch-delta journal sidecar (``path + ".tspgjournal"``) if one is
+    present:
 
     - the journal's base epoch must equal the snapshot epoch to apply —
       appends are then replayed in order through the graph's journaled
@@ -968,14 +727,10 @@ def boot_snapshot(
       snapshot file regressed underneath the journal and raises
       :class:`SnapshotError`.
 
-    ``interval`` restrictions apply to replayed rows too: only appends
-    whose timestamp lies inside the interval land in the booted graph.
     ``journal_path``/``journal_records`` on the returned
     :class:`SnapshotBoot` record what was replayed.
     """
-    boot = _boot_snapshot_file(
-        path, mmap=mmap, interval=interval, residency=residency
-    )
+    boot = _boot_snapshot_file(path, mmap=mmap)
     # Deferred import: journal.py imports _commit_bytes and SnapshotError
     # from this module.
     from .journal import journal_path, read_journal, replay_journal
@@ -995,21 +750,16 @@ def boot_snapshot(
         # deltas are already folded into the snapshot payload.
         return boot
     boot.journal_path = sidecar
-    boot.journal_records = replay_journal(
-        boot.graph, sidecar, interval=interval
-    )
+    boot.journal_records = replay_journal(boot.graph, sidecar)
     return boot
 
 
-def load_snapshot(
-    path: PathLike, *, mmap: bool = False, interval=None
-) -> TemporalGraph:
+def load_snapshot(path: PathLike, *, mmap: bool = False) -> TemporalGraph:
     """Load the :class:`TemporalGraph` stored in the snapshot at ``path``.
 
     ``mmap=True`` requests the zero-copy columnar boot (use
     :func:`boot_snapshot` to observe the reasons when it degrades to
-    eager).  ``interval`` restricts the boot to that time range's edges
-    (extent-local mapping when combined with ``mmap``).
+    eager).
 
     Raises
     ------
@@ -1018,4 +768,4 @@ def load_snapshot(
         truncated payload, trailing garbage, checksum mismatch, an
         undecodable payload, or header counts that contradict the payload.
     """
-    return boot_snapshot(path, mmap=mmap, interval=interval).graph
+    return boot_snapshot(path, mmap=mmap).graph

@@ -296,15 +296,6 @@ class TestBatchCommand:
         with pytest.raises(SystemExit, match="not a tspG snapshot|truncated"):
             main(["batch", "--snapshot", str(bad), "--num-queries", "2"])
 
-    def test_residency_with_shards_fails_before_the_graph_loads(self, tmp_path):
-        # The snapshot does not exist: a check that ran after the load
-        # would fail there instead, and without the check the router
-        # silently served with no page advice.
-        with pytest.raises(SystemExit, match="--residency conflicts with --shards"):
-            main(["batch", "--snapshot", str(tmp_path / "missing.tspgsnap"),
-                  "--shards", "3", "--mmap", "--residency",
-                  "--num-queries", "2"])
-
     @pytest.mark.parametrize("command", ["inspect", "batch"])
     def test_a_pre_v4_snapshot_exits_with_one_re_warm_line(
         self, tmp_path, command
@@ -391,6 +382,9 @@ class TestBatchCommand:
         ("--theta", "-4", "--theta must be at least 2"),
         ("--repeat", "0", "--repeat must be at least 1"),
         ("--repeat", "-2", "--repeat must be at least 1"),
+        ("--budget", "-1", "--budget must be a finite, non-negative number"),
+        ("--budget", "nan", "--budget must be a finite, non-negative number"),
+        ("--budget", "inf", "--budget must be a finite, non-negative number"),
     ])
     def test_bad_sizes_fail_before_the_graph_loads(
         self, tmp_path, flag, value, message
@@ -423,6 +417,24 @@ class TestServeCommand:
         assert code == 0
         out = capsys.readouterr().out
         return [json.loads(line) for line in out.splitlines() if line.strip()]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-line-bytes", "0", "--max-line-bytes must be at least 1"),
+        ("--max-line-bytes", "-4", "--max-line-bytes must be at least 1"),
+        ("--admission-margin-ms", "-1", "--admission-margin-ms must be a finite"),
+        ("--admission-margin-ms", "nan", "--admission-margin-ms must be a finite"),
+        ("--admission-margin-ms", "inf", "--admission-margin-ms must be a finite"),
+        ("--budget", "-0.5", "--budget must be a finite"),
+        ("--budget", "nan", "--budget must be a finite"),
+    ])
+    def test_bad_serve_bounds_fail_before_anything_boots(
+        self, tmp_path, flag, value, message
+    ):
+        # The edge list does not exist: a check that ran after the boot
+        # would fail there instead, and one that never ran would listen.
+        with pytest.raises(SystemExit, match=message):
+            main(["serve", "--edge-list", str(tmp_path / "missing.txt"),
+                  "--listen", "127.0.0.1:0", flag, value])
 
     def test_query_batch_and_stats_round_trip(self, tmp_path, capsys):
         responses = self._run(tmp_path, [

@@ -6,10 +6,10 @@ replays one generated query/ingest trace through every configuration
 :func:`~repro.analysis.oracle.brute_force_tspg` on the graph at the
 answer's stamped epoch.  The cells are the product of
 
-* five boots — ``--edge-list``, ``--snapshot``, ``--snapshot --mmap
-  --residency``, ``--shard-snapshots`` and ``--shard-snapshots --mmap
-  --residency`` — each parsed by ``cli.build_parser()`` and booted by
-  ``cli._serve_service``, so a cell cannot drift from the CLI;
+* five boots — ``--edge-list``, ``--snapshot``, ``--snapshot --mmap``,
+  ``--shard-snapshots`` and ``--shard-snapshots --mmap`` — each parsed by
+  ``cli.build_parser()`` and booted by ``cli._serve_service``, so a cell
+  cannot drift from the CLI;
 * a result cache of 0 or 64 entries;
 * two transports — stdio (``RequestCore.handle_line``) and TCP
   (``ServerThread`` + ``TspgClient``).
@@ -22,7 +22,7 @@ each cell answers the queries through ``run_batch`` serially and over one
 shared ``WorkerPool`` (the wire ``batch`` op returns only aggregates),
 the two mmap boots answer every registry algorithm over TCP, and each
 file-backed cell boots again from its files, which must replay the
-ingest journal.  One mmap cell runs with ``TSPG_NO_MADVISE=1``.
+ingest journal.
 
 A mismatch names the seed, the cell, the request index and the ingests
 applied before it; :data:`SEED` replays the same trace.
@@ -61,8 +61,6 @@ CELLS = [
     for cache_size in (0, 64)
     for transport in ("stdio", "tcp")
 ]
-#: The one mmap cell whose page advice is forced to the no-op path.
-NO_MADVISE_CELL = ("shards-mmap", 0, "stdio")
 
 
 class Trace:
@@ -195,13 +193,9 @@ def boot_argv(boot: str, root) -> list:
     return {
         "edge-list": ["--edge-list", str(root / "edges.txt")],
         "snapshot": ["--snapshot", str(root / "g.tspgsnap")],
-        "snapshot-mmap": [
-            "--snapshot", str(root / "g.tspgsnap"), "--mmap", "--residency",
-        ],
+        "snapshot-mmap": ["--snapshot", str(root / "g.tspgsnap"), "--mmap"],
         "shards": ["--shard-snapshots", str(root / "shards")],
-        "shards-mmap": [
-            "--shard-snapshots", str(root / "shards"), "--mmap", "--residency",
-        ],
+        "shards-mmap": ["--shard-snapshots", str(root / "shards"), "--mmap"],
     }[boot]
 
 
@@ -215,7 +209,6 @@ def serve(argv: list, cache_size: int, pool):
         service,
         default_workers=args.workers,
         default_budget_seconds=args.budget,
-        evict_every=args.evict_every,
     )
 
 
@@ -328,20 +321,16 @@ def test_the_trace_probes_answers_and_invalidation(trace):
 
 @pytest.mark.parametrize("cell", CELLS, ids=[cell_id(cell) for cell in CELLS])
 def test_every_served_answer_is_the_exact_tspg(
-    cell, trace, warmed, worker_pool, tmp_path, monkeypatch
+    cell, trace, warmed, worker_pool, tmp_path
 ):
     boot, cache_size, transport = cell
     root = tmp_path / "files"
     shutil.copytree(warmed, root)
-    if cell == NO_MADVISE_CELL:
-        monkeypatch.setenv("TSPG_NO_MADVISE", "1")
     argv = boot_argv(boot, root)
     core = serve(argv, cache_size, worker_pool)
     service = core.service
     if boot in MMAP_BOOTS:
         assert service.snapshot_mmap_active, service.mmap_fallback_reasons()
-    if cell == NO_MADVISE_CELL:
-        assert service.residency_stats()["supported"] is False
     if transport == "stdio":
         replay(trace, cell, stdio(core))
     else:

@@ -27,7 +27,6 @@ from repro.graph.views import GraphView
 from repro.queries.query import TspgQuery
 from repro.service import RequestCore, ShardedTspgService, TspgService
 from repro.store import (
-    ResidencyPolicy,
     ShardSnapshotSet,
     SnapshotError,
     append_journal_delta,
@@ -271,19 +270,6 @@ class TestJournal:
         with pytest.raises(SnapshotError, match="journaled append path"):
             append_journal_delta(path, delta)
 
-    def test_replay_with_interval_clips_rows_and_pins_the_epoch(
-        self, tmp_path
-    ):
-        path = self._snapshot(tmp_path)
-        graph = boot_snapshot(path).graph
-        append_journal_delta(
-            path, graph.append_edges([("t", "z", 9), ("z", "q", 30)])
-        )
-        clipped = boot_snapshot(path, interval=(1, 9)).graph
-        assert ("t", "z", 9) in set(clipped.edge_tuples())
-        assert ("z", "q", 30) not in set(clipped.edge_tuples())
-        assert clipped.epoch == graph.epoch
-
     def test_clear_journal_reports_whether_anything_was_removed(
         self, tmp_path
     ):
@@ -518,26 +504,6 @@ def test_a_query_racing_the_journal_write_answers_at_its_stamped_epoch(
     ), reply
 
 
-class TestResidencyRetirement:
-    def test_retire_all_counts_and_clears(self):
-        policy = ResidencyPolicy()
-        policy.register(bytearray(4096))
-        policy.register(bytearray(4096))
-        assert policy.stats()["mappings"] == 2
-        assert policy.retire_all() == 2
-        assert policy.stats()["mappings"] == 0
-        assert policy.stats()["retirements"] == 2
-        assert policy.retire_all() == 0
-        assert policy.stats()["retirements"] == 2
-
-    def test_merged_stats_sum_retirements(self):
-        first, second = ResidencyPolicy(), ResidencyPolicy()
-        first.register(bytearray(4096))
-        first.retire_all()
-        merged = first.merged_with([second])
-        assert merged["retirements"] == 1
-
-
 # ----------------------------------------------------------------------
 # Router ingest, set journal replay and the generation swap
 # ----------------------------------------------------------------------
@@ -676,18 +642,14 @@ class TestRouterIngest:
         regen = ShardedTspgService.from_shard_snapshots(shard_dir)
         assert (0, 1, 200) in regen.query(0, 1, (195, 206)).result.edges
 
-    def test_rewarm_retires_the_old_generations_residency(self, tmp_path):
+    def test_rewarm_of_an_mmap_router_maps_the_new_generation(self, tmp_path):
         shard_dir = self._shard_dir(tmp_path, sample_graph())
-        router = ShardedTspgService.from_shard_snapshots(
-            shard_dir, mmap=True, residency=True
-        )
-        stats = router.residency_stats()
-        if stats is None or not stats.get("mappings"):
-            pytest.skip("no residency mappings on this platform")
-        mapped = stats["mappings"]
+        router = ShardedTspgService.from_shard_snapshots(shard_dir, mmap=True)
         router.ingest([("t", "z", 9)])
         router.rewarm_shards()
-        assert router.residency_stats()["retirements"] >= mapped
+        assert router.snapshot_mmap_active
+        assert router.mmap_fallback_reasons() == []
+        assert ("t", "z", 9) in router.query("t", "z", (1, 9)).result.edges
 
     def test_background_rewarm_returns_a_joinable_thread(self, tmp_path):
         graph = sample_graph()

@@ -192,9 +192,6 @@ D1_BOOTS = {
     "built": lambda graph, path, tmp: graph,
     "eager": lambda graph, path, tmp: boot_snapshot(path).graph,
     "mmap": lambda graph, path, tmp: boot_snapshot(path, mmap=True).graph,
-    "mmap-interval": lambda graph, path, tmp: boot_snapshot(
-        path, mmap=True, interval=(10, 40)
-    ).graph,
     "eager-appended": lambda graph, path, tmp: _appended(load_snapshot(path)),
     "mmap-appended": lambda graph, path, tmp: _appended(
         load_snapshot(path, mmap=True)
@@ -215,12 +212,10 @@ class TestPlainColumns:
             assert (type(column) is array and column.typecode == "q") or (
                 type(column) is memoryview and column.format == "q"
             ), (name, type(column))
-        if boot in ("mmap", "mmap-interval"):
+        if boot == "mmap":
             for name in ("src", "dst", "ts"):
                 assert type(getattr(view, name)) is memoryview, name
         expected = graph.copy()
-        if boot == "mmap-interval":
-            expected = boot_snapshot(path, interval=(10, 40)).graph
         if "appended" in boot:
             _appended(expected)
         assert booted == expected
@@ -230,15 +225,12 @@ class TestPlainColumns:
 # an mmap boot reports the index counts of its current state
 # ----------------------------------------------------------------------
 class TestLazyWarmStats:
-    @pytest.mark.parametrize(
-        "interval", [None, (10, 40)], ids=["whole-file", "interval"]
-    )
     def test_lazy_warm_counts_match_an_eager_boot_across_an_append(
-        self, d1_snapshot, interval
+        self, d1_snapshot
     ):
         _, path = d1_snapshot
-        eager = boot_snapshot(path, interval=interval).graph
-        boot = boot_snapshot(path, mmap=True, interval=interval)
+        eager = boot_snapshot(path).graph
+        boot = boot_snapshot(path, mmap=True)
         mapped = boot.graph
         assert boot.mmap_active and type(mapped.view().ts) is memoryview
         assert type(eager.view().ts) is array
@@ -309,7 +301,6 @@ class TestCrossVersionCompat:
 RETIRED_READERS = {
     "eager": boot_snapshot,
     "mmap": lambda path: boot_snapshot(path, mmap=True),
-    "extent-local": lambda path: boot_snapshot(path, mmap=True, interval=(3, 5)),
     "peek": peek_snapshot,
     "inspect": inspect_snapshot,
     "service": TspgService.from_snapshot,
@@ -353,7 +344,6 @@ class TestRetiredVersions:
 V4_BOOTS = {
     "eager": {},
     "mmap": {"mmap": True},
-    "extent-local": {"mmap": True, "interval": (3, 7)},
 }
 
 
@@ -378,14 +368,9 @@ class TestV4Fixture:
         assert boot.info.version == 4
         assert boot.mmap_active == bool(options.get("mmap"))
         graph = paper_running_example()
-        window = options.get("interval", (2, 7))
-        if "interval" in options:
-            assert boot.row_range == (2, graph.num_edges)
-            assert boot.graph == boot_snapshot(V4_FIXTURE, interval=window).graph
-        else:
-            assert boot.graph == graph
+        assert boot.graph == graph
         assert boot.graph.epoch == graph.epoch
-        assert vug_answers(boot.graph, window) == vug_answers(graph, window)
+        assert vug_answers(boot.graph) == vug_answers(graph)
 
     def test_a_journal_replays_onto_a_v4_file_and_a_resave_writes_v5(
         self, tmp_path
@@ -543,12 +528,15 @@ class TestMmapSurfaces:
         boot = boot_snapshot(path, mmap=True)
         assert boot.mmap_requested and boot.mmap_active
         assert boot.fallback_reasons == []
-        assert boot.row_range == (0, graph.num_edges)
-        assert boot.mapped_column_bytes == boot.total_column_bytes > 0
+        # The whole file is mapped: every column, the persisted CSR-aligned
+        # ones included, reads out of the one mapping.
+        view = boot.graph.view()
+        assert type(view.ts) is memoryview and type(view.out_ts) is memoryview
+        assert boot.graph == graph
         plain = boot_snapshot(path)
         assert not plain.mmap_requested and not plain.mmap_active
         assert plain.fallback_reasons == []
-        assert plain.mapped_column_bytes == 0
+        assert type(plain.graph.view().ts) is array
 
     def test_service_surfaces_fallback_reasons(self, tmp_path, monkeypatch):
         graph = sample_graph()
@@ -580,6 +568,21 @@ class TestMmapSurfaces:
         assert mapped_router.snapshot_mmap_active
         assert mapped_router.mmap_fallback_reasons() == []
 
+    def test_shard_boot_maps_the_whole_file(self, tmp_path):
+        graph = scale_graph()
+        router = ShardedTspgService(graph, 2)
+        shard_dir = str(tmp_path / "shards")
+        router.save_shards(shard_dir)
+        shard_set = ShardSnapshotSet(shard_dir)
+        entry = shard_set.manifest().shards[0]
+        boot = shard_set.boot_shard(entry, mmap=True)
+        # A shard file holds exactly its extent's rows and boots whole,
+        # the persisted CSR-aligned columns mapped with the edge columns.
+        assert boot.mmap_active
+        assert type(boot.graph.view().out_ts) is memoryview
+        assert boot.graph.num_edges == entry.num_edges
+        assert boot.graph == shard_set.load_shard(entry)
+
     def test_router_labels_per_shard_degradations(self, tmp_path, monkeypatch):
         graph = sample_graph()
         router = ShardedTspgService(graph, 2)
@@ -597,147 +600,3 @@ class TestMmapSurfaces:
         assert reasons[0].startswith("shard 1 (")
         assert "mmap of the snapshot failed" in reasons[0]
         assert mapped_router.graph == graph
-
-
-# ----------------------------------------------------------------------
-# extent-local boots + page-advice policy
-# ----------------------------------------------------------------------
-class TestExtentLocalBoot:
-    def restriction(self, graph):
-        """A middle slice of the graph's timestamp span (a proper subset)."""
-        timestamps = graph.timestamps()
-        return (timestamps[len(timestamps) // 4],
-                timestamps[(len(timestamps) * 3) // 4])
-
-    def test_extent_boot_maps_only_the_interval_rows(self, tmp_path):
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        interval = self.restriction(graph)
-        boot = boot_snapshot(path, mmap=True, interval=interval)
-        assert boot.mmap_active
-        lo, hi = boot.row_range
-        assert 0 < hi - lo < graph.num_edges
-        assert boot.graph.num_edges == hi - lo
-        assert 0 < boot.mapped_column_bytes < boot.total_column_bytes
-        begin, end = interval
-        view = boot.graph.view()
-        assert all(begin <= ts <= end for ts in view.ts)
-
-    def test_extent_boot_matches_eager_restriction(self, tmp_path):
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        interval = self.restriction(graph)
-        extent = boot_snapshot(path, mmap=True, interval=interval).graph
-        eager = boot_snapshot(path, interval=interval).graph
-        assert sorted(extent.edge_tuples()) == sorted(eager.edge_tuples())
-        assert set(extent.vertices()) == set(eager.vertices())
-        assert extent.timestamps() == eager.timestamps()
-
-    def test_covering_interval_takes_the_whole_file_fast_path(self, tmp_path):
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        timestamps = graph.timestamps()
-        boot = boot_snapshot(
-            path, mmap=True, interval=(timestamps[0], timestamps[-1])
-        )
-        assert boot.mmap_active
-        assert boot.row_range == (0, graph.num_edges)
-        assert boot.mapped_column_bytes == boot.total_column_bytes
-        assert type(boot.graph.view().out_ts) is memoryview
-
-    def test_extent_boot_registers_residency_mappings(self, tmp_path):
-        from repro.store import ResidencyPolicy, madvise_supported
-
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        policy = ResidencyPolicy()
-        boot = boot_snapshot(
-            path, mmap=True, interval=self.restriction(graph),
-            residency=policy,
-        )
-        assert boot.mmap_active
-        stats = policy.stats()
-        assert stats["mappings"] > 0
-        assert stats["mapped_bytes"] > 0
-        if madvise_supported():
-            assert policy.advise_warm() > 0
-            assert policy.advise_serve() > 0
-            assert policy.evict_cold() > 0
-            assert policy.stats()["errors"] == 0
-
-    def test_no_madvise_env_forces_noop(self, tmp_path, monkeypatch):
-        from repro.store import ResidencyPolicy, madvise_unsupported_reason
-
-        monkeypatch.setenv("TSPG_NO_MADVISE", "1")
-        assert "TSPG_NO_MADVISE" in madvise_unsupported_reason()
-        policy = ResidencyPolicy()
-        graph = sample_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        boot = boot_snapshot(path, mmap=True, residency=policy)
-        assert boot.mmap_active
-        assert not policy.supported
-        assert policy.advise_warm() == 0
-        assert policy.evict_cold() == 0
-        assert policy.stats()["errors"] == 0
-
-    def test_store_surfaces_interval_and_mapped_bytes(self, tmp_path):
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        interval = self.restriction(graph)
-        service = TspgService.from_snapshot(path, mmap=True, interval=interval)
-        boot = service.snapshot_boot
-        assert boot.mmap_active and service.residency_stats() is None
-        lo, hi = boot.row_range
-        assert hi - lo == service.graph.num_edges < graph.num_edges
-        assert 0 < boot.mapped_column_bytes < boot.total_column_bytes
-
-    def test_service_from_snapshot_with_interval_and_residency(self, tmp_path):
-        graph = scale_graph()
-        path = str(tmp_path / "g.tspgsnap")
-        save_snapshot(graph, path)
-        interval = self.restriction(graph)
-        service = TspgService.from_snapshot(
-            path, mmap=True, interval=interval, residency=True
-        )
-        stats = service.residency_stats()
-        assert stats is not None
-        assert stats["phase"] == "serve"
-        assert 0 < stats["mapped_column_bytes"] < stats["total_column_bytes"]
-        service.evict_cold_pages()
-
-    def test_shard_boot_with_residency_stays_whole_file(self, tmp_path):
-        from repro.store import ResidencyPolicy
-
-        graph = scale_graph()
-        router = ShardedTspgService(graph, 2)
-        shard_dir = str(tmp_path / "shards")
-        router.save_shards(shard_dir)
-        shard_set = ShardSnapshotSet(shard_dir)
-        manifest = shard_set.manifest()
-        policy = ResidencyPolicy()
-        boot = shard_set.boot_shard(
-            manifest.shards[0], mmap=True, residency=policy
-        )
-        # A well-formed shard file holds exactly its extent's rows, so the
-        # extent restriction is a no-op and the whole-file path runs.
-        assert boot.mmap_active
-        assert type(boot.graph.view().out_ts) is memoryview
-        assert policy.stats()["mappings"] > 0
-
-    def test_sharded_router_residency_stats_aggregate(self, tmp_path):
-        graph = scale_graph()
-        ShardedTspgService(graph, 3).save_shards(str(tmp_path / "shards"))
-        booted = ShardedTspgService.from_shard_snapshots(
-            str(tmp_path / "shards"), mmap=True, residency=True
-        )
-        assert len(booted.residency) == 3
-        stats = booted.residency_stats()
-        assert stats["mappings"] >= 3
-        assert stats["mapped_bytes"] > 0
-        booted.evict_cold_pages()

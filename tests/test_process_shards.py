@@ -223,7 +223,16 @@ class TestShardSnapshotSet:
         with pytest.raises(SnapshotError, match="checksum mismatch"):
             shard_set.load_all()
 
-    def test_tampered_manifest_counts_raise(self, tmp_path):
+    @pytest.mark.parametrize(
+        "boot",
+        [
+            lambda path: ShardSnapshotSet(path).load_all(),
+            lambda path: ShardSnapshotSet(path).load_all(mmap=True),
+            lambda path: ShardedTspgService.from_shard_snapshots(path, mmap=True),
+        ],
+        ids=["eager", "mmap", "router-mmap"],
+    )
+    def test_tampered_manifest_counts_raise(self, tmp_path, boot):
         graph, _ = _random_case(seed=38)
         ShardedTspgService(graph, 2).save_shards(tmp_path / "shards")
         manifest_path = tmp_path / "shards" / SHARD_MANIFEST_NAME
@@ -233,11 +242,11 @@ class TestShardSnapshotSet:
         raw = json.loads(text)
         # The file CRC covers the snapshot bytes, not the manifest, so a
         # count edit slips past the checksum and must be caught by the
-        # decoded-count cross-check.
+        # decoded-count cross-check, which an mmap boot runs too.
         raw["shards"][0]["num_edges"] += 1
         manifest_path.write_text(json.dumps(raw), encoding="utf-8")
         with pytest.raises(SnapshotError, match="does not match its manifest"):
-            ShardSnapshotSet(tmp_path / "shards").load_all()
+            boot(tmp_path / "shards")
 
     def test_resave_commits_a_new_generation_and_prunes_the_old(self, tmp_path):
         # Re-warming over a live set must never touch the files the current

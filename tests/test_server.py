@@ -21,6 +21,7 @@ Four layers of coverage, all over a *real* socket (no transport mocks):
 """
 
 import asyncio
+import contextlib
 import json
 import random
 import socket
@@ -40,6 +41,7 @@ from repro.service import (
     RequestCore,
     ServerThread,
     TspgClient,
+    TspgServer,
     TspgService,
 )
 from repro.service.server import (
@@ -326,6 +328,35 @@ class TestProtocolConformance:
                         break
                     time.sleep(0.02)
                 assert stats["connections_active"] == 1
+
+    def test_a_connection_whose_handler_starts_after_close_is_dropped(self):
+        # Accepting a connection spans several loop turns, so one can be
+        # accepted before aclose() stops the listener and have its handler
+        # start only after aclose() closed the open sessions.
+        async def main():
+            server = TspgServer(RequestCore(TspgService(small_graph())))
+            accepted, release = asyncio.Event(), asyncio.Event()
+            handle = server._handle_connection
+
+            async def late_handler(reader, writer):
+                accepted.set()
+                await release.wait()
+                await handle(reader, writer)
+
+            server._handle_connection = late_handler
+            await server.start()
+            reader, writer = await asyncio.open_connection(*server.address)
+            await asyncio.wait_for(accepted.wait(), timeout=5)
+            closing = asyncio.create_task(server.aclose())
+            await asyncio.sleep(0.05)
+            release.set()
+            try:
+                return await asyncio.wait_for(reader.read(), timeout=5)
+            finally:
+                writer.close()
+                await asyncio.wait_for(closing, timeout=5)
+
+        assert asyncio.run(main()) == b""
 
     def test_stats_surface_shapes(self):
         with boot() as st:
@@ -766,33 +797,41 @@ class TestHandoffStress:
 # ----------------------------------------------------------------------
 
 
-class TestCliListen:
-    def test_tspg_serve_listen_round_trip_and_clean_shutdown(self):
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
+@contextlib.contextmanager
+def _listen_server(argv, **popen_kwargs):
+    """Run ``argv`` (a ``tspg serve --listen`` process) and yield it and its address."""
+    import os
+    import re
+    import subprocess
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--dataset", "D1",
-                "--listen", "127.0.0.1:0",
-            ],
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    with subprocess.Popen(
+        argv, stderr=subprocess.PIPE, env=env, text=True, **popen_kwargs
+    ) as process:
         try:
             banner = process.stderr.readline()
             match = re.search(r"listening on ([\d.]+):(\d+)", banner)
             assert match, f"no listen banner in {banner!r}"
-            address = (match.group(1), int(match.group(2)))
+            yield process, (match.group(1), int(match.group(2)))
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+
+_SERVE_D1 = ["serve", "--dataset", "D1", "--listen", "127.0.0.1:0"]
+
+
+class TestCliListen:
+    def test_tspg_serve_listen_round_trip_and_clean_shutdown(self):
+        import signal
+
+        with _listen_server(
+            [sys.executable, "-m", "repro.cli", *_SERVE_D1]
+        ) as (process, address):
             with TspgClient(address) as client:
                 query = client.request(
                     {"source": "3", "target": "11", "begin": 5, "end": 40}
@@ -809,12 +848,59 @@ class TestCliListen:
             process.send_signal(signal.SIGINT)
             code = process.wait(timeout=30)
             summary = process.stderr.read()
-            assert code == 0
-            assert "served 3 responses to 1 connections" in summary
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
+        assert code == 0
+        assert "served 3 responses to 1 connections" in summary
+
+    def test_sigint_stops_a_server_with_a_client_connected(self):
+        # From Python 3.12.1, asyncio.Server.wait_closed() waits for every
+        # open connection to drop; the server has to close its sessions
+        # first or a connected client keeps it from stopping.
+        import signal
+
+        with _listen_server(
+            [sys.executable, "-m", "repro.cli", *_SERVE_D1]
+        ) as (process, address):
+            with TspgClient(address) as client:
+                assert client.request({"op": "stats"})["ok"]
+                process.send_signal(signal.SIGINT)
+                code = process.wait(timeout=10)
+            summary = process.stderr.read()
+        assert code == 0
+        assert "served 1 responses to 1 connections" in summary
+
+    def test_sigint_on_a_worker_thread_stops_an_idle_server(self):
+        # The kernel may deliver a process-directed SIGINT to any thread
+        # that does not block it.  A helper thread in the server process
+        # sends one to a request worker once the test says "go", while the
+        # loop sits idle with one connection open and nothing to read.
+        import subprocess
+
+        script = (
+            "import signal, sys, threading, time\n"
+            "from repro import cli\n"
+            "def interrupt_a_worker():\n"
+            "    sys.stdin.readline()\n"
+            "    while True:\n"
+            "        workers = [t for t in threading.enumerate()\n"
+            "                   if t.name.startswith('tspg-serve_')]\n"
+            "        if workers:\n"
+            "            signal.pthread_kill(workers[0].ident, signal.SIGINT)\n"
+            "            return\n"
+            "        time.sleep(0.01)\n"
+            "threading.Thread(target=interrupt_a_worker, daemon=True).start()\n"
+            f"sys.exit(cli.main({_SERVE_D1!r}))\n"
+        )
+        with _listen_server(
+            [sys.executable, "-c", script], stdin=subprocess.PIPE
+        ) as (process, address):
+            with TspgClient(address) as client:
+                assert client.request({"op": "stats"})["ok"]
+                process.stdin.write("go\n")
+                process.stdin.flush()
+                code = process.wait(timeout=10)
+            summary = process.stderr.read()
+        assert code == 0
+        assert "served 1 responses to 1 connections" in summary
 
 
 # ----------------------------------------------------------------------
@@ -834,6 +920,23 @@ class TestHelpers:
             parse_request_line("nope")
         with pytest.raises(ValueError):
             parse_request_line("[1, 2]")
+
+    @pytest.mark.parametrize("bounds", [
+        {"max_line_bytes": 0},
+        {"max_line_bytes": -1},
+        {"admission_margin_ms": -1.0},
+        {"admission_margin_ms": float("nan")},
+        {"admission_margin_ms": float("inf")},
+    ], ids=["line-0", "line-negative", "margin-negative", "margin-nan", "margin-inf"])
+    def test_the_server_rejects_bad_bounds(self, bounds):
+        core = RequestCore(TspgService(small_graph()))
+        with pytest.raises(ValueError, match=next(iter(bounds))):
+            TspgServer(core, **bounds)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
+    def test_the_core_rejects_a_bad_default_budget(self, budget):
+        with pytest.raises(ValueError, match="default_budget_seconds"):
+            RequestCore(TspgService(small_graph()), default_budget_seconds=budget)
 
     def test_latency_histogram_quantiles(self):
         histogram = LatencyHistogram()

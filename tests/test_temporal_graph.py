@@ -383,7 +383,7 @@ class TestStaging:
         save_snapshot(graph, tmp_path / "g.tspgsnap")
         booted = [
             load_snapshot(tmp_path / "g.tspgsnap", **options)
-            for options in ({}, {"mmap": True}, {"mmap": True, "interval": (2, 2)})
+            for options in ({}, {"mmap": True})
         ]
         with monkeypatch.context() as patch:
             _forbid_folds(patch)
